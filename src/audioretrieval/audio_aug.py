@@ -34,9 +34,6 @@ class AudioAugConfig:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha outside (0, 1]")
 
-    def is_identity(self) -> bool:
-        return self.g_max == 0 and self.n_f == 0 and self.n_t == 0 and self.p_ms == 0.0
-
 
 def sample_gain(rng: np.random.Generator, g_max: int) -> float:
     """Draw a gain in dB uniformly from [-g_max, g_max]."""

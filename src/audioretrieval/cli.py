@@ -6,7 +6,7 @@ import json
 import os
 import sys
 import urllib.request
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,7 @@ def _load_split(cfg: RunConfig, split: str) -> data.PairedDataset:
     path = {"train": cfg.paths.dataset, "val": cfg.paths.val_dataset, "test": cfg.paths.test_dataset}[split]
     if path is None:
         raise ConfigError(f"paths.{'dataset' if split == 'train' else split + '_dataset'}: required")
-    ds = data.load_manifest(path, cfg.paths.audio_root)
-    ds.split = split
-    return ds
+    return data.load_manifest(path, cfg.paths.audio_root)
 
 
 def _provider_and_lexicon(cfg: RunConfig):
@@ -61,11 +59,15 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
+    return trainer.prepare_split(_load_split(cfg, split), cfg.features)
+
+
 def cmd_train(args) -> int:
     try:
         cfg = load_config(args.config)
-        train_ds = _load_split(cfg, "train")
-        val_ds = _load_split(cfg, "val")
+        train = _prepared(cfg, "train")
+        val = _prepared(cfg, "val")
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -74,11 +76,14 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.json"
     optim = replace(cfg.optim, seed=cfg.seed)
-    result = trainer.train_run(
-        train_ds, val_ds, _model_dims(cfg), cfg.features,
-        cfg.audio_aug, cfg.text_aug, optim,
-        provider=provider, lexicon=lexicon, checkpoint_path=ckpt,
-    )
+    try:
+        result = trainer.train_run(
+            train, val, _model_dims(cfg), cfg.audio_aug, cfg.text_aug, optim,
+            provider=provider, lexicon=lexicon, checkpoint_path=ckpt,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     doc = result.as_dict()
     doc["config_hash"] = config_hash(args.config)
     (out_dir / "run_result.json").write_text(json.dumps(doc, indent=1))
@@ -91,49 +96,26 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         cfg = load_config(args.config)
-        ds = _load_split(cfg, args.split)
+        split = _prepared(cfg, args.split)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if len(ds) == 0:
+    if len(split) == 0:
         print(f"error: split {args.split!r} is empty", file=sys.stderr)
         return EXIT_USAGE
     try:
-        params, dims, stats = model.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
+        params, dims, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if dims.n_mels != cfg.features.n_mels:
-        print(f"error: checkpoint n_mels {dims.n_mels} != features.n_mels "
-              f"{cfg.features.n_mels}", file=sys.stderr)
-        return EXIT_USAGE
-    if stats is None:
-        stats = data.NormStats.fresh(dims.n_mels)
-
-    # the checkpoint's vocabulary comes from the training captions
-    train_ds = _load_split(cfg, "train")
-    vocab = data.build_vocab(
-        [data.preprocess_caption(c) for _, _, caps in train_ds.items for c in caps]
-    )
-    if len(vocab) != dims.vocab_size:
-        print(f"error: vocab size {len(vocab)} != checkpoint vocab_size "
-              f"{dims.vocab_size}", file=sys.stderr)
-        return EXIT_USAGE
-
-    mels = []
-    for _, w, _ in ds.items:
-        w = data.resample_linear(w, cfg.features.target_sr)
-        mels.append(data.logmel(w, cfg.features))
-    mels = data.freq_normalize(mels, stats, update=False)
-    tokens = [
-        data.tokenize(data.preprocess_caption(c), vocab)
-        for _, _, caps in ds.items for c in caps
-    ]
-    targets = np.array([i for i, (_, _, caps) in enumerate(ds.items) for _ in caps])
-    audio_emb = model.embed_audio(mels, params, dims)
-    text_emb = model.embed_text(tokens, params, dims)
-    scores = model.similarity_matrix(text_emb, audio_emb)
-    result = metrics.evaluate(scores, targets)
+    for f in fields(feat):
+        mine, trained = getattr(cfg.features, f.name), getattr(feat, f.name)
+        if mine != trained:
+            print(f"error: features.{f.name} is {mine!r} in the config but {trained!r} "
+                  f"in the checkpoint", file=sys.stderr)
+            return EXIT_USAGE
+    tokens, targets = trainer.caption_queries(split, vocab)
+    result = trainer.score_split(split, tokens, targets, params, dims, stats)
     print(metrics.metrics_table({args.split: result}))
     sidecar = Path(args.out or (Path(args.checkpoint).parent / f"eval_{args.split}.json"))
     doc = result.as_dict()
@@ -186,7 +168,7 @@ def cmd_smbo(args) -> int:
     if args.objective == "synthetic-quadratic":
         objective = _toy_quadratic_objective
     else:
-        objective = _training_objective(cfg, args.config, out_dir)
+        objective = _training_objective(cfg)
 
     trials, best = smbo.run_search(
         objective, space, n_init=args.n_init, n_trials=args.n_trials,
@@ -204,9 +186,10 @@ def cmd_smbo(args) -> int:
     return EXIT_OK
 
 
-def _training_objective(cfg: RunConfig, config_path, out_dir):
-    train_ds = _load_split(cfg, "train")
-    val_ds = _load_split(cfg, "val")
+def _training_objective(cfg: RunConfig):
+    # every trial trains on the same clips: featurize them once for all trials
+    train = _prepared(cfg, "train")
+    val = _prepared(cfg, "val")
     provider, lexicon = _provider_and_lexicon(cfg)
     dims = _model_dims(cfg)
 
@@ -224,7 +207,7 @@ def _training_objective(cfg: RunConfig, config_path, out_dir):
         )
         optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
         result = trainer.train_run(
-            train_ds, val_ds, dims, cfg.features, audio_cfg, text_cfg, optim,
+            train, val, dims, audio_cfg, text_cfg, optim,
             provider=provider, lexicon=lexicon,
         )
         status = "pruned" if result.stopped_early else "completed"

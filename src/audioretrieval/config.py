@@ -44,12 +44,6 @@ class PathsConfig:
 
 
 @dataclass
-class SmboConfig:
-    n_init: int = 10
-    n_trials: int = 100
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     paths: PathsConfig = None
@@ -59,7 +53,6 @@ class RunConfig:
     text_aug: TextAugConfig | None = None
     model: ModelDims = None
     optim: OptimConfig = None
-    smbo: SmboConfig = None
 
 
 _SECTION_TYPES = {
@@ -69,7 +62,6 @@ _SECTION_TYPES = {
     "text_aug": TextAugConfig,
     "model": ModelDims,
     "optim": OptimConfig,
-    "smbo": SmboConfig,
 }
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import unicodedata
 from dataclasses import dataclass, field
@@ -107,7 +108,6 @@ class NormStats:
 @dataclass
 class PairedDataset:
     items: list[tuple[str, Waveform, list[str]]]
-    split: str = "train"
 
     def __post_init__(self):
         for audio_id, _, captions in self.items:
@@ -174,18 +174,27 @@ def _mel_to_hz(m):
 
 
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
-    """Area-normalized triangular filters, shape [n_mels, n_fft//2 + 1]."""
-    n_bins = cfg.n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * (cfg.target_sr / cfg.n_fft)
-    mel_pts = np.linspace(_hz_to_mel(cfg.f_min), _hz_to_mel(cfg.f_max), cfg.n_mels + 2)
+    """Area-normalized triangular filters, shape [n_mels, n_fft//2 + 1].
+
+    Built once per distinct filter setting; the cached array is read-only.
+    """
+    return _filterbank(cfg.n_fft, cfg.n_mels, cfg.target_sr, cfg.f_min, cfg.f_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _filterbank(n_fft: int, n_mels: int, sr: int, f_min: float, f_max: float) -> np.ndarray:
+    n_bins = n_fft // 2 + 1
+    fft_freqs = np.arange(n_bins) * (sr / n_fft)
+    mel_pts = np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for m in range(cfg.n_mels):
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (fft_freqs - lo) / max(ctr - lo, 1e-12)
         down = (hi - fft_freqs) / max(hi - ctr, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
         fb[m] *= 2.0 / (hi - lo)  # Slaney area normalization
+    fb.flags.writeable = False
     return fb
 
 
@@ -236,15 +245,6 @@ def freq_normalize(
     scale = 1.0 / np.sqrt(var + 1e-5)
     return [
         MelSpectrogram((m.values - mean[:, None]) * scale[:, None], m.n_frames_valid)
-        for m in batch
-    ]
-
-
-def freq_denormalize(batch: list[MelSpectrogram], stats: NormStats) -> list[MelSpectrogram]:
-    """Inverse of freq_normalize under the same (non-updating) stats."""
-    scale = np.sqrt(stats.var + 1e-5)
-    return [
-        MelSpectrogram(m.values * scale[:, None] + stats.mean[:, None], m.n_frames_valid)
         for m in batch
     ]
 
@@ -343,7 +343,7 @@ def synth_dataset(
             rng.shuffle(words)
             captions.append(" ".join(words))
         items.append((f"{split}_{i:05d}_c{k}", Waveform(sig, sample_rate), captions))
-    return PairedDataset(items, split=split)
+    return PairedDataset(items)
 
 
 def load_manifest(path, audio_root=None) -> PairedDataset:

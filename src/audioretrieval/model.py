@@ -3,12 +3,12 @@ hand-written reverse-mode gradients for the full objective."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import MelSpectrogram, NormStats, TokenSequence
+from .data import FeatureConfig, MelSpectrogram, NormStats, TokenSequence, TokenVocab
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 
@@ -218,26 +218,34 @@ def backward(
     return loss, grads
 
 
-def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats | None = None):
+def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats,
+                    vocab: TokenVocab, feat: FeatureConfig):
+    """Version 2: ``arrays`` holds only numeric arrays; the vocabulary (words in
+    id order), the feature config and the normalization frame count sit beside it."""
     arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()} for name, arr in params.arrays()}
-    if stats is not None:
-        arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
-        arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
-    doc = {"dims": {f.name: getattr(dims, f.name) for f in fields(ModelDims)}, "arrays": arrays, "version": 1}
+    arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
+    arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
+    doc = {
+        "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
+        "features": asdict(feat), "norm_count": stats.count, "version": 2,
+    }
     Path(path).write_text(json.dumps(doc))
 
 
-def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats | None]:
+def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab, FeatureConfig]:
     doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
+    if doc.get("version") == 1:
+        raise ValueError("checkpoint version 1 carries no vocabulary or feature config; "
+                         "retrain to write a version-2 checkpoint")
+    if doc.get("version") != 2:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     dims = ModelDims(**doc["dims"])
     arrays = {
         name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
         for name, rec in doc["arrays"].items()
     }
-    stats = None
-    if "norm_mean" in arrays:
-        stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"))
-    params = ModelParams(**arrays)
-    return params, dims, stats
+    stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"), doc["norm_count"])
+    vocab = TokenVocab({word: i for i, word in enumerate(doc["vocab"], start=TokenVocab.UNK + 1)})
+    if len(vocab) != dims.vocab_size:
+        raise ValueError(f"vocabulary of {len(vocab)} ids != vocab_size {dims.vocab_size}")
+    return ModelParams(**arrays), dims, stats, vocab, FeatureConfig(**doc["features"])

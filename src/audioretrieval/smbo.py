@@ -86,16 +86,18 @@ class TrialRecord:
     objective: float | None
     status: str  # "completed" | "pruned" | "failed"
     epochs_run: int = 0
+    error: str | None = None  # "<Type>: <message>" of a failed trial
 
     def to_json(self) -> str:
-        return json.dumps({
+        rec = {
             "schema": 1,
             "trial_id": self.trial_id,
             "config": self.config,
             "objective": self.objective,
             "status": self.status,
             "epochs_run": self.epochs_run,
-        })
+        }
+        return json.dumps(rec if self.error is None else {**rec, "error": self.error})
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
@@ -119,7 +121,7 @@ def sample_random(space: SearchSpace, rng: np.random.Generator) -> dict:
 
 
 def _kde_bandwidth(obs: np.ndarray, rng_width: float) -> float:
-    # Silverman's rule on the observed spread, floored to 1% of the range so
+    # Silverman's rule on the observed spread, floored to 10% of the range so
     # degenerate observation sets still yield a proper density
     bw = 1.06 * float(np.std(obs)) * len(obs) ** (-1.0 / 5.0)
     return max(bw, rng_width * MIN_BANDWIDTH)
@@ -247,8 +249,9 @@ def run_search(
             try:
                 value, status, epochs_run = objective(cfg, trial_id, seed)
                 record = TrialRecord(trial_id, cfg, float(value), status, epochs_run)
-            except Exception:
-                record = TrialRecord(trial_id, cfg, None, "failed", 0)
+            except Exception as exc:
+                record = TrialRecord(trial_id, cfg, None, "failed", 0,
+                                     f"{type(exc).__name__}: {exc}")
             trials.append(record)
             if log_fh:
                 log_fh.write(record.to_json() + "\n")

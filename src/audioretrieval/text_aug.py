@@ -34,9 +34,6 @@ class TextAugConfig:
             if not 0.0 <= getattr(self, name) <= 0.3:
                 raise ValueError(f"{name} outside [0, 0.3]")
 
-    def is_identity(self) -> bool:
-        return self.p_eda == 0.0 and self.p_bt == 0.0
-
 
 @dataclass
 class SynonymLexicon:

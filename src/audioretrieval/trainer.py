@@ -1,16 +1,21 @@
-"""Training loop: Adam, step-decayed learning rate, on-the-fly augmentation,
-validation with retrieval metrics, early stopping."""
+"""Training loop: splits featurized once, Adam, step-decayed learning rate,
+on-the-fly augmentation, retrieval scoring for validation and eval, early
+stopping."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import audio_aug, text_aug
 from .data import (
     FeatureConfig,
+    MelSpectrogram,
     NormStats,
     PairedDataset,
+    TokenSequence,
+    TokenVocab,
+    Waveform,
     build_vocab,
     freq_normalize,
     logmel,
@@ -18,7 +23,7 @@ from .data import (
     resample_linear,
     tokenize,
 )
-from .metrics import evaluate
+from .metrics import RetrievalResult, evaluate
 from .model import (
     ModelDims,
     ModelParams,
@@ -123,21 +128,47 @@ class EarlyStopping:
         return epoch - self.best_epoch >= self.patience
 
 
-def _prepare_features(dataset: PairedDataset, feat: FeatureConfig):
-    """Resampled waveforms plus cached un-augmented log-mels."""
-    waves, mels = [], []
-    for _, w, _ in dataset.items:
-        w = resample_linear(w, feat.target_sr)
-        waves.append(w)
-        mels.append(logmel(w, feat))
-    return waves, mels
+@dataclass(frozen=True)
+class PreparedSplit:
+    """A split resampled and featurized once; runs share it and never modify it."""
+
+    feat: FeatureConfig
+    waves: list[Waveform]          # resampled to feat.target_sr
+    mels: list[MelSpectrogram]     # un-augmented log-mels
+    captions: list[list[str]]      # raw captions of each clip
+
+    def __len__(self):
+        return len(self.mels)
+
+
+def prepare_split(ds: PairedDataset, feat: FeatureConfig) -> PreparedSplit:
+    """Resample every clip and compute its log-mel, once."""
+    waves = [resample_linear(w, feat.target_sr) for _, w, _ in ds.items]
+    return PreparedSplit(feat, waves, [logmel(w, feat) for w in waves],
+                         [caps for _, _, caps in ds.items])
+
+
+def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[list[TokenSequence], np.ndarray]:
+    """Every caption of the split tokenized, and the index of the clip it describes."""
+    tokens = [tokenize(preprocess_caption(c), vocab) for caps in split.captions for c in caps]
+    targets = np.array([i for i, caps in enumerate(split.captions) for _ in caps], dtype=np.int64)
+    return tokens, targets
+
+
+def score_split(split: PreparedSplit, tokens, targets, params: ModelParams, dims: ModelDims,
+                stats: NormStats) -> RetrievalResult:
+    """Rank the split's clips for each caption query under frozen normalization stats."""
+    normed = freq_normalize(split.mels, stats, update=False)
+    audio_emb = embed_audio(normed, params, dims)
+    text_emb = embed_text(tokens, params, dims)
+    scores = similarity_matrix(text_emb, audio_emb)  # queries x recordings
+    return evaluate(scores, targets)
 
 
 def train_run(
-    train: PairedDataset,
-    val: PairedDataset,
+    train: PreparedSplit,
+    val: PreparedSplit,
     dims: ModelDims,
-    feat: FeatureConfig,
     audio_cfg: audio_aug.AudioAugConfig | None,
     text_cfg: text_aug.TextAugConfig | None,
     optim: OptimConfig,
@@ -154,29 +185,24 @@ def train_run(
     fixed order caption text (BT then EDA, per item) -> gain (per item) ->
     Freq-MixStyle -> SpecAugment (per item).
     """
+    if len(train) < 2:
+        raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
+    if train.feat != val.feat:
+        raise ValueError("train and val splits were featurized under different feature configs")
+    feat = train.feat
     seeds = np.random.SeedSequence(optim.seed).spawn(3)
     rng_init, rng_order, rng_aug = (np.random.default_rng(s) for s in seeds)
     lexicon = lexicon or text_aug.SynonymLexicon(({}))
 
-    caps_pre = [[preprocess_caption(c) for c in caps] for _, _, caps in train.items]
+    caps_pre = [[preprocess_caption(c) for c in caps] for caps in train.captions]
     vocab = build_vocab([c for caps in caps_pre for c in caps])
-    dims = ModelDims(**{f.name: getattr(dims, f.name) for f in fields(ModelDims)})
-    dims.vocab_size = len(vocab)
+    dims = replace(dims, vocab_size=len(vocab))
 
     params = init_params(dims, int(rng_init.integers(2**31)))
     stats = NormStats.fresh(dims.n_mels)
     state = AdamState()
 
-    train_waves, train_mels = _prepare_features(train, feat)
-    _, val_mels = _prepare_features(val, feat)
-    val_tokens = [
-        tokenize(preprocess_caption(c), vocab)
-        for _, _, caps in val.items
-        for c in caps
-    ]
-    val_targets = np.array(
-        [i for i, (_, _, caps) in enumerate(val.items) for _ in caps], dtype=np.int64
-    )
+    val_tokens, val_targets = caption_queries(val, vocab)
 
     result = RunResult(checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
     stopper = EarlyStopping(optim.patience)
@@ -185,7 +211,7 @@ def train_run(
     for epoch in range(optim.epochs):
         lr = lr_at(epoch, optim)
         order = rng_order.permutation(n)
-        cap_choice = {int(i): int(rng_order.integers(len(train.items[i][2]))) for i in order}
+        cap_choice = {int(i): int(rng_order.integers(len(train.captions[i]))) for i in order}
         batch_losses = []
         for start in range(0, n, optim.batch_size):
             idx = order[start : start + optim.batch_size]
@@ -193,7 +219,7 @@ def train_run(
                 continue  # nt_xent needs N >= 2
             tokens = []
             for i in idx:
-                raw = train.items[i][2][cap_choice[int(i)]]
+                raw = train.captions[i][cap_choice[int(i)]]
                 if text_cfg is not None:
                     text = text_aug.augment_caption(raw, text_cfg, provider, lexicon, vocab, rng_aug)
                 else:
@@ -204,11 +230,11 @@ def train_run(
                 for i in idx:
                     g = audio_aug.sample_gain(rng_aug, audio_cfg.g_max)
                     if g == 0.0:
-                        mels.append(train_mels[i])
+                        mels.append(train.mels[i])
                     else:
-                        mels.append(logmel(audio_aug.apply_gain(train_waves[i], g), feat))
+                        mels.append(logmel(audio_aug.apply_gain(train.waves[i], g), feat))
             else:
-                mels = [train_mels[i] for i in idx]
+                mels = [train.mels[i] for i in idx]
             mels = freq_normalize(mels, stats, update=True)
             if audio_cfg is not None:
                 mels = audio_aug.freq_mixstyle(mels, audio_cfg.alpha, audio_cfg.p_ms, rng_aug)
@@ -223,14 +249,14 @@ def train_run(
             batch_losses.append(loss)
 
         result.train_losses.append(float(np.mean(batch_losses)))
-        val_map = _validate(val_mels, val_tokens, val_targets, params, dims, stats)
+        val_map = score_split(val, val_tokens, val_targets, params, dims, stats).map10
         result.val_maps.append(val_map)
         result.epochs_run = epoch + 1
 
         improved = val_map > stopper.best
         stop = stopper.update(epoch, val_map)
         if improved and checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, dims, stats)
+            save_checkpoint(checkpoint_path, params, dims, stats, vocab, feat)
         if epoch_hook is not None:
             epoch_hook(epoch, val_map)
         if stop:
@@ -240,11 +266,3 @@ def train_run(
     result.best_val_map = stopper.best if stopper.best_epoch >= 0 else 0.0
     result.best_epoch = stopper.best_epoch
     return result
-
-
-def _validate(val_mels, val_tokens, val_targets, params, dims, stats) -> float:
-    normed = freq_normalize(val_mels, stats, update=False)
-    audio_emb = embed_audio(normed, params, dims)
-    text_emb = embed_text(val_tokens, params, dims)
-    scores = similarity_matrix(text_emb, audio_emb)  # queries x recordings
-    return evaluate(scores, val_targets).map10

@@ -44,7 +44,7 @@ from audioretrieval.smbo import (
     run_search,
 )
 from audioretrieval.text_aug import TextAugConfig
-from audioretrieval.trainer import EarlyStopping, OptimConfig, lr_at, train_run
+from audioretrieval.trainer import EarlyStopping, OptimConfig, lr_at, prepare_split, train_run
 
 from test_model import finite_difference_check
 
@@ -134,15 +134,15 @@ def test_criterion_04_random_baseline_calibration():
 
 
 def test_criterion_05_end_to_end_learning_signal():
-    train = synth_dataset(8, 200, 300, split="train")
-    test = synth_dataset(8, 100, 301, split="test")
+    train = prepare_split(synth_dataset(8, 200, 300, split="train"), FeatureConfig())
+    test = prepare_split(synth_dataset(8, 100, 301, split="test"), FeatureConfig())
     threshold = 5.0 * RANDOM_BASELINE
     start = time.monotonic()
     successes = 0
     best_maps = []
     for seed in range(10):
         optim = OptimConfig(epochs=20, seed=seed)
-        result = train_run(train, test, ModelDims(), FeatureConfig(), None, None, optim)
+        result = train_run(train, test, ModelDims(), None, None, optim)
         best_maps.append(result.best_val_map)
         if result.best_val_map >= threshold:
             successes += 1
@@ -154,13 +154,12 @@ def test_criterion_05_end_to_end_learning_signal():
 
 
 def test_criterion_06_augmentation_identity_suite():
-    train = synth_dataset(3, 18, 50, split="train", duration=0.2)
-    val = synth_dataset(3, 9, 51, split="val", duration=0.2)
+    train = prepare_split(synth_dataset(3, 18, 50, split="train", duration=0.2), FeatureConfig())
+    val = prepare_split(synth_dataset(3, 9, 51, split="val", duration=0.2), FeatureConfig())
 
     def run(audio_cfg, text_cfg):
         optim = OptimConfig(epochs=3, batch_size=6, seed=13)
-        return train_run(train, val, ModelDims(), FeatureConfig(),
-                         audio_cfg, text_cfg, optim)
+        return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim)
 
     identity = run(AudioAugConfig(g_max=0, n_f=0, n_t=0, p_ms=0.0),
                    TextAugConfig(p_eda=0.0, p_bt=0.0))

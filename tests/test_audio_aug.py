@@ -149,7 +149,8 @@ class TestFreqMixStyle:
 
 class TestConfig:
     def test_valid_defaults(self):
-        assert AudioAugConfig().is_identity()
+        cfg = AudioAugConfig()
+        assert (cfg.g_max, cfg.n_f, cfg.n_t, cfg.p_ms) == (0, 0, 0, 0.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"g_max": 7}, {"n_f": 2}, {"w_f": 0}, {"w_f": 33},

@@ -52,6 +52,11 @@ class TestConfigParsing:
         assert cfg.optim.batch_size == 30
         assert cfg.features.n_mels == 64
 
+    def test_smbo_section_unknown(self):
+        # smbo reads --n-init / --n-trials only; a config section would be ignored
+        with pytest.raises(ConfigError, match="smbo: unknown key"):
+            parse_config({"smbo": {"n_trials": 5}})
+
 
 class TestTrain:
     def test_invalid_config_exit_2(self, tmp_path):
@@ -73,6 +78,14 @@ class TestTrain:
         assert (out / "checkpoint.json").exists()
         doc = json.loads((out / "run_result.json").read_text())
         assert "config_hash" in doc and len(doc["train_losses"]) == 2
+
+    def test_single_clip_train_split_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, data={"synthetic": {
+            "n_classes": 3, "n_train": 1, "n_val": 9, "n_test": 9, "duration": 0.2,
+        }})
+        assert main(["train", "--config", str(path)]) == 2
+        assert "train split has 1 clip" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_result.json").exists()
 
     def test_rerun_byte_identical_csv(self, tmp_path):
         path = write_config(tmp_path)
@@ -115,6 +128,55 @@ class TestEval:
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg), "--checkpoint",
                      str(tmp_path / "missing.json")]) == 2
+
+    def test_train_manifest_order_does_not_matter(self, tmp_path):
+        main(["synth-data", "--config", str(write_config(tmp_path)),
+              "--out", str(tmp_path / "ds")])
+        cfg = write_config(tmp_path, data=None, paths={
+            "out_dir": str(tmp_path / "out"),
+            **{key: str(tmp_path / "ds" / f"{split}.jsonl") for key, split in
+               (("dataset", "train"), ("val_dataset", "val"), ("test_dataset", "test"))},
+        })
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        sidecar = tmp_path / "out" / "eval_test.json"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        before = json.loads(sidecar.read_text())
+        manifest = tmp_path / "ds" / "train.jsonl"
+        manifest.write_text("".join(reversed(manifest.read_text().splitlines(True))))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads(sidecar.read_text()) == before
+        manifest.unlink()  # eval reads only the split it scores
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads(sidecar.read_text()) == before
+
+    def test_val_eval_reproduces_best_val_map(self, tmp_path):
+        cfg = write_config(tmp_path, optim={"epochs": 4, "batch_size": 6, "lr0": 1e-2})
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.json"),
+                     "--split", "val"]) == 0
+        best = json.loads((out / "run_result.json").read_text())["best_val_map"]
+        assert json.loads((out / "eval_val.json").read_text())["map10"] == best
+
+    def test_feature_mismatch_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        other = write_config(tmp_path, features={"hop": 160})
+        assert main(["eval", "--config", str(other), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "features.hop" in err and "160" in err and "320" in err
+
+    def test_version_1_checkpoint_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        v1 = {"dims": doc["dims"], "arrays": doc["arrays"], "version": 1}
+        ckpt.write_text(json.dumps(v1))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert "retrain" in capsys.readouterr().err
 
 
 class TestSmbo:

@@ -220,17 +220,22 @@ class TestBackward:
 
 class TestCheckpoint:
     def test_roundtrip(self, small_dims, small_params, tmp_path):
-        from audioretrieval.data import NormStats
+        from audioretrieval.data import FeatureConfig, NormStats, build_vocab
 
         stats = NormStats(np.arange(8.0), np.ones(8) * 0.5, 99)
+        vocab = build_vocab(["rain on a tin roof", "a dog barks twice"])  # 8 ids
+        feat = FeatureConfig(n_mels=8, hop=160)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, small_params, small_dims, stats)
-        params, dims, loaded_stats = load_checkpoint(path)
+        save_checkpoint(path, small_params, small_dims, stats, vocab, feat)
+        params, dims, loaded_stats, loaded_vocab, loaded_feat = load_checkpoint(path)
         assert dims == small_dims
         for (_, a), (_, b) in zip(params.arrays(), small_params.arrays()):
             assert np.array_equal(a, b)
         assert np.array_equal(loaded_stats.mean, stats.mean)
         assert np.array_equal(loaded_stats.var, stats.var)
+        assert loaded_stats.count == 99
+        assert loaded_vocab == vocab
+        assert loaded_feat == feat
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,8 @@ class TestRunSearch:
         statuses = [t.status for t in trials]
         assert statuses.count("failed") == 5
         assert all(t.objective is None for t in trials if t.status == "failed")
+        assert all(t.error == "RuntimeError: boom" for t in trials if t.status == "failed")
+        assert all(t.error is None for t in trials if t.status != "failed")
         assert best is not None
 
     def test_pruned_status_preserved(self):
@@ -185,6 +189,19 @@ class TestRunSearch:
     def test_record_roundtrip(self):
         rec = TrialRecord(3, {"x": 0.25, "n_f": 1}, 0.9, "completed", 20)
         assert TrialRecord.from_json(rec.to_json()) == rec
+
+    def test_error_key_only_on_failed_lines(self, tmp_path):
+        def flaky(cfg, trial_id, seed):
+            if trial_id == 1:
+                raise ValueError("split too small")
+            return quadratic_1d(cfg, trial_id, seed)
+
+        log = tmp_path / "t.jsonl"
+        run_search(flaky, SPACE_1D, n_init=2, n_trials=3, seed=6, log_path=log)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [("error" in rec) for rec in lines] == [False, True, False]
+        assert lines[1]["error"] == "ValueError: split too small"
+        assert load_trials(log)[1].error == "ValueError: split too small"
 
 
 class TestTpeEfficacy1D:

@@ -11,6 +11,7 @@ from audioretrieval.trainer import (
     OptimConfig,
     adam_step,
     lr_at,
+    prepare_split,
     train_run,
 )
 
@@ -109,8 +110,14 @@ def _tiny_run(seed=0, epochs=3, audio_cfg=None, text_cfg=None, **kwargs):
     train = synth_dataset(3, 18, 50, split="train", duration=0.2)
     val = synth_dataset(3, 9, 51, split="val", duration=0.2)
     optim = OptimConfig(epochs=epochs, batch_size=6, seed=seed, patience=10)
-    return train_run(train, val, ModelDims(), FeatureConfig(), audio_cfg, text_cfg,
-                     optim, **kwargs)
+    return train_run(prepare_split(train, FeatureConfig()), prepare_split(val, FeatureConfig()),
+                     ModelDims(), audio_cfg, text_cfg, optim, **kwargs)
+
+
+def _tiny_splits():
+    train = synth_dataset(3, 18, 50, split="train", duration=0.2)
+    val = synth_dataset(3, 9, 51, split="val", duration=0.2)
+    return prepare_split(train, FeatureConfig()), prepare_split(val, FeatureConfig())
 
 
 class TestTrainRun:
@@ -150,6 +157,36 @@ class TestTrainRun:
     def test_loss_decreases_on_synthetic_data(self):
         result = _tiny_run(seed=8, epochs=8)
         assert result.train_losses[-1] < result.train_losses[0]
+
+    def test_shared_prepared_splits_unchanged_by_runs(self):
+        audio = AudioAugConfig(g_max=3, n_f=1, w_f=4, n_t=2, w_t=8, p_ms=0.5, alpha=0.5)
+        text = TextAugConfig(p_eda=0.5, p_syn=0.2, p_swp=0.2, p_ins=0.2, p_del=0.2)
+        shared = _tiny_splits()
+
+        def arrays():
+            return [a.copy() for split in shared
+                    for a in [m.values for m in split.mels] + [w.samples for w in split.waves]]
+
+        def run(train, val):
+            optim = OptimConfig(epochs=3, batch_size=6, seed=9, patience=10)
+            return train_run(train, val, ModelDims(), audio, text, optim).as_dict()
+
+        before = arrays()
+        first, second = run(*shared), run(*shared)
+        assert first == second == run(*_tiny_splits())
+        assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
+
+    def test_train_split_of_one_clip_rejected(self):
+        one = prepare_split(synth_dataset(3, 1, 52, duration=0.2), FeatureConfig())
+        _, val = _tiny_splits()
+        with pytest.raises(ValueError, match="1 clip"):
+            train_run(one, val, ModelDims(), None, None, OptimConfig(epochs=2))
+
+    def test_splits_featurized_differently_rejected(self):
+        train, _ = _tiny_splits()
+        val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), FeatureConfig(hop=160))
+        with pytest.raises(ValueError, match="feature configs"):
+            train_run(train, val, ModelDims(), None, None, OptimConfig(epochs=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
