@@ -49,6 +49,16 @@ def apply_gain(w: Waveform, g: float) -> Waveform:
     return Waveform(w.samples * 10.0 ** (g / 20.0), w.sample_rate)
 
 
+def gain_logmel(m: MelSpectrogram, g: float, floor: float) -> MelSpectrogram:
+    """``logmel(apply_gain(w, g))`` up to rounding, from ``m = logmel(w)`` with log floor
+    ``floor``: STFT and filterbank are linear, so the mel power exp(m) - floor scales
+    by 10^(g/10). g == 0 returns ``m`` itself."""
+    if g == 0.0:
+        return m
+    power = np.exp(m.values) - floor
+    return MelSpectrogram(np.log(10.0 ** (g / 10.0) * power + floor), m.n_frames_valid)
+
+
 def spec_augment(
     m: MelSpectrogram, n_f: int, w_f: int, n_t: int, w_t: int, rng: np.random.Generator
 ) -> MelSpectrogram:

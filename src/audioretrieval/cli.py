@@ -64,13 +64,9 @@ def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        train = _prepared(cfg, "train")
-        val = _prepared(cfg, "val")
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
+    train = _prepared(cfg, "train")
+    val = _prepared(cfg, "val")
     provider, lexicon = _provider_and_lexicon(cfg)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,17 +90,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        split = _prepared(cfg, args.split)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
+    split = _prepared(cfg, args.split)
     if len(split) == 0:
         print(f"error: split {args.split!r} is empty", file=sys.stderr)
         return EXIT_USAGE
     try:
-        params, dims, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
+        params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -115,7 +107,7 @@ def cmd_eval(args) -> int:
                   f"in the checkpoint", file=sys.stderr)
             return EXIT_USAGE
     tokens, targets = trainer.caption_queries(split, vocab)
-    result = trainer.score_split(split, tokens, targets, params, dims, stats)
+    result = trainer.score_split(split, tokens, targets, params, stats)
     print(metrics.metrics_table({args.split: result}))
     sidecar = Path(args.out or (Path(args.checkpoint).parent / f"eval_{args.split}.json"))
     doc = result.as_dict()
@@ -136,11 +128,7 @@ def cmd_smbo(args) -> int:
     if args.n_trials <= 0 or args.n_init <= 0:
         print("error: n-trials and n-init must be positive", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
     if args.space:
         try:
             space = smbo.SearchSpace.from_json(args.space)
@@ -159,6 +147,9 @@ def cmd_smbo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "trials.jsonl"
     if args.resume and log_path.exists():
+        torn = smbo.drop_torn_tail(log_path)
+        if torn is not None:
+            print(f"warning: dropped the torn last line of {log_path}: {torn!r}", file=sys.stderr)
         try:
             smbo.load_trials(log_path)
         except (ValueError, KeyError, TypeError) as exc:
@@ -217,11 +208,7 @@ def _training_objective(cfg: RunConfig):
 
 
 def cmd_augment_preview(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     if args.mode == "text":
         raw = args.input
@@ -248,7 +235,7 @@ def cmd_augment_preview(args) -> int:
         mel_before = data.logmel(w, cfg.features)
         acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
         g = audio_aug.sample_gain(rng, acfg.g_max)
-        mel_after = data.logmel(audio_aug.apply_gain(w, g), cfg.features)
+        mel_after = audio_aug.gain_logmel(mel_before, g, cfg.features.log_floor)
         mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
         out_dir = Path(cfg.paths.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,11 +284,7 @@ def cmd_bt_cache(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
     if cfg.data is None:
         print("error: data.synthetic: required for synth-data", file=sys.stderr)
         return EXIT_USAGE
@@ -365,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

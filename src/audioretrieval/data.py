@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+MAX_TOKENS = 32  # captions are truncated to this many tokens
+
 
 @dataclass
 class Waveform:
@@ -79,19 +81,6 @@ class TokenVocab:
 
     def words(self) -> list[str]:
         return list(self.token_to_id)
-
-
-@dataclass
-class TokenSequence:
-    ids: np.ndarray  # int64, length <= MAX_TOKENS
-    raw_text: str
-
-    MAX_TOKENS = 32
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.size > self.MAX_TOKENS:
-            raise ValueError("token sequence longer than %d" % self.MAX_TOKENS)
 
 
 @dataclass
@@ -267,17 +256,13 @@ def build_vocab(captions: list[str]) -> TokenVocab:
     return vocab
 
 
-def tokenize(text: str, vocab: TokenVocab) -> TokenSequence:
-    ids = [vocab.id_for(w) for w in text.split()][: TokenSequence.MAX_TOKENS]
-    return TokenSequence(np.array(ids, dtype=np.int64), text)
-
-
-def pad_token_batch(seqs: list[TokenSequence]) -> np.ndarray:
-    """Stack sequences into an int matrix padded with PAD=0."""
-    width = max((len(s.ids) for s in seqs), default=0)
-    out = np.zeros((len(seqs), width), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s.ids)] = s.ids
+def tokenize(texts: list[str], vocab: TokenVocab) -> np.ndarray:
+    """Token ids of each text, truncated at MAX_TOKENS, as one int64 matrix
+    [len(texts), width] whose rows are padded with PAD=0 to the longest."""
+    rows = [[vocab.id_for(w) for w in text.split()][:MAX_TOKENS] for text in texts]
+    out = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.int64)
+    for i, ids in enumerate(rows):
+        out[i, : len(ids)] = ids
     return out
 
 

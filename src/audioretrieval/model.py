@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureConfig, MelSpectrogram, NormStats, TokenSequence, TokenVocab
+from .data import FeatureConfig, MelSpectrogram, NormStats, TokenVocab
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 
@@ -86,26 +86,22 @@ def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
     return np.stack(rows)
 
 
-def pool_text(batch: list[TokenSequence], embed: np.ndarray) -> np.ndarray:
-    """Mean token embedding over non-PAD positions; empty sequence -> zeros."""
-    rows = []
-    for s in batch:
-        ids = s.ids[s.ids != 0]
-        if ids.size == 0:
-            rows.append(np.zeros(embed.shape[1]))
-        else:
-            rows.append(embed[ids].mean(axis=0))
-    return np.stack(rows)
+def pool_text(ids: np.ndarray, embed: np.ndarray) -> np.ndarray:
+    """Mean token embedding over the non-PAD positions of each row of an id
+    matrix [N, width], shape [N, token_embed_dim]; a row of only PAD -> zeros."""
+    valid = ids != TokenVocab.PAD
+    summed = np.where(valid[..., None], embed[ids], 0.0).sum(axis=1)
+    return summed / np.maximum(valid.sum(axis=1, keepdims=True), 1)
 
 
-def embed_audio(batch: list[MelSpectrogram], params: ModelParams, dims: ModelDims) -> np.ndarray:
+def embed_audio(batch: list[MelSpectrogram], params: ModelParams) -> np.ndarray:
     pooled = pool_audio(batch)
     hidden = np.maximum(pooled @ params.w1 + params.b1, 0.0)
     return hidden @ params.w2 + params.b2
 
 
-def embed_text(batch: list[TokenSequence], params: ModelParams, dims: ModelDims) -> np.ndarray:
-    pooled = pool_text(batch, params.embed)
+def embed_text(ids: np.ndarray, params: ModelParams) -> np.ndarray:
+    pooled = pool_text(ids, params.embed)
     hidden = np.maximum(pooled @ params.w3 + params.b3, 0.0)
     return hidden @ params.w4 + params.b4
 
@@ -143,18 +139,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def backward(
     audio_batch: list[MelSpectrogram],
-    text_batch: list[TokenSequence],
+    text_ids: np.ndarray,
     params: ModelParams,
-    dims: ModelDims,
     tau: float = 1.0,
 ) -> tuple[float, ModelParams]:
     """Loss and exact gradients of nt_xent(similarity(embeddings)) w.r.t. params.
 
+    ``text_ids`` is a PAD-padded id matrix as ``data.tokenize`` returns it.
     Feature normalization statistics are constants; the cosine gradient uses
     the full quotient rule.
     """
     n = len(audio_batch)
-    if len(text_batch) != n:
+    if len(text_ids) != n:
         raise ValueError("audio and text batch sizes differ")
 
     # forward with caches
@@ -163,7 +159,7 @@ def backward(
     h1 = np.maximum(pre1, 0.0)
     A = h1 @ params.w2 + params.b2
 
-    pooled_t = pool_text(text_batch, params.embed)
+    pooled_t = pool_text(text_ids, params.embed)
     pre3 = pooled_t @ params.w3 + params.b3
     h3 = np.maximum(pre3, 0.0)
     T = h3 @ params.w4 + params.b4
@@ -209,11 +205,10 @@ def backward(
     dh3 = (dT @ params.w4.T) * (pre3 > 0.0)
     grads.w3 = pooled_t.T @ dh3
     grads.b3 = dh3.sum(axis=0)
-    dpool_t = dh3 @ params.w3.T
-    for i, s in enumerate(text_batch):
-        ids = s.ids[s.ids != 0]
-        if ids.size:
-            np.add.at(grads.embed, ids, dpool_t[i] / ids.size)
+    # each valid position gets its row's share, scattered in row order
+    valid = text_ids != TokenVocab.PAD
+    dpool_t = (dh3 @ params.w3.T) / np.maximum(valid.sum(axis=1, keepdims=True), 1)
+    np.add.at(grads.embed, text_ids[valid], dpool_t[np.nonzero(valid)[0]])
 
     return loss, grads
 

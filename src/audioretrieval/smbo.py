@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +48,6 @@ class SearchSpace:
     def from_json(cls, path) -> "SearchSpace":
         records = json.loads(Path(path).read_text())
         return cls([ParamSpec(**rec) for rec in records])
-
-    def to_json(self, path) -> None:
-        recs = []
-        for p in self.params:
-            rec = {"name": p.name, "kind": p.kind}
-            if p.kind == "choice":
-                rec["values"] = p.values
-            else:
-                rec["lo"], rec["hi"] = p.lo, p.hi
-            recs.append(rec)
-        Path(path).write_text(json.dumps(recs, indent=1))
 
 
 def default_search_space() -> SearchSpace:
@@ -127,13 +117,22 @@ def _kde_bandwidth(obs: np.ndarray, rng_width: float) -> float:
     return max(bw, rng_width * MIN_BANDWIDTH)
 
 
-def _kde_density(x: float, mus: np.ndarray, bw: float, lo: float, hi: float) -> float:
-    """Truncated-Gaussian kernel mixture plus a uniform prior component."""
-    from scipy.stats import norm
+def _fit_kde(obs: np.ndarray, lo: float, hi: float) -> tuple:
+    """(kernel centres, bandwidth, each kernel's mass inside [lo, hi], lo, hi)."""
+    # imported here: at module level it adds 30-60 ms to every CLI start
+    from scipy.special import ndtr
 
-    dens = norm.pdf(x, loc=mus, scale=bw)
-    mass = norm.cdf(hi, loc=mus, scale=bw) - norm.cdf(lo, loc=mus, scale=bw)
-    kernels = float((dens / np.maximum(mass, 1e-12)).sum())
+    bw = _kde_bandwidth(obs, hi - lo)
+    return obs, bw, np.maximum(ndtr((hi - obs) / bw) - ndtr((lo - obs) / bw), 1e-12), lo, hi
+
+
+def _kde_density(x: float, mus: np.ndarray, bw: float, mass: np.ndarray, lo: float,
+                 hi: float) -> float:
+    """Truncated-Gaussian kernel mixture plus a uniform prior component; the
+    normal pdf is written out as scipy.stats.norm computes it."""
+    z = (x - mus) / bw
+    dens = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / bw
+    kernels = float((dens / mass).sum())
     prior = PRIOR_WEIGHT / (hi - lo)
     return (kernels + prior) / (len(mus) + PRIOR_WEIGHT)
 
@@ -169,6 +168,22 @@ def tpe_suggest(
     if not bad:
         bad = scored  # degenerate split: everything informs g(x)
 
+    # what depends only on the history, fitted once per parameter: the good and
+    # bad choice probabilities or densities
+    fitted = {}
+    for p in space.params:
+        groups = [[t.config[p.name] for t in good], [t.config[p.name] for t in bad]]
+        if p.kind == "choice":
+            fitted[p.name] = []
+            for values in groups:
+                counts = np.ones(len(p.values))
+                for v in values:
+                    counts[p.values.index(v)] += 1
+                fitted[p.name].append(counts / counts.sum())
+        else:
+            fitted[p.name] = [_fit_kde(np.array(v, dtype=float), float(p.lo), float(p.hi))
+                              for v in groups]
+
     candidates = []
     scores = []
     for _ in range(N_CANDIDATES):
@@ -176,34 +191,42 @@ def tpe_suggest(
         log_ratio = 0.0
         for p in space.params:
             if p.kind == "choice":
-                g_counts = np.ones(len(p.values))
-                b_counts = np.ones(len(p.values))
-                for t in good:
-                    g_counts[p.values.index(t.config[p.name])] += 1
-                for t in bad:
-                    b_counts[p.values.index(t.config[p.name])] += 1
-                g_prob = g_counts / g_counts.sum()
-                b_prob = b_counts / b_counts.sum()
+                g_prob, b_prob = fitted[p.name]
                 k = int(rng.choice(len(p.values), p=g_prob))
                 cfg[p.name] = p.values[k]
                 log_ratio += math.log(g_prob[k] / b_prob[k])
             else:
-                lo, hi = float(p.lo), float(p.hi)
-                width = hi - lo
-                g_obs = np.array([float(t.config[p.name]) for t in good])
-                b_obs = np.array([float(t.config[p.name]) for t in bad])
-                g_bw = _kde_bandwidth(g_obs, width)
-                b_bw = _kde_bandwidth(b_obs, width)
-                x = _sample_kde(g_obs, g_bw, lo, hi, rng)
+                l_kde, g_kde = fitted[p.name]
+                mus, bw, _, lo, hi = l_kde
+                x = _sample_kde(mus, bw, lo, hi, rng)
                 if p.kind == "int_range":
                     x = float(np.clip(round(x), int(p.lo), int(p.hi)))
-                l_dens = _kde_density(x, g_obs, g_bw, lo, hi)
-                g_dens = _kde_density(x, b_obs, b_bw, lo, hi)
+                l_dens = _kde_density(x, *l_kde)
+                g_dens = _kde_density(x, *g_kde)
                 cfg[p.name] = int(x) if p.kind == "int_range" else x
                 log_ratio += math.log(max(l_dens, 1e-300)) - math.log(max(g_dens, 1e-300))
         candidates.append(cfg)
         scores.append(log_ratio)
     return candidates[int(np.argmax(scores))]
+
+
+def drop_torn_tail(log_path) -> str | None:
+    """Truncate the log to its last newline if what follows is the unparseable
+    fragment of a write cut off, and return that fragment; a bad complete line
+    is left for ``load_trials`` to reject."""
+    raw = Path(log_path).read_bytes()
+    cut = raw.rfind(b"\n") + 1
+    if cut == len(raw):
+        return None
+    tail = raw[cut:].decode("utf-8", errors="replace")
+    try:
+        TrialRecord.from_json(tail)
+    except (ValueError, KeyError, TypeError):
+        os.truncate(log_path, cut)
+        return tail
+    with open(log_path, "ab") as fh:
+        fh.write(b"\n")  # a whole record that lost only its newline
+    return None
 
 
 def load_trials(log_path) -> list[TrialRecord]:

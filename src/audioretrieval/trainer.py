@@ -13,9 +13,7 @@ from .data import (
     MelSpectrogram,
     NormStats,
     PairedDataset,
-    TokenSequence,
     TokenVocab,
-    Waveform,
     build_vocab,
     freq_normalize,
     logmel,
@@ -130,10 +128,9 @@ class EarlyStopping:
 
 @dataclass(frozen=True)
 class PreparedSplit:
-    """A split resampled and featurized once; runs share it and never modify it."""
+    """A split featurized once; runs share it and never modify it."""
 
     feat: FeatureConfig
-    waves: list[Waveform]          # resampled to feat.target_sr
     mels: list[MelSpectrogram]     # un-augmented log-mels
     captions: list[list[str]]      # raw captions of each clip
 
@@ -143,24 +140,23 @@ class PreparedSplit:
 
 def prepare_split(ds: PairedDataset, feat: FeatureConfig) -> PreparedSplit:
     """Resample every clip and compute its log-mel, once."""
-    waves = [resample_linear(w, feat.target_sr) for _, w, _ in ds.items]
-    return PreparedSplit(feat, waves, [logmel(w, feat) for w in waves],
-                         [caps for _, _, caps in ds.items])
+    mels = [logmel(resample_linear(w, feat.target_sr), feat) for _, w, _ in ds.items]
+    return PreparedSplit(feat, mels, [caps for _, _, caps in ds.items])
 
 
-def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[list[TokenSequence], np.ndarray]:
-    """Every caption of the split tokenized, and the index of the clip it describes."""
-    tokens = [tokenize(preprocess_caption(c), vocab) for caps in split.captions for c in caps]
+def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Every caption of the split as one token id matrix, and the index of the clip it describes."""
+    tokens = tokenize([preprocess_caption(c) for caps in split.captions for c in caps], vocab)
     targets = np.array([i for i, caps in enumerate(split.captions) for _ in caps], dtype=np.int64)
     return tokens, targets
 
 
-def score_split(split: PreparedSplit, tokens, targets, params: ModelParams, dims: ModelDims,
+def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, params: ModelParams,
                 stats: NormStats) -> RetrievalResult:
     """Rank the split's clips for each caption query under frozen normalization stats."""
     normed = freq_normalize(split.mels, stats, update=False)
-    audio_emb = embed_audio(normed, params, dims)
-    text_emb = embed_text(tokens, params, dims)
+    audio_emb = embed_audio(normed, params)
+    text_emb = embed_text(tokens, params)
     scores = similarity_matrix(text_emb, audio_emb)  # queries x recordings
     return evaluate(scores, targets)
 
@@ -217,22 +213,20 @@ def train_run(
             idx = order[start : start + optim.batch_size]
             if len(idx) < 2:
                 continue  # nt_xent needs N >= 2
-            tokens = []
+            texts = []
             for i in idx:
                 raw = train.captions[i][cap_choice[int(i)]]
                 if text_cfg is not None:
                     text = text_aug.augment_caption(raw, text_cfg, provider, lexicon, vocab, rng_aug)
                 else:
                     text = caps_pre[i][cap_choice[int(i)]]
-                tokens.append(tokenize(text, vocab))
+                texts.append(text)
+            tokens = tokenize(texts, vocab)
             if audio_cfg is not None:
                 mels = []
                 for i in idx:
                     g = audio_aug.sample_gain(rng_aug, audio_cfg.g_max)
-                    if g == 0.0:
-                        mels.append(train.mels[i])
-                    else:
-                        mels.append(logmel(audio_aug.apply_gain(train.waves[i], g), feat))
+                    mels.append(audio_aug.gain_logmel(train.mels[i], g, feat.log_floor))
             else:
                 mels = [train.mels[i] for i in idx]
             mels = freq_normalize(mels, stats, update=True)
@@ -244,12 +238,12 @@ def train_run(
                     )
                     for m in mels
                 ]
-            loss, grads = backward(mels, tokens, params, dims, optim.tau)
+            loss, grads = backward(mels, tokens, params, optim.tau)
             adam_step(params, grads, state, lr, optim)
             batch_losses.append(loss)
 
         result.train_losses.append(float(np.mean(batch_losses)))
-        val_map = score_split(val, val_tokens, val_targets, params, dims, stats).map10
+        val_map = score_split(val, val_tokens, val_targets, params, stats).map10
         result.val_maps.append(val_map)
         result.epochs_run = epoch + 1
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from audioretrieval.data import MelSpectrogram, TokenSequence
+from audioretrieval.data import MelSpectrogram
 from audioretrieval.model import ModelDims, init_params
 
 
@@ -23,7 +23,9 @@ def random_mel_batch(rng, n, n_mels=8, t=12, t_valid=10):
 
 
 def random_token_batch(rng, n, vocab_size=10, max_len=8):
-    return [
-        TokenSequence(rng.integers(1, vocab_size, size=int(rng.integers(2, max_len))), "")
-        for _ in range(n)
-    ]
+    """An [n, max_len - 1] id matrix; each row holds 2..max_len-1 ids, then PAD."""
+    out = np.zeros((n, max_len - 1), dtype=np.int64)
+    for row in out:
+        length = int(rng.integers(2, max_len))
+        row[:length] = rng.integers(1, vocab_size, size=length)
+    return out

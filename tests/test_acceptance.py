@@ -118,14 +118,14 @@ def test_criterion_04_random_baseline_calibration():
     mels = freq_normalize(mels, NormStats.fresh(feat.n_mels), update=True)
     captions = [preprocess_caption(c) for _, _, caps in ds.items for c in caps]
     vocab = build_vocab(captions)
-    tokens = [tokenize(c, vocab) for c in captions]
+    tokens = tokenize(captions, vocab)
     targets = np.array([i for i, (_, _, caps) in enumerate(ds.items) for _ in caps])
     dims = ModelDims(vocab_size=len(vocab))
     maps = []
     for seed in range(20):
         params = init_params(dims, seed)
-        scores = similarity_matrix(embed_text(tokens, params, dims),
-                                   embed_audio(mels, params, dims))
+        scores = similarity_matrix(embed_text(tokens, params),
+                                   embed_audio(mels, params))
         maps.append(evaluate(scores, targets).map10)
     mean_map = float(np.mean(maps))
     ok = abs(mean_map - RANDOM_BASELINE) <= 0.01

@@ -1,16 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from audioretrieval.audio_aug import (
     AudioAugConfig,
     apply_gain,
     freq_mixstyle,
+    gain_logmel,
     sample_gain,
     spec_augment,
 )
-from audioretrieval.data import MelSpectrogram, Waveform
+from audioretrieval.data import FeatureConfig, MelSpectrogram, Waveform, logmel
 
 from conftest import random_mel_batch
+
+
+class TestGainLogmel:
+    FEAT = FeatureConfig(n_fft=256, hop=128, n_mels=16, target_sr=8000)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(128, 4000),
+           amplitude=st.floats(1e-3, 1.0), g=st.floats(-6.0, 6.0))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_stft_of_gained_waveform(self, seed, n, amplitude, g):
+        w = Waveform(np.random.default_rng(seed).uniform(-amplitude, amplitude, n), 8000)
+        fast = gain_logmel(logmel(w, self.FEAT), g, self.FEAT.log_floor)
+        ref = logmel(apply_gain(w, g), self.FEAT)
+        assert fast.n_frames_valid == ref.n_frames_valid
+        assert np.max(np.abs(fast.values - ref.values)) <= 1e-12
+
+    @given(floor=st.floats(1e-12, 1e-6))
+    @settings(max_examples=10, deadline=None)
+    def test_zero_gain_returns_input(self, floor):
+        m = MelSpectrogram(np.random.default_rng(0).normal(size=(4, 6)), 5)
+        assert gain_logmel(m, 0.0, floor) is m
 
 
 class TestGain:

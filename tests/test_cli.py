@@ -214,6 +214,29 @@ class TestSmbo:
         trials = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
         assert len(trials) == 20
 
+    def test_missing_dataset_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, data=None)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 2
+        assert "error: paths.dataset: required" in capsys.readouterr().err
+
+    def test_resume_after_torn_last_line(self, tmp_path, capsys):
+        def smbo(out, n_trials, *extra):
+            cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / out)})
+            return main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+                         "--n-init", "5", "--n-trials", str(n_trials), *extra])
+
+        assert smbo("full", 18) == 0
+        full = (tmp_path / "full" / "trials.jsonl").read_bytes()
+        assert smbo("torn", 7) == 0
+        log = tmp_path / "torn" / "trials.jsonl"
+        record = full.splitlines(keepends=True)[7]
+        with open(log, "ab") as fh:
+            fh.write(record[: len(record) // 2])  # a write cut off halfway
+        capsys.readouterr()
+        assert smbo("torn", 18, "--resume") == 0
+        assert "dropped the torn last line" in capsys.readouterr().err
+        assert log.read_bytes() == full
+
     def test_corrupt_log_on_resume_exit_3(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -7,7 +7,6 @@ from audioretrieval.data import (
     FeatureConfig,
     MelSpectrogram,
     NormStats,
-    TokenSequence,
     Waveform,
     build_vocab,
     _filterbank,
@@ -16,7 +15,6 @@ from audioretrieval.data import (
     load_wav,
     logmel,
     mel_filterbank,
-    pad_token_batch,
     preprocess_caption,
     resample_linear,
     save_wav,
@@ -212,18 +210,18 @@ class TestCaptions:
     def test_tokenize_truncates(self):
         v = build_vocab(["w"])
         long = " ".join(["w"] * 40)
-        assert len(tokenize(long, v).ids) == 32
+        assert tokenize([long], v).shape[1] == 32
 
     def test_tokenize_empty(self):
-        assert len(tokenize("", build_vocab([])).ids) == 0
+        assert tokenize([""], build_vocab([])).shape == (1, 0)
 
     def test_tokenize_unknown(self):
         v = build_vocab(["known"])
-        assert tokenize("mystery", v).ids[0] == 1
+        assert tokenize(["mystery"], v)[0, 0] == 1
 
     def test_pad_batch(self):
         v = build_vocab(["a b c"])
-        batch = pad_token_batch([tokenize("a", v), tokenize("a b c", v)])
+        batch = tokenize(["a", "a b c"], v)
         assert batch.shape == (2, 3)
         assert list(batch[0]) == [2, 0, 0]
 
@@ -303,6 +301,8 @@ class TestTypes:
         with pytest.raises(ValueError):
             FeatureConfig(f_min=20000.0, f_max=100.0)
 
-    def test_token_sequence_length_cap(self):
-        with pytest.raises(ValueError):
-            TokenSequence(np.zeros(40, dtype=np.int64), "")
+    def test_tokenize_row_length_cap(self):
+        v = build_vocab(["w"])
+        ids = tokenize([" ".join(["w"] * n) for n in (31, 32, 40)], v)
+        assert ids.shape == (3, 32)
+        assert list((ids != 0).sum(axis=1)) == [31, 32, 32]

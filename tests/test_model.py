@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from audioretrieval.data import MelSpectrogram, TokenSequence
+from audioretrieval.data import MelSpectrogram
 from audioretrieval.model import (
+    NORM_EPS,
     ModelDims,
+    _softmax,
     backward,
     embed_audio,
     embed_text,
@@ -11,6 +14,7 @@ from audioretrieval.model import (
     load_checkpoint,
     nt_xent,
     pool_audio,
+    pool_text,
     save_checkpoint,
     similarity_matrix,
 )
@@ -48,7 +52,7 @@ class TestEmbedAudio:
 
     def test_identical_inputs_identical_rows(self, small_params, small_dims):
         m = MelSpectrogram(np.random.default_rng(0).normal(size=(8, 10)), 10)
-        out = embed_audio([m, m], small_params, small_dims)
+        out = embed_audio([m, m], small_params)
         assert np.array_equal(out[0], out[1])
 
     def test_padding_invariance(self, small_params, small_dims):
@@ -56,37 +60,31 @@ class TestEmbedAudio:
         base = rng.normal(size=(8, 10))
         m1 = MelSpectrogram(base, 10)
         m2 = MelSpectrogram(np.concatenate([base, np.zeros((8, 5))], axis=1), 10)
-        e1 = embed_audio([m1], small_params, small_dims)
-        e2 = embed_audio([m2], small_params, small_dims)
+        e1 = embed_audio([m1], small_params)
+        e2 = embed_audio([m2], small_params)
         assert np.array_equal(e1, e2)
 
     def test_empty_batch_rejected(self, small_params, small_dims):
         with pytest.raises(ValueError):
-            embed_audio([], small_params, small_dims)
+            embed_audio([], small_params)
 
 
 class TestEmbedText:
     def test_order_invariance(self, small_params, small_dims):
-        s1 = TokenSequence(np.array([2, 3, 4]), "")
-        s2 = TokenSequence(np.array([4, 2, 3]), "")
-        out = embed_text([s1, s2], small_params, small_dims)
+        out = embed_text(np.array([[2, 3, 4], [4, 2, 3]]), small_params)
         assert np.allclose(out[0], out[1])
 
     def test_duplicate_token_mean(self, small_params, small_dims):
-        s1 = TokenSequence(np.array([5, 5]), "")
-        s2 = TokenSequence(np.array([5]), "")
-        out = embed_text([s1, s2], small_params, small_dims)
+        out = embed_text(np.array([[5, 5], [5, 0]]), small_params)
         assert np.allclose(out[0], out[1])
 
     def test_pad_invariance(self, small_params, small_dims):
-        s1 = TokenSequence(np.array([2, 3]), "")
-        s2 = TokenSequence(np.array([2, 3, 0, 0, 0]), "")
-        out = embed_text([s1, s2], small_params, small_dims)
+        out = np.concatenate([embed_text(np.array([[2, 3]]), small_params),
+                              embed_text(np.array([[2, 3, 0, 0, 0]]), small_params)])
         assert np.allclose(out[0], out[1], atol=1e-9)
 
     def test_empty_sequence_uses_zero_vector(self, small_params, small_dims):
-        s = TokenSequence(np.array([], dtype=np.int64), "")
-        out = embed_text([s], small_params, small_dims)
+        out = embed_text(np.zeros((1, 0), dtype=np.int64), small_params)
         assert np.all(np.isfinite(out))
 
 
@@ -162,11 +160,11 @@ def finite_difference_check(dims, seed, tau=0.7, step=1e-5):
     params.embed *= 50.0
     mels = random_mel_batch(rng, 4, n_mels=dims.n_mels)
     toks = random_token_batch(rng, 4, vocab_size=dims.vocab_size)
-    loss, grads = backward(mels, toks, params, dims, tau)
+    loss, grads = backward(mels, toks, params, tau)
 
     def loss_at():
-        A = embed_audio(mels, params, dims)
-        T = embed_text(toks, params, dims)
+        A = embed_audio(mels, params)
+        T = embed_text(toks, params)
         return nt_xent(similarity_matrix(A, T), tau)
 
     max_rel = 0.0
@@ -198,7 +196,7 @@ class TestBackward:
         params = init_params(small_dims, 3)
         mels = random_mel_batch(rng, 2)
         toks = random_token_batch(rng, 2)
-        loss, grads = backward(mels * 2, toks * 2, params, small_dims, 1.0)
+        loss, grads = backward(mels * 2, np.concatenate([toks, toks]), params, 1.0)
         assert np.isfinite(loss)
         for _, g in grads.arrays():
             assert np.all(np.isfinite(g))
@@ -208,14 +206,71 @@ class TestBackward:
         params = init_params(small_dims, 4)
         with pytest.raises(ValueError):
             backward(random_mel_batch(rng, 1), random_token_batch(rng, 1),
-                     params, small_dims, 1.0)
+                     params, 1.0)
 
     def test_mismatched_batches_rejected(self, small_dims):
         rng = np.random.default_rng(5)
         params = init_params(small_dims, 5)
         with pytest.raises(ValueError):
             backward(random_mel_batch(rng, 3), random_token_batch(rng, 2),
-                     params, small_dims, 1.0)
+                     params, 1.0)
+
+
+def _pool_text_per_caption(rows, embed):
+    """Reference: the mean embedding of each caption's non-PAD ids, one caption at a time."""
+    out = []
+    for ids in rows:
+        ids = ids[ids != 0]
+        out.append(embed[ids].mean(axis=0) if ids.size else np.zeros(embed.shape[1]))
+    return np.stack(out)
+
+
+def _embed_grad_per_caption(mels, rows, params, tau):
+    """Reference: backward's token-table gradient, scattered one caption at a time."""
+    A = embed_audio(mels, params)
+    pre3 = _pool_text_per_caption(rows, params.embed) @ params.w3 + params.b3
+    T = np.maximum(pre3, 0.0) @ params.w4 + params.b4
+    a_den = np.linalg.norm(A, axis=1, keepdims=True) + NORM_EPS
+    t_raw = np.linalg.norm(T, axis=1, keepdims=True)
+    t_den = t_raw + NORM_EPS
+    An, Tn = A / a_den, T / t_den
+    logits = (An @ Tn.T) / tau
+    eye = np.eye(len(rows))
+    dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * len(rows) * tau)
+    dTn = dC.T @ An
+    dT = dTn / t_den - T * ((dTn * T).sum(axis=1, keepdims=True)
+                            / (np.maximum(t_raw, NORM_EPS) * t_den**2))
+    dpool = ((dT @ params.w4.T) * (pre3 > 0.0)) @ params.w3.T
+    grad = np.zeros_like(params.embed)
+    for i, ids in enumerate(rows):
+        ids = ids[ids != 0]
+        if ids.size:
+            np.add.at(grad, ids, dpool[i] / ids.size)
+    return grad
+
+
+class TestTextMatrixAgainstPerCaption:
+    """The padded id matrix path equals the per-caption loop bit for bit."""
+
+    @given(st.lists(st.lists(st.integers(1, 9), max_size=32), min_size=2, max_size=8),
+           st.integers(0, 2**32 - 1))
+    @example([[], [3] * 32, [1, 2]], 0)
+    @example([[4] * 32, [5, 6, 7] * 10 + [8, 9]], 1)
+    @settings(max_examples=60, deadline=None)
+    def test_pool_and_embed_gradient(self, lists, seed):
+        rng = np.random.default_rng(seed)
+        dims = ModelDims(n_mels=8, embed_dim=8, audio_hidden=16, text_hidden=16,
+                         token_embed_dim=8, vocab_size=10)
+        params = init_params(dims, seed % 1000)
+        ids = np.zeros((len(lists), max(map(len, lists))), dtype=np.int64)
+        for row, tokens in zip(ids, lists):
+            row[: len(tokens)] = tokens
+        rows = [np.array(tokens, dtype=np.int64) for tokens in lists]
+        assert np.array_equal(pool_text(ids, params.embed),
+                              _pool_text_per_caption(rows, params.embed))
+        mels = random_mel_batch(rng, len(rows))
+        _, grads = backward(mels, ids, params, 0.7)
+        assert np.array_equal(grads.embed, _embed_grad_per_caption(mels, rows, params, 0.7))
 
 
 class TestCheckpoint:

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import audioretrieval
 from audioretrieval.smbo import (
+    PRIOR_WEIGHT,
     ParamSpec,
     SearchSpace,
     TrialRecord,
@@ -12,6 +19,8 @@ from audioretrieval.smbo import (
     run_search,
     sample_random,
     tpe_suggest,
+    _fit_kde,
+    _kde_density,
 )
 
 
@@ -49,7 +58,7 @@ class TestSpecs:
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "space.json"
-        default_search_space().to_json(path)
+        path.write_text(json.dumps([asdict(p) for p in default_search_space().params]))
         loaded = SearchSpace.from_json(path)
         assert loaded == default_search_space()
 
@@ -90,7 +99,44 @@ def _history(space, objectives, seed=0):
     ]
 
 
+def _kde_density_scipy_stats(x, mus, bw, lo, hi):
+    """Reference: the kernel density written with scipy.stats.norm."""
+    from scipy.stats import norm
+
+    dens = norm.pdf(x, loc=mus, scale=bw)
+    mass = norm.cdf(hi, loc=mus, scale=bw) - norm.cdf(lo, loc=mus, scale=bw)
+    kernels = float((dens / np.maximum(mass, 1e-12)).sum())
+    return (kernels + PRIOR_WEIGHT / (hi - lo)) / (len(mus) + PRIOR_WEIGHT)
+
+
 class TestTpeSuggest:
+    def test_density_equals_scipy_stats(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5000):
+            lo = float(rng.uniform(-5.0, 5.0))
+            hi = lo + float(rng.uniform(0.1, 10.0))
+            mus = rng.uniform(lo, hi, size=int(rng.integers(1, 30)))
+            kde = _fit_kde(mus, lo, hi)
+            x = float(rng.uniform(lo - 1.0, hi + 1.0))
+            assert _kde_density(x, *kde) == _kde_density_scipy_stats(x, mus, kde[1], lo, hi)
+
+    def test_suggestion_does_not_import_scipy_stats(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from audioretrieval.smbo import TrialRecord, default_search_space, "
+                "sample_random, tpe_suggest\n"
+                "space, rng = default_search_space(), np.random.default_rng(0)\n"
+                "history = [TrialRecord(i, sample_random(space, rng), i / 12, 'completed', 1)"
+                " for i in range(12)]\n"
+                "tpe_suggest(history, space, rng, n_init=10)\n"
+                "assert 'scipy.special' in sys.modules\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        src = str(Path(audioretrieval.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_fallback_to_random_on_short_history(self):
         rng1 = np.random.default_rng(5)
         rng2 = np.random.default_rng(5)

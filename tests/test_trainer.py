@@ -165,7 +165,7 @@ class TestTrainRun:
 
         def arrays():
             return [a.copy() for split in shared
-                    for a in [m.values for m in split.mels] + [w.samples for w in split.waves]]
+                    for a in [m.values for m in split.mels]]
 
         def run(train, val):
             optim = OptimConfig(epochs=3, batch_size=6, seed=9, patience=10)
