@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MelSpectrogram, Waveform
+from .data import MelSpectrogram, MelStats, Waveform
 
 
 @dataclass
@@ -81,11 +81,6 @@ def spec_augment(
     return MelSpectrogram(values, m.n_frames_valid)
 
 
-def _bin_stats(m: MelSpectrogram) -> tuple[np.ndarray, np.ndarray]:
-    valid = m.values[:, : m.n_frames_valid]
-    return valid.mean(axis=1), valid.std(axis=1)  # population std
-
-
 def sample_mix_lambdas(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:
     """Draw n mixing coefficients from Beta(alpha, alpha) folded to [0.5, 1]."""
     if alpha <= 0:
@@ -95,39 +90,35 @@ def sample_mix_lambdas(rng: np.random.Generator, alpha: float, n: int) -> np.nda
 
 
 def freq_mixstyle(
-    batch: list[MelSpectrogram],
+    stats: MelStats,
     alpha: float,
     p_ms: float,
     rng: np.random.Generator,
     forced_lambda: float | None = None,
-) -> list[MelSpectrogram]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mix per-bin mean/std statistics between random batch partners.
 
-    For each example that fires (probability p_ms): draw a partner from one
-    random permutation of the batch and lambda ~ Beta(alpha, alpha) folded
-    to max(lambda, 1 - lambda), so the example's own statistics always get
-    the larger weight. ``forced_lambda`` pins lambda for testing.
+    ``stats`` are the clips' statistics over valid frames. For each example
+    that fires (probability p_ms): draw a partner from one random permutation
+    of the batch and lambda ~ Beta(alpha, alpha) folded to max(lambda,
+    1 - lambda), so the example's own statistics always get the larger
+    weight. Returns each clip's per-bin map x -> (x - center) * slope + offset
+    as three [N, n_mels] arrays, with slope >= 0 and the exact identity
+    (0, 1, 0) where nothing fires. ``forced_lambda`` pins lambda for testing.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n = len(batch)
+    n = len(stats.count)
     fire = rng.uniform(size=n) < p_ms
     partners = rng.permutation(n)
     lambdas = sample_mix_lambdas(rng, alpha, n)
     if forced_lambda is not None:
         lambdas = np.full(n, forced_lambda)
-    out = []
-    for i, m in enumerate(batch):
-        j = int(partners[i])
-        if not fire[i] or j == i:
-            out.append(MelSpectrogram(m.values.copy(), m.n_frames_valid))
-            continue
-        lam = float(lambdas[i])
-        mu_i, sd_i = _bin_stats(m)
-        mu_j, sd_j = _bin_stats(batch[j])
-        mu_new = lam * mu_i + (1.0 - lam) * mu_j
-        sd_new = lam * sd_i + (1.0 - lam) * sd_j
-        # floor (not additive) stabilizer so lambda=1 is an exact identity
-        norm = (m.values - mu_i[:, None]) / np.maximum(sd_i[:, None], 1e-5)
-        out.append(MelSpectrogram(norm * sd_new[:, None] + mu_new[:, None], m.n_frames_valid))
-    return out
+    mix = (fire & (partners != np.arange(n)))[:, None]
+    lam = lambdas[:, None]
+    sd = np.sqrt(stats.var)
+    mu_new = lam * stats.mean + (1.0 - lam) * stats.mean[partners]
+    sd_new = lam * sd + (1.0 - lam) * sd[partners]
+    # floor (not additive) stabilizer so lambda=1 is an exact identity
+    slope = np.where(mix, sd_new / np.maximum(sd, 1e-5), 1.0)
+    return np.where(mix, stats.mean, 0.0), slope, np.where(mix, mu_new, 0.0)

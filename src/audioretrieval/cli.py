@@ -56,7 +56,7 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     lines = ["epoch,train_loss,val_map10"]
     for e, (loss, vmap) in enumerate(zip(result.train_losses, result.val_maps)):
         lines.append(f"{e},{loss:.17g},{vmap:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    data.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
@@ -82,7 +82,7 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
     doc = result.as_dict()
     doc["config_hash"] = config_hash(args.config)
-    (out_dir / "run_result.json").write_text(json.dumps(doc, indent=1))
+    data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
     _write_metrics_csv(out_dir / "metrics.csv", result)
     print(f"best val mAP@10 {result.best_val_map:.4f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs run)")
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     sidecar = Path(args.out or (Path(args.checkpoint).parent / f"eval_{args.split}.json"))
     doc = result.as_dict()
     doc["config_hash"] = config_hash(args.config)
-    sidecar.write_text(json.dumps(doc, indent=1))
+    data.write_atomic(sidecar, json.dumps(doc, indent=1))
     return EXIT_OK
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,27 @@ class TokenVocab:
 
     def words(self) -> list[str]:
         return list(self.token_to_id)
+
+
+@dataclass
+class MelStats:
+    """Per-clip, per-bin statistics of log-mel frames: frame counts [N] and
+    mean, population variance and max [N, n_mels]."""
+
+    count: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    max: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "MelStats":
+        """A copy of the rows ``idx`` (an integer index array)."""
+        return MelStats(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def mapped(self, center, slope, offset=0.0) -> "MelStats":
+        """The statistics of the frames mapped per bin by x -> (x - center) * slope + offset,
+        slope >= 0; the arguments broadcast against [N, n_mels]."""
+        return MelStats(self.count, (self.mean - center) * slope + offset, self.var * slope**2,
+                        (self.max - center) * slope + offset)
 
 
 @dataclass
@@ -212,30 +234,46 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
     return MelSpectrogram(np.log(mel_power + cfg.log_floor), n_frames)
 
 
+def mel_stats(mels: list[MelSpectrogram]) -> MelStats:
+    """Count, mean, population variance and max of each clip's valid frames, per bin."""
+    valid = [m.values[:, : m.n_frames_valid] for m in mels]
+    return MelStats(np.array([v.shape[1] for v in valid], dtype=np.int64),
+                    *(np.array([f(v, axis=1) for v in valid]) for f in (np.mean, np.var, np.max)))
+
+
 def freq_normalize(
-    batch: list[MelSpectrogram], stats: NormStats, update: bool = False
-) -> list[MelSpectrogram]:
-    """Standardize each mel bin.
+    stats: MelStats, norm: NormStats, update: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardization of each mel bin, as the per-bin map x -> (x - center) * scale.
 
     With ``update`` set (training), the batch's own per-bin statistics over
-    valid frames are used and folded into the running stats with momentum
-    0.1; otherwise the stored running stats apply. The statistics are
+    valid frames are used, combined from the clips' statistics as within-clip
+    plus between-clip variance, and folded into the running stats ``norm``
+    with momentum 0.1; otherwise the running stats apply. The statistics are
     constants for gradient purposes.
     """
     if update:
-        cols = np.concatenate([m.values[:, : m.n_frames_valid] for m in batch], axis=1)
-        mean = cols.mean(axis=1)
-        var = cols.var(axis=1)
-        stats.mean = 0.9 * stats.mean + 0.1 * mean
-        stats.var = 0.9 * stats.var + 0.1 * var
-        stats.count += cols.shape[1]
+        n = int(stats.count.sum())
+        mean = stats.count @ stats.mean / n
+        var = stats.count @ (stats.var + (stats.mean - mean) ** 2) / n
+        norm.mean = 0.9 * norm.mean + 0.1 * mean
+        norm.var = 0.9 * norm.var + 0.1 * var
+        norm.count += n
     else:
-        mean, var = stats.mean, stats.var
-    scale = 1.0 / np.sqrt(var + 1e-5)
-    return [
-        MelSpectrogram((m.values - mean[:, None]) * scale[:, None], m.n_frames_valid)
-        for m in batch
-    ]
+        mean, var = norm.mean, norm.var
+    return mean, 1.0 / np.sqrt(var + 1e-5)
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory and
+    ``os.replace``, so ``path`` holds either its old bytes or all of ``text``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def preprocess_caption(text: str) -> str:

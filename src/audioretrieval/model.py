@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureConfig, MelSpectrogram, NormStats, TokenVocab
+from .data import FeatureConfig, MelStats, NormStats, TokenVocab, write_atomic
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 
@@ -75,15 +75,15 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     )
 
 
-def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
-    """Per-bin (mean + max) / 2 over valid frames, shape [N, n_mels]."""
-    if not batch:
-        raise ValueError("empty batch")
-    rows = []
-    for m in batch:
-        valid = m.values[:, : m.n_frames_valid]
-        rows.append(0.5 * (valid.mean(axis=1) + valid.max(axis=1)))
-    return np.stack(rows)
+def pool_audio(stats: MelStats, n_valid=None) -> np.ndarray:
+    """Per-bin (mean + max) / 2 over each clip's valid frames, shape [N, n_mels].
+
+    ``stats`` cover the frames a clip keeps; with ``n_valid`` [N] larger than
+    ``stats.count``, the other valid frames read 0 (SpecAugment time stripes).
+    """
+    frac = (stats.count / (stats.count if n_valid is None else n_valid))[:, None]
+    top = np.where(frac < 1.0, np.maximum(stats.max, 0.0), stats.max)
+    return 0.5 * (stats.mean * frac + top)
 
 
 def pool_text(ids: np.ndarray, embed: np.ndarray) -> np.ndarray:
@@ -94,8 +94,10 @@ def pool_text(ids: np.ndarray, embed: np.ndarray) -> np.ndarray:
     return summed / np.maximum(valid.sum(axis=1, keepdims=True), 1)
 
 
-def embed_audio(batch: list[MelSpectrogram], params: ModelParams) -> np.ndarray:
-    pooled = pool_audio(batch)
+def embed_audio(pooled: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Audio embeddings [N, embed_dim] of pooled log-mels [N, n_mels]."""
+    if not len(pooled):
+        raise ValueError("empty batch")
     hidden = np.maximum(pooled @ params.w1 + params.b1, 0.0)
     return hidden @ params.w2 + params.b2
 
@@ -138,23 +140,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    audio_batch: list[MelSpectrogram],
+    pooled_a: np.ndarray,
     text_ids: np.ndarray,
     params: ModelParams,
     tau: float = 1.0,
 ) -> tuple[float, ModelParams]:
     """Loss and exact gradients of nt_xent(similarity(embeddings)) w.r.t. params.
 
-    ``text_ids`` is a PAD-padded id matrix as ``data.tokenize`` returns it.
+    ``pooled_a`` is the pooled audio [N, n_mels] as ``pool_audio`` returns it and
+    ``text_ids`` a PAD-padded id matrix as ``data.tokenize`` returns it.
     Feature normalization statistics are constants; the cosine gradient uses
     the full quotient rule.
     """
-    n = len(audio_batch)
+    n = len(pooled_a)
     if len(text_ids) != n:
         raise ValueError("audio and text batch sizes differ")
 
     # forward with caches
-    pooled_a = pool_audio(audio_batch)
     pre1 = pooled_a @ params.w1 + params.b1
     h1 = np.maximum(pre1, 0.0)
     A = h1 @ params.w2 + params.b2
@@ -224,7 +226,7 @@ def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats
         "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
         "features": asdict(feat), "norm_count": stats.count, "version": 2,
     }
-    Path(path).write_text(json.dumps(doc))
+    write_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab, FeatureConfig]:

@@ -26,11 +26,12 @@ class ParamSpec:
 
     def __post_init__(self):
         if self.kind in ("uniform_float", "int_range"):
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise ValueError(f"{self.name}: need lo < hi")
+            bounds = (self.lo, self.hi)
+            if not all(isinstance(b, (int, float)) for b in bounds) or not self.lo < self.hi:
+                raise ValueError(f"{self.name}: need numbers lo < hi")
         elif self.kind == "choice":
-            if not self.values:
-                raise ValueError(f"{self.name}: choice values must be non-empty")
+            if not isinstance(self.values, list) or not self.values:
+                raise ValueError(f"{self.name}: choice values must be a non-empty list")
         else:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
 
@@ -46,8 +47,14 @@ class SearchSpace:
 
     @classmethod
     def from_json(cls, path) -> "SearchSpace":
+        """Read a JSON list of ``ParamSpec`` records; a malformed document raises ValueError."""
         records = json.loads(Path(path).read_text())
-        return cls([ParamSpec(**rec) for rec in records])
+        if not isinstance(records, list) or not records:
+            raise ValueError("expected a non-empty JSON list of parameter records")
+        try:
+            return cls([ParamSpec(**rec) for rec in records])
+        except TypeError as exc:  # a record that is not an object, or a missing or unknown key
+            raise ValueError(str(exc)) from exc
 
 
 def default_search_space() -> SearchSpace:

@@ -11,12 +11,14 @@ from . import audio_aug, text_aug
 from .data import (
     FeatureConfig,
     MelSpectrogram,
+    MelStats,
     NormStats,
     PairedDataset,
     TokenVocab,
     build_vocab,
     freq_normalize,
     logmel,
+    mel_stats,
     preprocess_caption,
     resample_linear,
     tokenize,
@@ -29,6 +31,7 @@ from .model import (
     embed_audio,
     embed_text,
     init_params,
+    pool_audio,
     save_checkpoint,
     similarity_matrix,
     zeros_like_params,
@@ -132,6 +135,7 @@ class PreparedSplit:
 
     feat: FeatureConfig
     mels: list[MelSpectrogram]     # un-augmented log-mels
+    stats: MelStats                # their per-clip statistics over valid frames
     captions: list[list[str]]      # raw captions of each clip
 
     def __len__(self):
@@ -139,9 +143,9 @@ class PreparedSplit:
 
 
 def prepare_split(ds: PairedDataset, feat: FeatureConfig) -> PreparedSplit:
-    """Resample every clip and compute its log-mel, once."""
+    """Resample every clip and compute its log-mel and statistics, once."""
     mels = [logmel(resample_linear(w, feat.target_sr), feat) for _, w, _ in ds.items]
-    return PreparedSplit(feat, mels, [caps for _, _, caps in ds.items])
+    return PreparedSplit(feat, mels, mel_stats(mels), [caps for _, _, caps in ds.items])
 
 
 def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +155,45 @@ def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray
     return tokens, targets
 
 
+def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update: bool,
+                 cfg: audio_aug.AudioAugConfig | None = None, rng=None) -> np.ndarray:
+    """The model input [B, n_mels] of the clips ``idx``: each bin's (mean + max) / 2
+    over valid frames after gain, frequency normalization (with ``update``, by the
+    batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
+
+    ``cfg`` None skips the augmentations. Frames are read again only for the
+    statistics of gained clips and of the unstriped frames of striped ones.
+    """
+    stats, mels = split.stats.take(idx), [split.mels[i] for i in idx]
+    if cfg is not None and cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
+        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max),
+                                      split.feat.log_floor) for m in mels]
+        stats = mel_stats(mels)
+    center, scale = freq_normalize(stats, norm, update)
+    normed = stats.mapped(center, scale)
+    if cfg is None:
+        return pool_audio(normed)
+    mix_center, slope, offset = audio_aug.freq_mixstyle(normed, cfg.alpha, cfg.p_ms, rng)
+    unstriped = []
+    for k, m in enumerate(mels):
+        t = m.n_frames_valid
+        # the clip's stripes, read off SpecAugment of a matrix of ones
+        kept = audio_aug.spec_augment(MelSpectrogram(np.ones_like(m.values[:, :t]), t),
+                                      cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng).values > 0
+        # a clip with every frame or every bin striped reads 0 in every bin
+        bins, frames = kept.any(axis=1), kept.any(axis=0) | ~kept.any()
+        slope[k, ~bins] = offset[k, ~bins] = 0.0
+        if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
+            unstriped.append(MelSpectrogram(m.values[:, :t][:, frames], int(frames.sum())))
+    if unstriped:
+        normed = mel_stats(unstriped).mapped(center, scale)
+    return pool_audio(normed.mapped(mix_center, slope, offset), stats.count)
+
+
 def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, params: ModelParams,
                 stats: NormStats) -> RetrievalResult:
     """Rank the split's clips for each caption query under frozen normalization stats."""
-    normed = freq_normalize(split.mels, stats, update=False)
-    audio_emb = embed_audio(normed, params)
+    audio_emb = embed_audio(pooled_audio(split, np.arange(len(split)), stats, update=False), params)
     text_emb = embed_text(tokens, params)
     scores = similarity_matrix(text_emb, audio_emb)  # queries x recordings
     return evaluate(scores, targets)
@@ -183,6 +221,8 @@ def train_run(
     """
     if len(train) < 2:
         raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
+    if len(val) == 0:
+        raise ValueError("val split is empty")
     if train.feat != val.feat:
         raise ValueError("train and val splits were featurized under different feature configs")
     feat = train.feat
@@ -197,7 +237,12 @@ def train_run(
     params = init_params(dims, int(rng_init.integers(2**31)))
     stats = NormStats.fresh(dims.n_mels)
     state = AdamState()
+    best = None  # (params, stats) at the best validation epoch
 
+    # without text augmentation a clip's caption j is row first[i] + j of one matrix
+    if text_cfg is None:
+        caption_rows = tokenize([c for caps in caps_pre for c in caps], vocab)
+        first = np.cumsum([0] + [len(caps) for caps in caps_pre])
     val_tokens, val_targets = caption_queries(val, vocab)
 
     result = RunResult(checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
@@ -213,32 +258,16 @@ def train_run(
             idx = order[start : start + optim.batch_size]
             if len(idx) < 2:
                 continue  # nt_xent needs N >= 2
-            texts = []
-            for i in idx:
-                raw = train.captions[i][cap_choice[int(i)]]
-                if text_cfg is not None:
-                    text = text_aug.augment_caption(raw, text_cfg, provider, lexicon, vocab, rng_aug)
-                else:
-                    text = caps_pre[i][cap_choice[int(i)]]
-                texts.append(text)
-            tokens = tokenize(texts, vocab)
-            if audio_cfg is not None:
-                mels = []
-                for i in idx:
-                    g = audio_aug.sample_gain(rng_aug, audio_cfg.g_max)
-                    mels.append(audio_aug.gain_logmel(train.mels[i], g, feat.log_floor))
+            if text_cfg is None:
+                tokens = caption_rows[[first[i] + cap_choice[int(i)] for i in idx]]
             else:
-                mels = [train.mels[i] for i in idx]
-            mels = freq_normalize(mels, stats, update=True)
-            if audio_cfg is not None:
-                mels = audio_aug.freq_mixstyle(mels, audio_cfg.alpha, audio_cfg.p_ms, rng_aug)
-                mels = [
-                    audio_aug.spec_augment(
-                        m, audio_cfg.n_f, audio_cfg.w_f, audio_cfg.n_t, audio_cfg.w_t, rng_aug
-                    )
-                    for m in mels
-                ]
-            loss, grads = backward(mels, tokens, params, optim.tau)
+                tokens = tokenize([
+                    text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
+                                             provider, lexicon, vocab, rng_aug)
+                    for i in idx
+                ], vocab)
+            pooled = pooled_audio(train, idx, stats, True, audio_cfg, rng_aug)
+            loss, grads = backward(pooled, tokens, params, optim.tau)
             adam_step(params, grads, state, lr, optim)
             batch_losses.append(loss)
 
@@ -247,16 +276,17 @@ def train_run(
         result.val_maps.append(val_map)
         result.epochs_run = epoch + 1
 
-        improved = val_map > stopper.best
+        if val_map > stopper.best:
+            best = (params.copy(), NormStats(stats.mean.copy(), stats.var.copy(), stats.count))
         stop = stopper.update(epoch, val_map)
-        if improved and checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, dims, stats, vocab, feat)
         if epoch_hook is not None:
             epoch_hook(epoch, val_map)
         if stop:
             result.stopped_early = True
             break
 
+    if checkpoint_path is not None and best is not None:
+        save_checkpoint(checkpoint_path, best[0], dims, best[1], vocab, feat)
     result.best_val_map = stopper.best if stopper.best_epoch >= 0 else 0.0
     result.best_epoch = stopper.best_epoch
     return result

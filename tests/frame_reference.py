@@ -1,0 +1,84 @@
+"""Reference for the pooled audio path: the frame chain it replaced.
+
+Frequency normalization, Freq-MixStyle, SpecAugment (the program's own, which
+still acts on frames) and (mean + max) / 2 pooling, each over every clip's
+[n_mels, T] frames, with the same random draws in the same order as
+``trainer.pooled_audio``.
+"""
+import numpy as np
+
+from audioretrieval import audio_aug
+from audioretrieval.data import MelSpectrogram, NormStats
+
+
+def freq_normalize(batch: list[MelSpectrogram], stats: NormStats, update: bool = False):
+    if update:
+        cols = np.concatenate([m.values[:, : m.n_frames_valid] for m in batch], axis=1)
+        mean = cols.mean(axis=1)
+        var = cols.var(axis=1)
+        stats.mean = 0.9 * stats.mean + 0.1 * mean
+        stats.var = 0.9 * stats.var + 0.1 * var
+        stats.count += cols.shape[1]
+    else:
+        mean, var = stats.mean, stats.var
+    scale = 1.0 / np.sqrt(var + 1e-5)
+    return [
+        MelSpectrogram((m.values - mean[:, None]) * scale[:, None], m.n_frames_valid)
+        for m in batch
+    ]
+
+
+def _bin_stats(m: MelSpectrogram):
+    valid = m.values[:, : m.n_frames_valid]
+    return valid.mean(axis=1), valid.std(axis=1)  # population std
+
+
+def freq_mixstyle(batch, alpha, p_ms, rng, forced_lambda=None):
+    n = len(batch)
+    fire = rng.uniform(size=n) < p_ms
+    partners = rng.permutation(n)
+    lambdas = audio_aug.sample_mix_lambdas(rng, alpha, n)
+    if forced_lambda is not None:
+        lambdas = np.full(n, forced_lambda)
+    out = []
+    for i, m in enumerate(batch):
+        j = int(partners[i])
+        if not fire[i] or j == i:
+            out.append(MelSpectrogram(m.values.copy(), m.n_frames_valid))
+            continue
+        lam = float(lambdas[i])
+        mu_i, sd_i = _bin_stats(m)
+        mu_j, sd_j = _bin_stats(batch[j])
+        mu_new = lam * mu_i + (1.0 - lam) * mu_j
+        sd_new = lam * sd_i + (1.0 - lam) * sd_j
+        norm = (m.values - mu_i[:, None]) / np.maximum(sd_i[:, None], 1e-5)
+        out.append(MelSpectrogram(norm * sd_new[:, None] + mu_new[:, None], m.n_frames_valid))
+    return out
+
+
+def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
+    """Per-bin (mean + max) / 2 over valid frames, one clip at a time, [N, n_mels]."""
+    rows = []
+    for m in batch:
+        valid = m.values[:, : m.n_frames_valid]
+        rows.append(0.5 * (valid.mean(axis=1) + valid.max(axis=1)))
+    return np.stack(rows)
+
+
+def pooled_batch(mels, norm, update, cfg=None, rng=None, floor=1e-10, forced_lambda=None):
+    """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool."""
+    if cfg is not None:
+        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max), floor)
+                for m in mels]
+    mels = freq_normalize(mels, norm, update)
+    if cfg is not None:
+        mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng, forced_lambda)
+        mels = [audio_aug.spec_augment(m, cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng)
+                for m in mels]
+    return pool_audio(mels)
+
+
+def apply_map(m: MelSpectrogram, center, scale, offset=0.0) -> MelSpectrogram:
+    """Frames of ``m`` under the per-bin map x -> (x - center) * scale + offset."""
+    values = (m.values - np.asarray(center)[..., None]) * np.asarray(scale)[..., None]
+    return MelSpectrogram(values + np.asarray(offset)[..., None], m.n_frames_valid)

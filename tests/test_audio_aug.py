@@ -10,9 +10,15 @@ from audioretrieval.audio_aug import (
     sample_gain,
     spec_augment,
 )
-from audioretrieval.data import FeatureConfig, MelSpectrogram, Waveform, logmel
+from audioretrieval.data import FeatureConfig, MelSpectrogram, Waveform, logmel, mel_stats
 
 from conftest import random_mel_batch
+from frame_reference import apply_map
+
+
+def mixed(batch, maps):
+    """The frames of ``batch`` under each clip's Freq-MixStyle map."""
+    return [apply_map(m, *(a[i] for a in maps)) for i, m in enumerate(batch)]
 
 
 class TestGainLogmel:
@@ -125,13 +131,14 @@ class TestFreqMixStyle:
     def test_probability_zero_identity(self):
         rng = np.random.default_rng(0)
         batch = random_mel_batch(np.random.default_rng(1), 4)
-        out = freq_mixstyle(batch, 0.4, 0.0, rng)
+        out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 0.0, rng))
         for a, b in zip(out, batch):
             assert np.array_equal(a.values, b.values)
 
     def test_lambda_one_identity(self):
         batch = random_mel_batch(np.random.default_rng(2), 4, t=10, t_valid=10)
-        out = freq_mixstyle(batch, 0.4, 1.0, np.random.default_rng(3), forced_lambda=1.0)
+        out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 1.0, np.random.default_rng(3),
+                                         forced_lambda=1.0))
         for a, b in zip(out, batch):
             assert np.allclose(a.values, b.values, atol=1e-6)
 
@@ -145,8 +152,9 @@ class TestFreqMixStyle:
             fire = r.uniform(size=2) < 1.0
             partners = r.permutation(2)
             if fire[0] and partners[0] == 1:
-                out = freq_mixstyle([a, b], 0.4, 1.0, np.random.default_rng(seed),
-                                    forced_lambda=0.5)[0]
+                out = mixed([a, b], freq_mixstyle(mel_stats([a, b]), 0.4, 1.0,
+                                                  np.random.default_rng(seed),
+                                                  forced_lambda=0.5))[0]
                 break
         else:
             pytest.fail("no suitable seed found")
@@ -165,7 +173,7 @@ class TestFreqMixStyle:
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            freq_mixstyle(random_mel_batch(np.random.default_rng(0), 2), 0.0, 0.5,
+            freq_mixstyle(mel_stats(random_mel_batch(np.random.default_rng(0), 2)), 0.0, 0.5,
                           np.random.default_rng(1))
 
 

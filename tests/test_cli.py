@@ -237,6 +237,22 @@ class TestSmbo:
         assert "dropped the torn last line" in capsys.readouterr().err
         assert log.read_bytes() == full
 
+    @pytest.mark.parametrize("space", [
+        [], {"x": 1}, "x", [1],
+        [{"name": "x", "kind": "uniform_float", "lo": 0.0, "hi": 1.0, "step": 0.1}],
+        [{"kind": "uniform_float", "lo": 0.0, "hi": 1.0}],
+        [{"name": "x", "kind": "uniform_float", "lo": "0", "hi": "1"}],
+        [{"name": "x", "kind": "choice", "values": 5}],
+    ])
+    def test_malformed_space_exit_2(self, tmp_path, capsys, space):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+                     "--space", str(path), "--n-init", "2", "--n-trials", "3"]) == 2
+        assert "error: invalid search space:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trials.jsonl").exists()
+
     def test_corrupt_log_on_resume_exit_3(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

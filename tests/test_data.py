@@ -1,3 +1,6 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,16 @@ from audioretrieval.data import (
     load_wav,
     logmel,
     mel_filterbank,
+    mel_stats,
     preprocess_caption,
     resample_linear,
     save_wav,
     synth_dataset,
     tokenize,
+    write_atomic,
 )
+
+from frame_reference import apply_map
 
 
 class TestLoadWav:
@@ -151,20 +158,20 @@ class TestFreqNormalize:
         rng = np.random.default_rng(0)
         m = MelSpectrogram(rng.normal(size=(4, 10)), 10)
         stats = NormStats(np.zeros(4), np.ones(4), 1)
-        out = freq_normalize([m], stats)[0]
+        out = apply_map(m, *freq_normalize(mel_stats([m]), stats))
         assert np.allclose(out.values, m.values, atol=5e-6)
 
     def test_constant_bin_centered(self):
         m = MelSpectrogram(np.full((3, 5), 2.5), 5)
         stats = NormStats(np.full(3, 2.5), np.zeros(3), 1)
-        out = freq_normalize([m], stats)[0]
+        out = apply_map(m, *freq_normalize(mel_stats([m]), stats))
         assert np.allclose(out.values, 0.0)
 
     def test_update_zero_means_batch(self):
         rng = np.random.default_rng(1)
         m = MelSpectrogram(rng.normal(3, 2, size=(4, 20)), 20)
         stats = NormStats.fresh(4)
-        out = freq_normalize([m], stats, update=True)[0]
+        out = apply_map(m, *freq_normalize(mel_stats([m]), stats, update=True))
         assert np.allclose(out.values.mean(axis=1), 0.0, atol=1e-6)
         assert stats.count == 20
 
@@ -173,10 +180,35 @@ class TestFreqNormalize:
         base = rng.normal(size=(4, 10))
         padded = np.concatenate([base, np.zeros((4, 6))], axis=1)
         s1, s2 = NormStats.fresh(4), NormStats.fresh(4)
-        freq_normalize([MelSpectrogram(base, 10)], s1, update=True)
-        freq_normalize([MelSpectrogram(padded, 10)], s2, update=True)
+        freq_normalize(mel_stats([MelSpectrogram(base, 10)]), s1, update=True)
+        freq_normalize(mel_stats([MelSpectrogram(padded, 10)]), s2, update=True)
         assert np.allclose(s1.mean, s2.mean)
         assert np.allclose(s1.var, s2.var)
+
+
+class TestWriteAtomic:
+    def test_writes_text(self, tmp_path):
+        write_atomic(tmp_path / "a.json", "old")
+        write_atomic(tmp_path / "a.json", "new")
+        assert (tmp_path / "a.json").read_text() == "new"
+        assert os.listdir(tmp_path) == ["a.json"]
+
+    @pytest.mark.parametrize("old", [None, "old bytes"])
+    @pytest.mark.parametrize("failure", ["replace", "write"])
+    def test_failed_write_leaves_old_file_and_no_temporary(self, tmp_path, old, failure):
+        target = tmp_path / "checkpoint.json"
+        if old is not None:
+            target.write_text(old)
+        if failure == "replace":
+            with mock.patch.object(os, "replace", side_effect=OSError("disk full")):
+                with pytest.raises(OSError):
+                    write_atomic(target, "new")
+        else:  # the write fails once the temporary file exists
+            with pytest.raises(UnicodeEncodeError):
+                write_atomic(target, "x" * 100_000 + "\ud800")
+        assert os.listdir(tmp_path) == ([] if old is None else ["checkpoint.json"])
+        if old is not None:
+            assert target.read_text() == old
 
 
 class TestCaptions:

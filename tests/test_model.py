@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from audioretrieval.data import MelSpectrogram
+from audioretrieval.data import MelSpectrogram, mel_stats
 from audioretrieval.model import (
     NORM_EPS,
     ModelDims,
@@ -20,6 +20,7 @@ from audioretrieval.model import (
 )
 
 from conftest import random_mel_batch, random_token_batch
+from frame_reference import pool_audio as pool_frames
 
 
 class TestInit:
@@ -47,12 +48,12 @@ class TestInit:
 class TestEmbedAudio:
     def test_constant_spectrogram_pools_to_constant(self, small_params, small_dims):
         m = MelSpectrogram(np.full((8, 10), 3.0), 10)
-        pooled = pool_audio([m])
+        pooled = pool_audio(mel_stats([m]))
         assert np.allclose(pooled, 3.0)
 
     def test_identical_inputs_identical_rows(self, small_params, small_dims):
         m = MelSpectrogram(np.random.default_rng(0).normal(size=(8, 10)), 10)
-        out = embed_audio([m, m], small_params)
+        out = embed_audio(pool_audio(mel_stats([m, m])), small_params)
         assert np.array_equal(out[0], out[1])
 
     def test_padding_invariance(self, small_params, small_dims):
@@ -60,13 +61,13 @@ class TestEmbedAudio:
         base = rng.normal(size=(8, 10))
         m1 = MelSpectrogram(base, 10)
         m2 = MelSpectrogram(np.concatenate([base, np.zeros((8, 5))], axis=1), 10)
-        e1 = embed_audio([m1], small_params)
-        e2 = embed_audio([m2], small_params)
+        e1 = embed_audio(pool_audio(mel_stats([m1])), small_params)
+        e2 = embed_audio(pool_audio(mel_stats([m2])), small_params)
         assert np.array_equal(e1, e2)
 
     def test_empty_batch_rejected(self, small_params, small_dims):
         with pytest.raises(ValueError):
-            embed_audio([], small_params)
+            embed_audio(np.zeros((0, small_dims.n_mels)), small_params)
 
 
 class TestEmbedText:
@@ -158,12 +159,12 @@ def finite_difference_check(dims, seed, tau=0.7, step=1e-5):
     # scale up the token table so ReLU preactivations sit far from the kink
     # relative to the finite-difference step
     params.embed *= 50.0
-    mels = random_mel_batch(rng, 4, n_mels=dims.n_mels)
+    pooled = pool_frames(random_mel_batch(rng, 4, n_mels=dims.n_mels))
     toks = random_token_batch(rng, 4, vocab_size=dims.vocab_size)
-    loss, grads = backward(mels, toks, params, tau)
+    loss, grads = backward(pooled, toks, params, tau)
 
     def loss_at():
-        A = embed_audio(mels, params)
+        A = embed_audio(pooled, params)
         T = embed_text(toks, params)
         return nt_xent(similarity_matrix(A, T), tau)
 
@@ -196,7 +197,7 @@ class TestBackward:
         params = init_params(small_dims, 3)
         mels = random_mel_batch(rng, 2)
         toks = random_token_batch(rng, 2)
-        loss, grads = backward(mels * 2, np.concatenate([toks, toks]), params, 1.0)
+        loss, grads = backward(pool_frames(mels * 2), np.concatenate([toks, toks]), params, 1.0)
         assert np.isfinite(loss)
         for _, g in grads.arrays():
             assert np.all(np.isfinite(g))
@@ -205,14 +206,14 @@ class TestBackward:
         rng = np.random.default_rng(4)
         params = init_params(small_dims, 4)
         with pytest.raises(ValueError):
-            backward(random_mel_batch(rng, 1), random_token_batch(rng, 1),
+            backward(pool_frames(random_mel_batch(rng, 1)), random_token_batch(rng, 1),
                      params, 1.0)
 
     def test_mismatched_batches_rejected(self, small_dims):
         rng = np.random.default_rng(5)
         params = init_params(small_dims, 5)
         with pytest.raises(ValueError):
-            backward(random_mel_batch(rng, 3), random_token_batch(rng, 2),
+            backward(pool_frames(random_mel_batch(rng, 3)), random_token_batch(rng, 2),
                      params, 1.0)
 
 
@@ -225,9 +226,9 @@ def _pool_text_per_caption(rows, embed):
     return np.stack(out)
 
 
-def _embed_grad_per_caption(mels, rows, params, tau):
+def _embed_grad_per_caption(pooled, rows, params, tau):
     """Reference: backward's token-table gradient, scattered one caption at a time."""
-    A = embed_audio(mels, params)
+    A = embed_audio(pooled, params)
     pre3 = _pool_text_per_caption(rows, params.embed) @ params.w3 + params.b3
     T = np.maximum(pre3, 0.0) @ params.w4 + params.b4
     a_den = np.linalg.norm(A, axis=1, keepdims=True) + NORM_EPS
@@ -268,9 +269,9 @@ class TestTextMatrixAgainstPerCaption:
         rows = [np.array(tokens, dtype=np.int64) for tokens in lists]
         assert np.array_equal(pool_text(ids, params.embed),
                               _pool_text_per_caption(rows, params.embed))
-        mels = random_mel_batch(rng, len(rows))
-        _, grads = backward(mels, ids, params, 0.7)
-        assert np.array_equal(grads.embed, _embed_grad_per_caption(mels, rows, params, 0.7))
+        pooled = pool_frames(random_mel_batch(rng, len(rows)))
+        _, grads = backward(pooled, ids, params, 0.7)
+        assert np.array_equal(grads.embed, _embed_grad_per_caption(pooled, rows, params, 0.7))
 
 
 class TestCheckpoint:
