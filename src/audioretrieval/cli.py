@@ -48,10 +48,6 @@ def _provider_and_lexicon(cfg: RunConfig):
     return provider, lexicon
 
 
-def _model_dims(cfg: RunConfig) -> model.ModelDims:
-    return replace(cfg.model, n_mels=cfg.features.n_mels)
-
-
 def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     lines = ["epoch,train_loss,val_map10"]
     for e, (loss, vmap) in enumerate(zip(result.train_losses, result.val_maps)):
@@ -74,7 +70,7 @@ def cmd_train(args) -> int:
     optim = replace(cfg.optim, seed=cfg.seed)
     try:
         result = trainer.train_run(
-            train, val, _model_dims(cfg), cfg.audio_aug, cfg.text_aug, optim,
+            train, val, cfg.model, cfg.audio_aug, cfg.text_aug, optim,
             provider=provider, lexicon=lexicon, checkpoint_path=ckpt,
         )
     except ValueError as exc:
@@ -182,7 +178,6 @@ def _training_objective(cfg: RunConfig):
     train = _prepared(cfg, "train")
     val = _prepared(cfg, "val")
     provider, lexicon = _provider_and_lexicon(cfg)
-    dims = _model_dims(cfg)
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):
         audio_cfg = audio_aug.AudioAugConfig(
@@ -198,7 +193,7 @@ def _training_objective(cfg: RunConfig):
         )
         optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
         result = trainer.train_run(
-            train, val, dims, audio_cfg, text_cfg, optim,
+            train, val, cfg.model, audio_cfg, text_cfg, optim,
             provider=provider, lexicon=lexicon,
         )
         status = "pruned" if result.stopped_early else "completed"

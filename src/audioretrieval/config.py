@@ -64,6 +64,13 @@ _SECTION_TYPES = {
     "optim": OptimConfig,
 }
 
+# keys the program sets itself, and what from; a config that sets one is rejected
+_DERIVED = {
+    ("model", "vocab_size"): "the training captions",
+    ("model", "n_mels"): "features.n_mels",
+    ("optim", "seed"): "the top-level seed",
+}
+
 
 def _build(cls, doc: dict, path: str):
     if not isinstance(doc, dict):
@@ -101,9 +108,9 @@ def parse_config(doc: dict) -> RunConfig:
             setattr(cfg, name, None)  # augmentation path disabled
         else:
             setattr(cfg, name, _build(cls, section or {}, name))
-    # model.vocab_size is derived from the training captions
-    if "model" in doc and doc["model"] and "vocab_size" in doc["model"]:
-        raise ConfigError("model.vocab_size: derived from data, not configurable")
+    for (name, key), source in _DERIVED.items():
+        if key in (doc.get(name) or {}):
+            raise ConfigError(f"{name}.{key}: derived from {source}, not configurable")
     return cfg
 
 

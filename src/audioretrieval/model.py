@@ -94,25 +94,34 @@ def pool_text(ids: np.ndarray, embed: np.ndarray) -> np.ndarray:
     return summed / np.maximum(valid.sum(axis=1, keepdims=True), 1)
 
 
+def _head(x, w_in, b_in, w_out, b_out):
+    """Two-layer ReLU head: (pre-activation, hidden layer, output)."""
+    pre = x @ w_in + b_in
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, hidden @ w_out + b_out
+
+
+def _unit_rows(x):
+    """(row norms, norms + NORM_EPS, rows divided by the latter)."""
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    den = norm + NORM_EPS
+    return norm, den, x / den
+
+
 def embed_audio(pooled: np.ndarray, params: ModelParams) -> np.ndarray:
     """Audio embeddings [N, embed_dim] of pooled log-mels [N, n_mels]."""
     if not len(pooled):
         raise ValueError("empty batch")
-    hidden = np.maximum(pooled @ params.w1 + params.b1, 0.0)
-    return hidden @ params.w2 + params.b2
+    return _head(pooled, params.w1, params.b1, params.w2, params.b2)[2]
 
 
 def embed_text(ids: np.ndarray, params: ModelParams) -> np.ndarray:
-    pooled = pool_text(ids, params.embed)
-    hidden = np.maximum(pooled @ params.w3 + params.b3, 0.0)
-    return hidden @ params.w4 + params.b4
+    return _head(pool_text(ids, params.embed), params.w3, params.b3, params.w4, params.b4)[2]
 
 
 def similarity_matrix(audio_emb: np.ndarray, text_emb: np.ndarray) -> np.ndarray:
     """Cosine agreement C[i, j] between audio row i and caption row j."""
-    a_norm = np.linalg.norm(audio_emb, axis=1, keepdims=True) + NORM_EPS
-    t_norm = np.linalg.norm(text_emb, axis=1, keepdims=True) + NORM_EPS
-    return (audio_emb / a_norm) @ (text_emb / t_norm).T
+    return _unit_rows(audio_emb)[2] @ _unit_rows(text_emb)[2].T
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -156,22 +165,11 @@ def backward(
     if len(text_ids) != n:
         raise ValueError("audio and text batch sizes differ")
 
-    # forward with caches
-    pre1 = pooled_a @ params.w1 + params.b1
-    h1 = np.maximum(pre1, 0.0)
-    A = h1 @ params.w2 + params.b2
-
+    pre1, h1, A = _head(pooled_a, params.w1, params.b1, params.w2, params.b2)
     pooled_t = pool_text(text_ids, params.embed)
-    pre3 = pooled_t @ params.w3 + params.b3
-    h3 = np.maximum(pre3, 0.0)
-    T = h3 @ params.w4 + params.b4
-
-    a_raw = np.linalg.norm(A, axis=1, keepdims=True)
-    t_raw = np.linalg.norm(T, axis=1, keepdims=True)
-    a_den = a_raw + NORM_EPS
-    t_den = t_raw + NORM_EPS
-    An = A / a_den
-    Tn = T / t_den
+    pre3, h3, T = _head(pooled_t, params.w3, params.b3, params.w4, params.b4)
+    a_raw, a_den, An = _unit_rows(A)
+    t_raw, t_den, Tn = _unit_rows(T)
     C = An @ Tn.T
     loss = nt_xent(C, tau)
     if not np.isfinite(loss):
@@ -182,37 +180,26 @@ def backward(
     dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * n * tau)
 
     # cosine backward: An = A / (|A| + eps)
-    dAn = dC @ Tn
-    dTn = dC.T @ An
-
     def through_norm(dXn, X, raw, den):
         safe = np.maximum(raw, NORM_EPS)
         return dXn / den - X * ((dXn * X).sum(axis=1, keepdims=True) / (safe * den**2))
 
-    dA = through_norm(dAn, A, a_raw, a_den)
-    dT = through_norm(dTn, T, t_raw, t_den)
+    dA = through_norm(dC @ Tn, A, a_raw, a_den)
+    dT = through_norm(dC.T @ An, T, t_raw, t_den)
 
-    grads = zeros_like_params(params)
+    def through_head(x, pre, hidden, w_out, d_out):
+        """(dw_in, db_in, dw_out, db_out) of a head, and the gradient at its pre-activation."""
+        d_pre = (d_out @ w_out.T) * (pre > 0.0)
+        return x.T @ d_pre, d_pre.sum(axis=0), hidden.T @ d_out, d_out.sum(axis=0), d_pre
 
-    # audio head
-    grads.w2 = h1.T @ dA
-    grads.b2 = dA.sum(axis=0)
-    dh1 = (dA @ params.w2.T) * (pre1 > 0.0)
-    grads.w1 = pooled_a.T @ dh1
-    grads.b1 = dh1.sum(axis=0)
-
-    # text head + token table
-    grads.w4 = h3.T @ dT
-    grads.b4 = dT.sum(axis=0)
-    dh3 = (dT @ params.w4.T) * (pre3 > 0.0)
-    grads.w3 = pooled_t.T @ dh3
-    grads.b3 = dh3.sum(axis=0)
-    # each valid position gets its row's share, scattered in row order
+    w1, b1, w2, b2, _ = through_head(pooled_a, pre1, h1, params.w2, dA)
+    w3, b3, w4, b4, dh3 = through_head(pooled_t, pre3, h3, params.w4, dT)
+    # token table: each valid position gets its row's share, scattered in row order
     valid = text_ids != TokenVocab.PAD
     dpool_t = (dh3 @ params.w3.T) / np.maximum(valid.sum(axis=1, keepdims=True), 1)
-    np.add.at(grads.embed, text_ids[valid], dpool_t[np.nonzero(valid)[0]])
-
-    return loss, grads
+    embed = np.zeros_like(params.embed)
+    np.add.at(embed, text_ids[valid], dpool_t[np.nonzero(valid)[0]])
+    return loss, ModelParams(w1, b1, w2, b2, embed, w3, b3, w4, b4)
 
 
 def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats,

@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import TokenVocab, preprocess_caption
+from .data import TokenVocab, preprocess_caption, write_atomic
 
 PIVOTS = ("de", "fr", "es")
 
@@ -77,9 +77,8 @@ class TranslationCache:
         return cls(entries)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (source, pivot), result in self.entries.items():
-                fh.write(json.dumps({"source": source, "pivot": pivot, "result": result}) + "\n")
+        write_atomic(path, "".join(json.dumps({"source": source, "pivot": pivot, "result": result})
+                                   + "\n" for (source, pivot), result in self.entries.items()))
 
     def __len__(self):
         return len(self.entries)

@@ -37,20 +37,17 @@ from .model import (
     zeros_like_params,
 )
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DROP_FACTOR, LR_DROP_EVERY = 3.0, 10
+
 
 @dataclass
 class OptimConfig:
     lr0: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 30
     epochs: int = 50
-    lr_drop_factor: float = 3.0
-    lr_drop_every: int = 10
     patience: int = 10
-    tau: float = 1.0
-    seed: int = 0
+    seed: int = 0  # set from the run's seed; a config cannot set it
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -83,21 +80,19 @@ class RunResult:
 
 
 def lr_at(epoch: int, cfg: OptimConfig) -> float:
-    """Initial rate divided by drop_factor every drop_every epochs."""
+    """Initial rate divided by LR_DROP_FACTOR every LR_DROP_EVERY epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return cfg.lr0 / cfg.lr_drop_factor ** (epoch // cfg.lr_drop_every)
+    return cfg.lr0 / LR_DROP_FACTOR ** (epoch // LR_DROP_EVERY)
 
 
-def adam_step(
-    params: ModelParams, grads: ModelParams, state: AdamState, lr: float, cfg: OptimConfig
-) -> None:
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
     """One in-place Adam update with bias correction."""
     if state.m is None:
         state.m = zeros_like_params(params)
         state.v = zeros_like_params(params)
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, g in grads.arrays():
@@ -110,7 +105,7 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * g * g
         p = getattr(params, name)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class EarlyStopping:
@@ -209,15 +204,16 @@ def train_run(
     provider=None,
     lexicon: text_aug.SynonymLexicon | None = None,
     checkpoint_path=None,
-    epoch_hook=None,
 ) -> RunResult:
     """Full optimization run; returns per-epoch losses and validation mAP@10.
 
-    Pass ``audio_cfg`` / ``text_cfg`` as None to disable that augmentation
-    path entirely. RNG streams: one for batch order and caption sampling,
-    one for augmentation; per batch the augmentation draws happen in the
-    fixed order caption text (BT then EDA, per item) -> gain (per item) ->
-    Freq-MixStyle -> SpecAugment (per item).
+    ``dims.vocab_size`` and ``dims.n_mels`` are replaced by the training
+    vocabulary's size and the splits' ``feat.n_mels``. Pass ``audio_cfg`` /
+    ``text_cfg`` as None to disable that augmentation path entirely. RNG
+    streams: one for batch order and caption sampling, one for augmentation;
+    per batch the augmentation draws happen in the fixed order caption text
+    (BT then EDA, per item) -> gain (per item) -> Freq-MixStyle ->
+    SpecAugment (per item).
     """
     if len(train) < 2:
         raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
@@ -232,7 +228,7 @@ def train_run(
 
     caps_pre = [[preprocess_caption(c) for c in caps] for caps in train.captions]
     vocab = build_vocab([c for caps in caps_pre for c in caps])
-    dims = replace(dims, vocab_size=len(vocab))
+    dims = replace(dims, vocab_size=len(vocab), n_mels=feat.n_mels)
 
     params = init_params(dims, int(rng_init.integers(2**31)))
     stats = NormStats.fresh(dims.n_mels)
@@ -267,8 +263,8 @@ def train_run(
                     for i in idx
                 ], vocab)
             pooled = pooled_audio(train, idx, stats, True, audio_cfg, rng_aug)
-            loss, grads = backward(pooled, tokens, params, optim.tau)
-            adam_step(params, grads, state, lr, optim)
+            loss, grads = backward(pooled, tokens, params)
+            adam_step(params, grads, state, lr)
             batch_losses.append(loss)
 
         result.train_losses.append(float(np.mean(batch_losses)))
@@ -278,10 +274,7 @@ def train_run(
 
         if val_map > stopper.best:
             best = (params.copy(), NormStats(stats.mean.copy(), stats.var.copy(), stats.count))
-        stop = stopper.update(epoch, val_map)
-        if epoch_hook is not None:
-            epoch_hook(epoch, val_map)
-        if stop:
+        if stopper.update(epoch, val_map):
             result.stopped_early = True
             break
 

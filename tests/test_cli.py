@@ -69,6 +69,16 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         assert "paths.dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key", [
+        ("model", "vocab_size"), ("model", "n_mels"), ("optim", "seed"),
+    ])
+    def test_derived_key_exit_2(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{section: {key: 32}})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: derived from "):
+            load_config(path)
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"{section}.{key}: derived from" in capsys.readouterr().err
+
     def test_artifacts_written(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["train", "--config", str(path)]) == 0

@@ -202,6 +202,22 @@ class TestBackward:
         for _, g in grads.arrays():
             assert np.all(np.isfinite(g))
 
+    @given(n=st.integers(2, 9), n_mels=st.integers(1, 10), embed_dim=st.integers(1, 10),
+           hidden=st.integers(1, 12), vocab_size=st.integers(2, 12),
+           tau=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_loss_is_the_forward_pass(self, n, n_mels, embed_dim, hidden, vocab_size, tau, seed):
+        rng = np.random.default_rng(seed)
+        dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
+                         text_hidden=hidden + 1, token_embed_dim=embed_dim + 1,
+                         vocab_size=vocab_size)
+        params = init_params(dims, seed % 1000)
+        pooled = rng.normal(size=(n, n_mels))
+        toks = random_token_batch(rng, n, vocab_size=vocab_size)
+        forward = nt_xent(similarity_matrix(embed_audio(pooled, params),
+                                            embed_text(toks, params)), tau)
+        assert backward(pooled, toks, params, tau)[0] == forward
+
     def test_single_pair_rejected(self, small_dims):
         rng = np.random.default_rng(4)
         params = init_params(small_dims, 4)

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +206,26 @@ class TestCacheBuild:
         cache = TranslationCache({("Ünïcode text.", "fr"): "retour du texte"})
         cache.save(path)
         assert TranslationCache.load(path).entries == cache.entries
+
+    def test_save_failing_partway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache_build(["a"], PIVOTS, mock_provider, path)
+        before = path.read_bytes()
+        dumps, calls = json.dumps, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("serialization failed")
+            return dumps(*args, **kwargs)
+
+        cache = TranslationCache.load(path)
+        cache.entries[("b", "de")] = "b via de"
+        with mock.patch("audioretrieval.text_aug.json.dumps", second_fails):
+            with pytest.raises(RuntimeError, match="serialization failed"):
+                cache.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
 class TestLexiconAndConfig:

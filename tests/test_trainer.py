@@ -61,25 +61,23 @@ class TestAdam:
         params, grads, state = self._setup(small_dims)
         grads.w1[:] = 3.7  # |g| >> eps
         before = params.w1.copy()
-        cfg = OptimConfig(lr0=1e-3)
-        adam_step(params, grads, state, 1e-3, cfg)
+        adam_step(params, grads, state, 1e-3)
         assert np.allclose(before - params.w1, 1e-3, rtol=1e-6)
 
     def test_zero_gradient_no_change(self, small_dims):
         params, grads, state = self._setup(small_dims)
         before = params.copy()
-        adam_step(params, grads, state, 1e-3, OptimConfig())
+        adam_step(params, grads, state, 1e-3)
         for (_, a), (_, b) in zip(params.arrays(), before.arrays()):
             assert np.array_equal(a, b)
 
     def test_second_moment_accumulates(self, small_dims):
         params, grads, state = self._setup(small_dims)
         grads.w1[:] = 1.0
-        cfg = OptimConfig()
-        adam_step(params, grads, state, 1e-4, cfg)
+        adam_step(params, grads, state, 1e-4)
         v1 = state.v.w1.copy()
         grads.w1[:] = -1.0
-        adam_step(params, grads, state, 1e-4, cfg)
+        adam_step(params, grads, state, 1e-4)
         assert np.all(state.v.w1 > v1)
         assert state.t == 2
 
@@ -87,7 +85,7 @@ class TestAdam:
         params, grads, state = self._setup(small_dims)
         grads.w2[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            adam_step(params, grads, state, 1e-4, OptimConfig())
+            adam_step(params, grads, state, 1e-4)
 
 
 class TestEarlyStopping:
@@ -167,11 +165,6 @@ class TestTrainRun:
         assert result.best_epoch >= 0
         assert result.best_val_map == max(result.val_maps)
 
-    def test_epoch_hook_called(self):
-        seen = []
-        _tiny_run(seed=6, epoch_hook=lambda e, v: seen.append((e, v)))
-        assert [e for e, _ in seen] == [0, 1, 2]
-
     def test_loss_decreases_on_synthetic_data(self):
         result = _tiny_run(seed=8, epochs=8)
         assert result.train_losses[-1] < result.train_losses[0]
@@ -215,6 +208,17 @@ class TestTrainRun:
         params, _, stats, vocab, _ = load_checkpoint(ckpt)
         assert score_split(val, *caption_queries(val, vocab), params, stats).map10 \
             == result.best_val_map
+
+    def test_n_mels_taken_from_the_splits(self, tmp_path):
+        feat = FeatureConfig(n_mels=16)
+        train = prepare_split(synth_dataset(3, 18, 50, duration=0.2), feat)
+        val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), feat)
+        ckpt = tmp_path / "ckpt.json"
+        result = train_run(train, val, ModelDims(), None, None,
+                           OptimConfig(epochs=2, batch_size=6), checkpoint_path=ckpt)
+        assert result.epochs_run == 2
+        _, dims, stats, _, _ = load_checkpoint(ckpt)
+        assert dims.n_mels == 16 and stats.mean.shape == (16,)
 
     def test_train_split_of_one_clip_rejected(self):
         one = prepare_split(synth_dataset(3, 1, 52, duration=0.2), FeatureConfig())
