@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import urllib.request
+from collections.abc import Iterable
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,8 +21,15 @@ EXIT_USAGE = 2
 EXIT_CORRUPT = 3
 EXIT_EXTERNAL = 4
 
+# Free memory that glibc's malloc keeps at the top of the heap rather than trimming it.
+# Preparation leaves no freed audio behind to reuse, so without a pad every training
+# batch would grow the heap and fault its pages in again after the last one trimmed it.
+HEAP_TOP_PAD = 16 << 20
+_M_TOP_PAD = -2  # mallopt's parameter number for it (malloc.h)
 
-def _load_split(cfg: RunConfig, split: str) -> data.PairedDataset:
+
+def _load_split(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform, list[str]]]:
+    """The split's items: a synthetic dataset, or the manifest read one record at a time."""
     if cfg.data is not None:  # synthetic
         spec = cfg.data
         n = {"train": spec.n_train, "val": spec.n_val, "test": spec.n_test}[split]
@@ -34,7 +43,7 @@ def _load_split(cfg: RunConfig, split: str) -> data.PairedDataset:
     path = {"train": cfg.paths.dataset, "val": cfg.paths.val_dataset, "test": cfg.paths.test_dataset}[split]
     if path is None:
         raise ConfigError(f"paths.{'dataset' if split == 'train' else split + '_dataset'}: required")
-    return data.load_manifest(path, cfg.paths.audio_root)
+    return data.iter_manifest(path, cfg.paths.audio_root)
 
 
 def _provider_and_lexicon(cfg: RunConfig):
@@ -285,11 +294,11 @@ def cmd_synth_data(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out)
     for split in ("train", "val", "test"):
-        ds = _load_split(cfg, split)
+        ds = _load_split(cfg, split)  # a PairedDataset: cfg.data is set
         split_dir = out_dir / split
         split_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / f"{split}.jsonl", "w") as fh:
-            for audio_id, w, caps in ds.items:
+            for audio_id, w, caps in ds:
                 rel = f"{split}/{audio_id}.wav"
                 data.save_wav(out_dir / rel, w)
                 fh.write(json.dumps({"audio": rel, "captions": caps}) + "\n")
@@ -341,11 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pad_heap_top() -> None:
+    """Have glibc's malloc keep HEAP_TOP_PAD bytes above the heap top (a no-op
+    without ``mallopt``)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pad_heap_top()
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, data.ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.io import wavfile
 
 MAX_TOKENS = 32  # captions are truncated to this many tokens
+STFT_BLOCK = 16  # frames that logmel windows and transforms at a time
 
 
 @dataclass
@@ -128,6 +130,9 @@ class PairedDataset:
     def __len__(self):
         return len(self.items)
 
+    def __iter__(self):
+        return iter(self.items)
+
 
 def load_wav(path) -> Waveform:
     """Read a RIFF WAV file (PCM 16/32-bit or IEEE float) as mono float."""
@@ -227,10 +232,14 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
     # periodic Hann
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft))
     starts = np.arange(n_frames) * cfg.hop
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[starts]
-    spec = np.fft.rfft(frames * window, axis=1)
-    power = (spec.real**2 + spec.imag**2).T  # [n_bins, T]
-    mel_power = mel_filterbank(cfg) @ power
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
+    # window, transform and square STFT_BLOCK frames at a time: the complex spectrum of
+    # a whole clip never exists at once, and every row comes out as it would unblocked
+    power = np.empty((n_frames, half + 1))  # [T, n_bins]
+    for s in range(0, n_frames, STFT_BLOCK):
+        spec = np.fft.rfft(windows[starts[s : s + STFT_BLOCK]] * window, axis=1)
+        np.add(spec.real**2, spec.imag**2, out=power[s : s + STFT_BLOCK])
+    mel_power = mel_filterbank(cfg) @ power.T
     return MelSpectrogram(np.log(mel_power + cfg.log_floor), n_frames)
 
 
@@ -369,28 +378,53 @@ def synth_dataset(
     return PairedDataset(items)
 
 
-def load_manifest(path, audio_root=None) -> PairedDataset:
-    """Read a CSV (file_name,caption_1..caption_5) or JSONL dataset manifest."""
+class ManifestError(ValueError):
+    """A manifest record that cannot be used; the message names the manifest and line."""
+
+
+def iter_manifest(path, audio_root=None) -> Iterator[tuple[str, Waveform, list[str]]]:
+    """Yield ``(id, Waveform, captions)`` for each record of a CSV
+    (file_name,caption_1..caption_5) or JSONL manifest, decoding a record's WAV only
+    when it is reached. A record without captions, or whose WAV cannot be read,
+    raises ManifestError at that record."""
     path = Path(path)
     root = Path(audio_root) if audio_root else path.parent
-    items = []
+    for line_no, audio, captions in _manifest_records(path):
+        where = f"{path}: line {line_no}"
+        if not captions:
+            raise ManifestError(f"{where}: item {audio!r} has no captions")
+        try:
+            wav = load_wav(root / audio)
+        except (OSError, ValueError) as exc:
+            raise ManifestError(f"{where}: cannot read {audio!r}: {exc}") from exc
+        yield audio, wav, captions
+
+
+def _manifest_records(path: Path) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, audio file, captions) of each record of a manifest."""
     if path.suffix.lower() == ".jsonl":
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                rec = json.loads(line)
-                wav = load_wav(root / rec["audio"])
-                items.append((str(rec["audio"]), wav, list(rec["captions"])))
+                try:
+                    rec = json.loads(line)
+                    audio, captions = str(rec["audio"]), rec["captions"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ManifestError(f"{path}: line {line_no}: bad record: {exc!r}") from exc
+                if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+                    raise ManifestError(f"{path}: line {line_no}: captions must be a list of strings")
+                yield line_no, audio, captions
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "file_name" not in reader.fieldnames:
-                raise ValueError(f"manifest {path} lacks a file_name column")
+                raise ManifestError(f"{path}: line 1: no file_name column")
             cap_cols = [c for c in reader.fieldnames if c.startswith("caption_")]
             for row in reader:
-                wav = load_wav(root / row["file_name"])
-                caps = [row[c] for c in cap_cols if row.get(c)]
-                items.append((row["file_name"], wav, caps))
-    return PairedDataset(items)
+                yield reader.line_num, row["file_name"], [row[c] for c in cap_cols if row.get(c)]
+
+
+def load_manifest(path, audio_root=None) -> PairedDataset:
+    """Every record of a manifest (see ``iter_manifest``), decoded at once."""
+    return PairedDataset(list(iter_manifest(path, audio_root)))

@@ -24,8 +24,16 @@ class ModelDims:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+            check_int(self, f.name, 1)
+
+
+def check_int(obj, name: str, minimum: int) -> None:
+    """Reject the field ``name`` of ``obj`` unless it is an int (not a bool) >= ``minimum``."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass

@@ -3,6 +3,7 @@ on-the-fly augmentation, retrieval scoring for validation and eval, early
 stopping."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from .data import (
     MelSpectrogram,
     MelStats,
     NormStats,
-    PairedDataset,
     TokenVocab,
+    Waveform,
     build_vocab,
     freq_normalize,
     logmel,
@@ -28,6 +29,7 @@ from .model import (
     ModelDims,
     ModelParams,
     backward,
+    check_int,
     embed_audio,
     embed_text,
     init_params,
@@ -52,10 +54,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, minimum in (("batch_size", 2), ("epochs", 1), ("patience", 1)):
+            check_int(self, name, minimum)
 
 
 @dataclass
@@ -137,10 +137,18 @@ class PreparedSplit:
         return len(self.mels)
 
 
-def prepare_split(ds: PairedDataset, feat: FeatureConfig) -> PreparedSplit:
-    """Resample every clip and compute its log-mel and statistics, once."""
-    mels = [logmel(resample_linear(w, feat.target_sr), feat) for _, w, _ in ds.items]
-    return PreparedSplit(feat, mels, mel_stats(mels), [caps for _, _, caps in ds.items])
+def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
+                  feat: FeatureConfig) -> PreparedSplit:
+    """Resample every clip and compute its log-mel and statistics, once.
+
+    ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
+    time) is read once, and no clip's audio is kept.
+    """
+    mels, captions = [], []
+    for _, w, caps in items:
+        mels.append(logmel(resample_linear(w, feat.target_sr), feat))
+        captions.append(caps)
+    return PreparedSplit(feat, mels, mel_stats(mels), captions)
 
 
 def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from audioretrieval import cli
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
+from audioretrieval.data import save_wav, synth_dataset
 
 
 def write_config(tmp_path, **overrides):
@@ -20,6 +24,16 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def write_manifest_config(tmp_path, **overrides):
+    """A config reading the synthetic splits from JSONL manifests under tmp_path/ds."""
+    main(["synth-data", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "ds")])
+    return write_config(tmp_path, data=None, paths={
+        "out_dir": str(tmp_path / "out"),
+        **{key: str(tmp_path / "ds" / f"{split}.jsonl") for key, split in
+           (("dataset", "train"), ("val_dataset", "val"), ("test_dataset", "test"))},
+    }, **overrides)
 
 
 class TestConfigParsing:
@@ -78,6 +92,25 @@ class TestTrain:
             load_config(path)
         assert main(["train", "--config", str(path)]) == 2
         assert f"{section}.{key}: derived from" in capsys.readouterr().err
+
+    def test_zero_epochs_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, optim={"epochs": 0, "batch_size": 6})
+        assert main(["train", "--config", str(path)]) == 2
+        assert "optim: epochs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_result.json").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "embed_dim", 8.5), ("model", "audio_hidden", True),
+        ("optim", "batch_size", 6.0), ("optim", "epochs", True), ("optim", "patience", "2"),
+    ])
+    def test_non_integer_dimension_exit_2(self, tmp_path, capsys, section, key, value):
+        doc = {"model": {}, "optim": {"epochs": 2, "batch_size": 6}}
+        doc[section][key] = value
+        path = write_config(tmp_path, **doc)
+        with pytest.raises(ConfigError, match=rf"^{section}: {key} must be an integer"):
+            load_config(path)
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"{section}: {key} must be an integer" in capsys.readouterr().err
 
     def test_artifacts_written(self, tmp_path):
         path = write_config(tmp_path)
@@ -140,13 +173,7 @@ class TestEval:
                      str(tmp_path / "missing.json")]) == 2
 
     def test_train_manifest_order_does_not_matter(self, tmp_path):
-        main(["synth-data", "--config", str(write_config(tmp_path)),
-              "--out", str(tmp_path / "ds")])
-        cfg = write_config(tmp_path, data=None, paths={
-            "out_dir": str(tmp_path / "out"),
-            **{key: str(tmp_path / "ds" / f"{split}.jsonl") for key, split in
-               (("dataset", "train"), ("val_dataset", "val"), ("test_dataset", "test"))},
-        })
+        cfg = write_manifest_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "out" / "checkpoint.json"
         sidecar = tmp_path / "out" / "eval_test.json"
@@ -270,6 +297,84 @@ class TestSmbo:
         (out / "trials.jsonl").write_text('{"schema": 7, "oops": true}\n')
         assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
                      "--n-trials", "5", "--resume"]) == 3
+
+
+class TestManifestSplits:
+    """Manifest splits are decoded one record at a time, and a bad record stops the
+    command at that record."""
+
+    @staticmethod
+    def _spoil(tmp_path, split, record):
+        """Replace line 2 of the split's manifest with ``record``; line 3's WAV goes missing."""
+        manifest = tmp_path / "ds" / f"{split}.jsonl"
+        lines = manifest.read_text().splitlines()
+        (tmp_path / "ds" / json.loads(lines[2])["audio"]).unlink()
+        manifest.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        return manifest
+
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("train", "val"),
+                                               ("eval", "test"), ("smbo", "train")])
+    def test_record_without_captions_exit_2(self, tmp_path, capsys, command, split):
+        cfg = write_manifest_config(tmp_path)
+        manifest = self._spoil(tmp_path, split, {"audio": f"{split}/x.wav", "captions": []})
+        argv = {"train": [], "eval": ["--checkpoint", str(tmp_path / "none.json")],
+                "smbo": ["--n-init", "2", "--n-trials", "3"]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: line 2: item '{split}/x.wav' has no captions\n"
+
+    def test_unreadable_wav_exit_2(self, tmp_path, capsys):
+        cfg = write_manifest_config(tmp_path)
+        rec = json.loads((tmp_path / "ds" / "train.jsonl").read_text().splitlines()[1])
+        manifest = self._spoil(tmp_path, "train", rec)
+        (tmp_path / "ds" / rec["audio"]).write_bytes(b"RIFF but not a wave file")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: line 2: cannot read {rec['audio']!r}: ")
+
+    def test_split_is_prepared_one_clip_at_a_time(self, tmp_path):
+        ds = synth_dataset(3, 40, 0, split="train", sample_rate=44100, duration=1.0)
+        (tmp_path / "train").mkdir()
+        with open(tmp_path / "train.jsonl", "w") as fh:
+            for audio_id, w, caps in ds.items:
+                save_wav(tmp_path / "train" / f"{audio_id}.wav", w)
+                fh.write(json.dumps({"audio": f"train/{audio_id}.wav", "captions": caps}) + "\n")
+        cfg = load_config(write_config(tmp_path, data=None, paths={
+            "dataset": str(tmp_path / "train.jsonl")}))
+        clip = ds.items[0][1].samples.nbytes  # decoded float64 bytes of one clip
+        del ds
+        tracemalloc.start()
+        try:
+            split = cli._prepared(cfg, "train")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(split) == 40
+        # decoding the whole split first would hold all 40 clips at once
+        assert peak - kept < 6 * clip
+
+    @staticmethod
+    def _no_c_library(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("libc", [lambda name: SimpleNamespace(),  # no mallopt in it
+                                      _no_c_library])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        assert main(["train", "--config", str(write_config(tmp_path))]) == 0
+
+    def test_heap_top_pad_set_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert main(["train", "--config", str(write_config(tmp_path))]) == 0
+        assert calls == [(-2, 16 << 20)]
 
 
 class TestAugmentPreview:

@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from audioretrieval.data import (
+    STFT_BLOCK,
     FeatureConfig,
+    ManifestError,
     MelSpectrogram,
     NormStats,
     Waveform,
     build_vocab,
     _filterbank,
     freq_normalize,
+    iter_manifest,
     load_manifest,
     load_wav,
     logmel,
@@ -27,6 +30,7 @@ from audioretrieval.data import (
     write_atomic,
 )
 
+import stft_reference
 from frame_reference import apply_map
 
 
@@ -151,6 +155,20 @@ class TestLogmel:
         w = Waveform(np.ones(n) * 0.1, 32000)
         m = logmel(w, cfg)
         assert m.values.shape[1] == 1 + n // cfg.hop
+
+    @given(blocks=st.integers(0, 4), off=st.sampled_from([-1, 0, 1]),
+           extra=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1),
+           cfg=st.sampled_from([FeatureConfig(), FeatureConfig(n_fft=256, hop=64, n_mels=16),
+                                FeatureConfig(n_fft=400, hop=160, n_mels=40)]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_stft_equals_one_block(self, blocks, off, extra, seed, cfg):
+        # frame counts at, just below and just above a multiple of STFT_BLOCK
+        n_frames = max(2, blocks * STFT_BLOCK + off)
+        n = (n_frames - 1) * cfg.hop + extra % cfg.hop
+        w = Waveform(np.random.default_rng(seed).normal(0, 0.3, size=n), cfg.target_sr)
+        m = logmel(w, cfg)
+        assert m.n_frames_valid == n_frames
+        assert np.array_equal(m.values, stft_reference.logmel_values(w, cfg))
 
 
 class TestFreqNormalize:
@@ -292,28 +310,74 @@ class TestManifest:
             save_wav(tmp_path / f"{audio_id}.wav", w)
         return ds
 
-    def test_jsonl_roundtrip(self, tmp_path):
+    def _write_jsonl(self, tmp_path, ds):
         import json
 
-        ds = self._write_dataset(tmp_path)
         manifest = tmp_path / "data.jsonl"
         with open(manifest, "w") as fh:
             for audio_id, _, caps in ds.items:
                 fh.write(json.dumps({"audio": f"{audio_id}.wav", "captions": caps}) + "\n")
-        loaded = load_manifest(manifest)
-        assert len(loaded) == 4
-        assert loaded.items[0][2] == ds.items[0][2]
+        return manifest
 
-    def test_csv_roundtrip(self, tmp_path):
-        ds = self._write_dataset(tmp_path)
+    def _write_csv(self, tmp_path, ds):
         manifest = tmp_path / "data.csv"
         with open(manifest, "w") as fh:
             fh.write("file_name,caption_1,caption_2\n")
             for audio_id, _, caps in ds.items:
                 fh.write(f"{audio_id}.wav,{caps[0]},{caps[1]}\n")
-        loaded = load_manifest(manifest)
+        return manifest
+
+    def test_jsonl_roundtrip(self, tmp_path):
+        ds = self._write_dataset(tmp_path)
+        loaded = load_manifest(self._write_jsonl(tmp_path, ds))
+        assert len(loaded) == 4
+        assert loaded.items[0][2] == ds.items[0][2]
+
+    def test_csv_roundtrip(self, tmp_path):
+        ds = self._write_dataset(tmp_path)
+        loaded = load_manifest(self._write_csv(tmp_path, ds))
         assert len(loaded) == 4
         assert loaded.items[1][2][0] == ds.items[1][2][0]
+
+    @pytest.mark.parametrize("kind", ["jsonl", "csv"])
+    def test_iter_yields_the_loaded_items(self, tmp_path, kind):
+        ds = self._write_dataset(tmp_path)
+        manifest = getattr(self, f"_write_{kind}")(tmp_path, ds)
+        streamed, loaded = list(iter_manifest(manifest)), load_manifest(manifest).items
+        assert len(streamed) == len(loaded) == 4
+        for (a_id, a_w, a_caps), (b_id, b_w, b_caps) in zip(streamed, loaded):
+            assert a_id == b_id and a_caps == b_caps and a_w.sample_rate == b_w.sample_rate
+            assert np.array_equal(a_w.samples, b_w.samples)
+
+    def test_iter_decodes_a_record_only_when_reached(self, tmp_path):
+        ds = self._write_dataset(tmp_path)
+        manifest = self._write_jsonl(tmp_path, ds)
+        (tmp_path / f"{ds.items[1][0]}.wav").unlink()
+        items = iter_manifest(manifest)
+        assert next(items)[0] == f"{ds.items[0][0]}.wav"
+        with pytest.raises(ManifestError, match=r"data\.jsonl: line 2: cannot read"):
+            next(items)
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"audio": "x.wav", "captions": []}', "has no captions"),
+        ('{"audio": "x.wav", "captions": "a dog"}', "captions must be a list of strings"),
+        ('{"audio": "x.wav"}', "bad record"),
+        ('{"audio": "x.wav", ', "bad record"),
+    ])
+    def test_bad_jsonl_record_names_its_line(self, tmp_path, line, message):
+        ds = self._write_dataset(tmp_path)
+        manifest = self._write_jsonl(tmp_path, ds)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:2] + ["", line] + lines[2:]) + "\n")
+        with pytest.raises(ManifestError, match=rf"line 4: .*{message}"):
+            list(iter_manifest(manifest))
+
+    def test_unreadable_wav_names_its_line(self, tmp_path):
+        ds = self._write_dataset(tmp_path)
+        manifest = self._write_csv(tmp_path, ds)
+        (tmp_path / f"{ds.items[2][0]}.wav").write_bytes(b"not a wav file")
+        with pytest.raises(ManifestError, match=r"data\.csv: line 4: cannot read"):
+            load_manifest(manifest)
 
     def test_csv_missing_column(self, tmp_path):
         bad = tmp_path / "bad.csv"

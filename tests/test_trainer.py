@@ -12,7 +12,10 @@ from audioretrieval.data import (
     MelSpectrogram,
     NormStats,
     build_vocab,
+    iter_manifest,
+    load_manifest,
     mel_stats,
+    save_wav,
     synth_dataset,
 )
 from audioretrieval.model import ModelDims, init_params, load_checkpoint, zeros_like_params
@@ -245,6 +248,32 @@ class TestTrainRun:
             OptimConfig(lr0=0.0)
         with pytest.raises(ValueError):
             OptimConfig(patience=0)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            OptimConfig(epochs=0)
+        for bad in ({"batch_size": 6.0}, {"epochs": True}, {"patience": "3"}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                OptimConfig(**bad)
+
+
+class TestPrepareSplit:
+    def test_streamed_manifest_prepares_as_loaded(self, tmp_path):
+        import json
+
+        ds = synth_dataset(3, 7, 8, sample_rate=44100, duration=0.3)
+        with open(tmp_path / "m.jsonl", "w") as fh:
+            for audio_id, w, caps in ds:
+                save_wav(tmp_path / f"{audio_id}.wav", w)
+                fh.write(json.dumps({"audio": f"{audio_id}.wav", "captions": caps}) + "\n")
+        feat = FeatureConfig()
+        streamed = prepare_split(iter_manifest(tmp_path / "m.jsonl"), feat)
+        loaded = prepare_split(load_manifest(tmp_path / "m.jsonl"), feat)
+        assert len(streamed) == len(loaded) == 7
+        assert streamed.captions == loaded.captions == [caps for _, _, caps in ds]
+        for a, b in zip(streamed.mels, loaded.mels):
+            assert a.n_frames_valid == b.n_frames_valid
+            assert np.array_equal(a.values, b.values)
+        for name in ("count", "mean", "var", "max"):
+            assert np.array_equal(getattr(streamed.stats, name), getattr(loaded.stats, name))
 
 
 LOG_FLOOR = 1e-10
