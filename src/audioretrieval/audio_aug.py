@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MelSpectrogram, MelStats, Waveform
+from .data import LOG_FLOOR, MelSpectrogram, MelStats, Waveform
 
 
 @dataclass
@@ -49,36 +49,43 @@ def apply_gain(w: Waveform, g: float) -> Waveform:
     return Waveform(w.samples * 10.0 ** (g / 20.0), w.sample_rate)
 
 
-def gain_logmel(m: MelSpectrogram, g: float, floor: float) -> MelSpectrogram:
-    """``logmel(apply_gain(w, g))`` up to rounding, from ``m = logmel(w)`` with log floor
-    ``floor``: STFT and filterbank are linear, so the mel power exp(m) - floor scales
-    by 10^(g/10). g == 0 returns ``m`` itself."""
+def gain_logmel(m: MelSpectrogram, g: float) -> MelSpectrogram:
+    """``logmel(apply_gain(w, g))`` up to rounding, from ``m = logmel(w)``: STFT and
+    filterbank are linear, so the mel power exp(m) - LOG_FLOOR scales by 10^(g/10).
+    g == 0 returns ``m`` itself."""
     if g == 0.0:
         return m
-    power = np.exp(m.values) - floor
-    return MelSpectrogram(np.log(10.0 ** (g / 10.0) * power + floor), m.n_frames_valid)
+    power = np.exp(m.values) - LOG_FLOOR
+    return MelSpectrogram(np.log(10.0 ** (g / 10.0) * power + LOG_FLOOR), m.n_frames_valid)
+
+
+def stripe_masks(n_mels: int, t_valid: int, n_f: int, w_f: int, n_t: int, w_t: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One clip's SpecAugment stripes, as the kept mel bins [n_mels] and the kept
+    valid frames [t_valid] (boolean masks).
+
+    Stripe width ~ Uniform{1..w_max} (clamped to the dimension), offset
+    uniform over valid placements; n_f frequency stripes are drawn, then n_t
+    time stripes.
+    """
+    bins, frames = np.ones(n_mels, dtype=bool), np.ones(t_valid, dtype=bool)
+    for mask, n, w_max in ((bins, n_f, w_f), (frames, n_t, w_t)):
+        for _ in range(n):
+            width = int(rng.integers(1, min(w_max, len(mask)) + 1))
+            offset = int(rng.integers(0, len(mask) - width + 1))
+            mask[offset : offset + width] = False
+    return bins, frames
 
 
 def spec_augment(
     m: MelSpectrogram, n_f: int, w_f: int, n_t: int, w_t: int, rng: np.random.Generator
 ) -> MelSpectrogram:
-    """Zero out random frequency and time stripes.
-
-    Stripe width ~ Uniform{1..w_max} (clamped to the dimension), offset
-    uniform over valid placements. Time stripes touch valid frames only.
-    """
-    values = m.values.copy()
-    n_mels, _ = values.shape
+    """Zero the stripes (``stripe_masks``) within the valid frames; padding stays."""
     t_valid = m.n_frames_valid
-    for _ in range(n_f):
-        width = int(rng.integers(1, min(w_f, n_mels) + 1))
-        offset = int(rng.integers(0, n_mels - width + 1))
-        values[offset : offset + width, :t_valid] = 0.0
-    for _ in range(n_t):
-        width = int(rng.integers(1, min(w_t, t_valid) + 1))
-        offset = int(rng.integers(0, t_valid - width + 1))
-        values[:, offset : offset + width] = 0.0
-    return MelSpectrogram(values, m.n_frames_valid)
+    bins, frames = stripe_masks(len(m.values), t_valid, n_f, w_f, n_t, w_t, rng)
+    values = m.values.copy()
+    values[:, :t_valid][~np.outer(bins, frames)] = 0.0
+    return MelSpectrogram(values, t_valid)
 
 
 def sample_mix_lambdas(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:

@@ -47,14 +47,18 @@ def _load_split(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform
 
 
 def _provider_and_lexicon(cfg: RunConfig):
-    provider = None
-    if cfg.paths.bt_cache:
-        provider = text_aug.TranslationCache.load(cfg.paths.bt_cache)
-    if cfg.paths.synonym_lexicon:
-        lexicon = text_aug.SynonymLexicon.load(cfg.paths.synonym_lexicon)
-    else:
-        lexicon = text_aug.SynonymLexicon.bundled()
-    return provider, lexicon
+    """The back-translation cache (or None) and the synonym lexicon (by default the
+    bundled one) that ``paths`` names; a file that cannot be used is a ConfigError."""
+    def load(key, loader):
+        path = getattr(cfg.paths, key)
+        try:
+            return loader(path) if path else None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"paths.{key}: {exc}") from exc
+
+    provider = load("bt_cache", text_aug.TranslationCache.load)
+    lexicon = load("synonym_lexicon", text_aug.SynonymLexicon.load)
+    return provider, lexicon or text_aug.SynonymLexicon.bundled()
 
 
 def _write_metrics_csv(path, result: trainer.RunResult) -> None:
@@ -70,9 +74,9 @@ def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    provider, lexicon = _provider_and_lexicon(cfg)
     train = _prepared(cfg, "train")
     val = _prepared(cfg, "val")
-    provider, lexicon = _provider_and_lexicon(cfg)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.json"
@@ -156,10 +160,17 @@ def cmd_smbo(args) -> int:
         if torn is not None:
             print(f"warning: dropped the torn last line of {log_path}: {torn!r}", file=sys.stderr)
         try:
-            smbo.load_trials(log_path)
+            logged = len(smbo.load_trials(log_path))
         except (ValueError, KeyError, TypeError) as exc:
             print(f"error: corrupt trials log {log_path}: {exc}", file=sys.stderr)
             return EXIT_CORRUPT
+        if logged > args.n_trials:
+            print(f"error: {log_path} holds {logged} trials, more than --n-trials {args.n_trials}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    elif log_path.exists() and log_path.stat().st_size:
+        print(f"error: trials log {log_path} exists; pass --resume to continue", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.objective == "synthetic-quadratic":
         objective = _toy_quadratic_objective
@@ -183,10 +194,10 @@ def cmd_smbo(args) -> int:
 
 
 def _training_objective(cfg: RunConfig):
+    provider, lexicon = _provider_and_lexicon(cfg)
     # every trial trains on the same clips: featurize them once for all trials
     train = _prepared(cfg, "train")
     val = _prepared(cfg, "val")
-    provider, lexicon = _provider_and_lexicon(cfg)
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):
         audio_cfg = audio_aug.AudioAugConfig(
@@ -231,24 +242,25 @@ def cmd_augment_preview(args) -> int:
             out = text_aug.apply_eda_op(words, op, tcfg, lexicon, vocab, rng)
             print(f"{op.capitalize():<16} {' '.join(out)}")
         return EXIT_OK
-    if args.mode == "audio":
-        if not os.path.isfile(args.input):
-            print(f"error: input {args.input} not found", file=sys.stderr)
-            return EXIT_USAGE
+    # --mode audio (argparse admits only the two modes)
+    if not os.path.isfile(args.input):
+        print(f"error: input {args.input} not found", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         w = data.resample_linear(data.load_wav(args.input), cfg.features.target_sr)
         mel_before = data.logmel(w, cfg.features)
-        acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
-        g = audio_aug.sample_gain(rng, acfg.g_max)
-        mel_after = audio_aug.gain_logmel(mel_before, g, cfg.features.log_floor)
-        mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
-        out_dir = Path(cfg.paths.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out_dir / "preview_before.csv", mel_before.values, delimiter=",")
-        np.savetxt(out_dir / "preview_after.csv", mel_after.values, delimiter=",")
-        print(f"wrote {out_dir}/preview_before.csv and preview_after.csv")
-        return EXIT_OK
-    print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-    return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: cannot use {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
+    mel_after = audio_aug.gain_logmel(mel_before, audio_aug.sample_gain(rng, acfg.g_max))
+    mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
+    out_dir = Path(cfg.paths.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    np.savetxt(out_dir / "preview_before.csv", mel_before.values, delimiter=",")
+    np.savetxt(out_dir / "preview_after.csv", mel_after.values, delimiter=",")
+    print(f"wrote {out_dir}/preview_before.csv and preview_after.csv")
+    return EXIT_OK
 
 
 def _http_provider(base_url: str, api_key: str):
@@ -278,7 +290,11 @@ def cmd_bt_cache(args) -> int:
             print("error: set AUDIORETRIEVAL_BT_URL or pass --mock", file=sys.stderr)
             return EXIT_USAGE
         provider = _http_provider(base_url, api_key)
-    new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, args.out)
+    try:  # provider failures are collected; a ValueError is an existing cache that is malformed
+        new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{new} new entries")
     if failures:
         for caption, pivot in failures:

@@ -15,6 +15,7 @@ from scipy.io import wavfile
 
 MAX_TOKENS = 32  # captions are truncated to this many tokens
 STFT_BLOCK = 16  # frames that logmel windows and transforms at a time
+LOG_FLOOR = 1e-10  # added to the mel power before logmel takes its log
 
 
 @dataclass
@@ -30,25 +31,29 @@ class Waveform:
             raise ValueError("sample_rate must be positive")
 
 
+def check_int(obj, name: str, minimum: int) -> None:
+    """Reject the field ``name`` of ``obj`` unless it is an int (not a bool) >= ``minimum``."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass
 class FeatureConfig:
     n_fft: int = 1024
     hop: int = 320
     n_mels: int = 64
     target_sr: int = 32000
-    f_min: float = 0.0
-    f_max: float | None = None  # defaults to target_sr / 2
-    log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.f_max is None:
-            self.f_max = self.target_sr / 2
+        for f in fields(self):
+            check_int(self, f.name, 1)
+        if self.n_fft % 2:
+            raise ValueError("n_fft must be even")
         if self.hop > self.n_fft:
             raise ValueError("hop must not exceed n_fft")
-        if self.n_mels < 1:
-            raise ValueError("n_mels must be >= 1")
-        if not (self.f_min < self.f_max <= self.target_sr / 2):
-            raise ValueError("need f_min < f_max <= target_sr/2")
 
 
 @dataclass
@@ -190,18 +195,17 @@ def _mel_to_hz(m):
 
 
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
-    """Area-normalized triangular filters, shape [n_mels, n_fft//2 + 1].
-
-    Built once per distinct filter setting; the cached array is read-only.
+    """Area-normalized triangular filters from 0 Hz to target_sr / 2, shape
+    [n_mels, n_fft//2 + 1]. Built once per distinct setting; the cached array is read-only.
     """
-    return _filterbank(cfg.n_fft, cfg.n_mels, cfg.target_sr, cfg.f_min, cfg.f_max)
+    return _filterbank(cfg.n_fft, cfg.n_mels, cfg.target_sr)
 
 
 @functools.lru_cache(maxsize=None)
-def _filterbank(n_fft: int, n_mels: int, sr: int, f_min: float, f_max: float) -> np.ndarray:
+def _filterbank(n_fft: int, n_mels: int, sr: int) -> np.ndarray:
     n_bins = n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * (sr / n_fft)
-    mel_pts = np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_mels + 2)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     fb = np.zeros((n_mels, n_bins))
     for m in range(n_mels):
@@ -215,7 +219,7 @@ def _filterbank(n_fft: int, n_mels: int, sr: int, f_min: float, f_max: float) ->
 
 
 def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
-    """Hann STFT power -> mel filterbank -> natural log with additive floor.
+    """Hann STFT power -> mel filterbank -> natural log with additive floor LOG_FLOOR.
 
     Frames are reflect-centered; T = 1 + len // hop.
     """
@@ -240,7 +244,7 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
         spec = np.fft.rfft(windows[starts[s : s + STFT_BLOCK]] * window, axis=1)
         np.add(spec.real**2, spec.imag**2, out=power[s : s + STFT_BLOCK])
     mel_power = mel_filterbank(cfg) @ power.T
-    return MelSpectrogram(np.log(mel_power + cfg.log_floor), n_frames)
+    return MelSpectrogram(np.log(mel_power + LOG_FLOOR), n_frames)
 
 
 def mel_stats(mels: list[MelSpectrogram]) -> MelStats:
@@ -379,7 +383,7 @@ def synth_dataset(
 
 
 class ManifestError(ValueError):
-    """A manifest record that cannot be used; the message names the manifest and line."""
+    """A manifest record that cannot be used; the message names its manifest and line, or clip."""
 
 
 def iter_manifest(path, audio_root=None) -> Iterator[tuple[str, Waveform, list[str]]]:

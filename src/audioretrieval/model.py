@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureConfig, MelStats, NormStats, TokenVocab, write_atomic
+from .data import (LOG_FLOOR, FeatureConfig, MelStats, NormStats, TokenVocab, check_int,
+                   write_atomic)
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 
@@ -25,15 +26,6 @@ class ModelDims:
     def __post_init__(self):
         for f in fields(self):
             check_int(self, f.name, 1)
-
-
-def check_int(obj, name: str, minimum: int) -> None:
-    """Reject the field ``name`` of ``obj`` unless it is an int (not a bool) >= ``minimum``."""
-    value = getattr(obj, name)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass
@@ -240,4 +232,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab
     vocab = TokenVocab({word: i for i, word in enumerate(doc["vocab"], start=TokenVocab.UNK + 1)})
     if len(vocab) != dims.vocab_size:
         raise ValueError(f"vocabulary of {len(vocab)} ids != vocab_size {dims.vocab_size}")
-    return ModelParams(**arrays), dims, stats, vocab, FeatureConfig(**doc["features"])
+    feat = FeatureConfig(**{f.name: doc["features"].pop(f.name) for f in fields(FeatureConfig)})
+    # checkpoints written before the band and log floor were fixed record them too
+    fixed = {"f_min": 0.0, "f_max": feat.target_sr / 2, "log_floor": LOG_FLOOR}
+    for key, value in doc["features"].items():
+        if key not in fixed or value != fixed[key]:
+            raise ValueError(f"unsupported features.{key} {value!r}")
+    return ModelParams(**arrays), dims, stats, vocab, feat

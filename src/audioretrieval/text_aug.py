@@ -46,8 +46,14 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path) -> "SynonymLexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        """A JSON object of word -> list of synonyms; any other file raises ValueError naming it."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not (isinstance(doc, dict) and all(isinstance(a, list) for a in doc.values())):
+                raise ValueError("expected a JSON object of word -> list of synonyms")
+            return cls(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     @classmethod
     def bundled(cls) -> "SynonymLexicon":
@@ -66,14 +72,18 @@ class TranslationCache:
 
     @classmethod
     def load(cls, path) -> "TranslationCache":
+        """Read the JSONL cache; a line that is not a record with ``source``, ``pivot``
+        and ``result`` raises ValueError naming the file and line."""
         entries = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                rec = json.loads(line)
-                entries[(rec["source"], rec["pivot"])] = rec["result"]
+                try:
+                    rec = json.loads(line)
+                    entries[(rec["source"], rec["pivot"])] = rec["result"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}: line {line_no}: bad record: {exc!r}") from exc
         return cls(entries)
 
     def save(self, path) -> None:

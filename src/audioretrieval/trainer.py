@@ -11,12 +11,14 @@ import numpy as np
 from . import audio_aug, text_aug
 from .data import (
     FeatureConfig,
+    ManifestError,
     MelSpectrogram,
     MelStats,
     NormStats,
     TokenVocab,
     Waveform,
     build_vocab,
+    check_int,
     freq_normalize,
     logmel,
     mel_stats,
@@ -29,7 +31,6 @@ from .model import (
     ModelDims,
     ModelParams,
     backward,
-    check_int,
     embed_audio,
     embed_text,
     init_params,
@@ -142,11 +143,15 @@ def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
     """Resample every clip and compute its log-mel and statistics, once.
 
     ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
-    time) is read once, and no clip's audio is kept.
+    time) is read once, and no clip's audio is kept. A clip that cannot be
+    featurized (shorter than one hop) raises ManifestError naming it.
     """
     mels, captions = [], []
-    for _, w, caps in items:
-        mels.append(logmel(resample_linear(w, feat.target_sr), feat))
+    for audio_id, w, caps in items:
+        try:
+            mels.append(logmel(resample_linear(w, feat.target_sr), feat))
+        except ValueError as exc:
+            raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
         captions.append(caps)
     return PreparedSplit(feat, mels, mel_stats(mels), captions)
 
@@ -167,11 +172,12 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
     ``cfg`` None skips the augmentations. Frames are read again only for the
     statistics of gained clips and of the unstriped frames of striped ones.
     """
-    stats, mels = split.stats.take(idx), [split.mels[i] for i in idx]
-    if cfg is not None and cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
-        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max),
-                                      split.feat.log_floor) for m in mels]
-        stats = mel_stats(mels)
+    stats = split.stats.take(idx)
+    if cfg is not None:
+        mels = [split.mels[i] for i in idx]
+        if cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
+            mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
+            stats = mel_stats(mels)
     center, scale = freq_normalize(stats, norm, update)
     normed = stats.mapped(center, scale)
     if cfg is None:
@@ -180,11 +186,12 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
     unstriped = []
     for k, m in enumerate(mels):
         t = m.n_frames_valid
-        # the clip's stripes, read off SpecAugment of a matrix of ones
-        kept = audio_aug.spec_augment(MelSpectrogram(np.ones_like(m.values[:, :t]), t),
-                                      cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng).values > 0
-        # a clip with every frame or every bin striped reads 0 in every bin
-        bins, frames = kept.any(axis=1), kept.any(axis=0) | ~kept.any()
+        bins, frames = audio_aug.stripe_masks(len(m.values), t, cfg.n_f, cfg.w_f, cfg.n_t,
+                                              cfg.w_t, rng)
+        # a clip with every bin or every frame striped reads 0 in every bin; its
+        # statistics are still taken over all its frames, so that they exist
+        if not (bins.any() and frames.any()):
+            bins[:], frames[:] = False, True
         slope[k, ~bins] = offset[k, ~bins] = 0.0
         if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
             unstriped.append(MelSpectrogram(m.values[:, :t][:, frames], int(frames.sum())))

@@ -65,11 +65,10 @@ def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
     return np.stack(rows)
 
 
-def pooled_batch(mels, norm, update, cfg=None, rng=None, floor=1e-10, forced_lambda=None):
+def pooled_batch(mels, norm, update, cfg=None, rng=None, forced_lambda=None):
     """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool."""
     if cfg is not None:
-        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max), floor)
-                for m in mels]
+        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
     mels = freq_normalize(mels, norm, update)
     if cfg is not None:
         mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng, forced_lambda)

@@ -2,7 +2,7 @@
 in one block, as before the STFT was blocked."""
 import numpy as np
 
-from audioretrieval.data import FeatureConfig, Waveform, mel_filterbank
+from audioretrieval.data import LOG_FLOOR, FeatureConfig, Waveform, mel_filterbank
 
 
 def logmel_values(w: Waveform, cfg: FeatureConfig) -> np.ndarray:
@@ -13,4 +13,4 @@ def logmel_values(w: Waveform, cfg: FeatureConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[starts]
     spec = np.fft.rfft(frames * window, axis=1)
     power = (spec.real**2 + spec.imag**2).T  # [n_bins, T]
-    return np.log(mel_filterbank(cfg) @ power + cfg.log_floor)
+    return np.log(mel_filterbank(cfg) @ power + LOG_FLOOR)

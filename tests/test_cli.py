@@ -8,7 +8,7 @@ import pytest
 from audioretrieval import cli
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
-from audioretrieval.data import save_wav, synth_dataset
+from audioretrieval.data import Waveform, save_wav, synth_dataset
 
 
 def write_config(tmp_path, **overrides):
@@ -112,6 +112,24 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         assert f"{section}: {key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_fft", 1023, "n_fft must be even"),  # 0.2 s clips: hop divides their length
+        ("hop", 0, "hop must be >= 1"),
+        ("n_fft", 1024.5, "n_fft must be an integer"),
+        ("n_mels", 8.0, "n_mels must be an integer"),
+    ])
+    def test_bad_feature_setting_exit_2(self, tmp_path, capsys, key, value, message):
+        path = write_config(tmp_path, features={key: value})
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"error: features: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("f_min", 0.0), ("f_max", 16000.0),
+                                           ("log_floor", 1e-10)])
+    def test_fixed_feature_key_exit_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, features={key: value})
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"error: features.{key}: unknown key" in capsys.readouterr().err
+
     def test_artifacts_written(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["train", "--config", str(path)]) == 0
@@ -205,6 +223,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert "features.hop" in err and "160" in err and "320" in err
 
+    @pytest.mark.parametrize("key,value", [(None, None), ("f_min", 50.0), ("f_max", 8000.0),
+                                           ("log_floor", 1e-8)])
+    def test_checkpoint_recording_band_and_floor(self, tmp_path, capsys, key, value):
+        """Checkpoints written before the band and log floor were fixed record them
+        too: they load when those hold the fixed values, and name the key otherwise."""
+        cfg = write_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        expected = capsys.readouterr().out
+        doc = json.loads(ckpt.read_text())
+        assert sorted(doc["features"]) == ["hop", "n_fft", "n_mels", "target_sr"]
+        doc["features"].update(f_min=0.0, f_max=16000.0, log_floor=1e-10)
+        if key is not None:
+            doc["features"][key] = value
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg), "--checkpoint", str(older)])
+        out, err = capsys.readouterr()
+        if key is None:
+            assert code == 0 and out == expected
+        else:
+            assert code == 2 and f"unsupported features.{key} {value!r}" in err
+
     def test_version_1_checkpoint_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         main(["train", "--config", str(cfg)])
@@ -290,6 +333,32 @@ class TestSmbo:
         assert "error: invalid search space:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.jsonl").exists()
 
+    def test_existing_log_without_resume_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+                "--n-init", "2", "--n-trials", "3"]
+        assert main(argv) == 0
+        log = tmp_path / "out" / "trials.jsonl"
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: trials log {log} exists; pass --resume to continue\n"
+        assert log.read_bytes() == before
+
+    def test_resume_below_logged_trials_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+                "--n-init", "2"]
+        assert main(argv + ["--n-trials", "5"]) == 0
+        log = tmp_path / "out" / "trials.jsonl"
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--n-trials", "3", "--resume"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {log} holds 5 trials, more than --n-trials 3\n"
+        assert log.read_bytes() == before
+
     def test_corrupt_log_on_resume_exit_3(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -334,6 +403,15 @@ class TestManifestSplits:
         assert capsys.readouterr().err.startswith(
             f"error: {manifest}: line 2: cannot read {rec['audio']!r}: ")
 
+    def test_wav_shorter_than_a_hop_exit_2(self, tmp_path, capsys):
+        cfg = write_manifest_config(tmp_path)
+        rec = json.loads((tmp_path / "ds" / "val.jsonl").read_text().splitlines()[1])
+        save_wav(tmp_path / "ds" / rec["audio"], Waveform(np.full(100, 0.1), 32000))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: clip {rec['audio']!r}: waveform of 100 "
+                                           "samples shorter than one hop (320)\n")
+
     def test_split_is_prepared_one_clip_at_a_time(self, tmp_path):
         ds = synth_dataset(3, 40, 0, split="train", sample_rate=44100, duration=1.0)
         (tmp_path / "train").mkdir()
@@ -377,6 +455,30 @@ class TestManifestSplits:
         assert calls == [(-2, 16 << 20)]
 
 
+class TestOutsideFiles:
+    """A lexicon or back-translation cache that cannot be used stops the command
+    with exit 2, naming the key and the file."""
+
+    @pytest.mark.parametrize("key,text,message", [
+        ("synonym_lexicon", '{"rain": ["drizzle"', "Expecting ',' delimiter"),
+        ("synonym_lexicon", '["rain"]', "expected a JSON object of word -> list of synonyms"),
+        ("bt_cache", '{"source": "a", "pivot": "de", "result": "a"}\n{"source": ',
+         "line 2: bad record: JSONDecodeError"),
+        ("bt_cache", '{"source": "a", "result": "a"}\n', "line 1: bad record: KeyError('pivot')"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "smbo"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, key, text, message, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"), key: str(bad)})
+        argv = ["--n-init", "2", "--n-trials", "3"] if command == "smbo" else []
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: paths.{key}: {bad}: ") and message in err
+        assert not any((tmp_path / "out" / name).exists() for name in ("run_result.json",
+                                                                       "trials.jsonl"))
+
+
 class TestAugmentPreview:
     def test_text_stage_listing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, text_aug={
@@ -407,7 +509,7 @@ class TestAugmentPreview:
         assert capsys.readouterr().out == first
 
     def test_audio_mode_writes_csvs(self, tmp_path):
-        from audioretrieval.data import save_wav, synth_dataset
+        from audioretrieval.data import Waveform, save_wav, synth_dataset
 
         ds = synth_dataset(2, 1, 0, duration=0.2)
         wav = tmp_path / "clip.wav"
@@ -422,6 +524,15 @@ class TestAugmentPreview:
         cfg = write_config(tmp_path)
         assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
                      "--input", str(tmp_path / "none.wav")]) == 2
+
+    def test_audio_input_not_a_wav_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        text = tmp_path / "notes.txt"
+        text.write_text("not audio")
+        assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
+                     "--input", str(text)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot use {text}: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBtCache:
@@ -447,6 +558,16 @@ class TestBtCache:
         out = tmp_path / "cache.jsonl"
         assert main(["bt-cache", "--captions", str(caps), "--out", str(out), "--mock"]) == 0
         assert out.exists()
+
+    def test_malformed_existing_cache_exit_2(self, tmp_path, capsys):
+        caps = tmp_path / "caps.txt"
+        caps.write_text("one\n")
+        out = tmp_path / "cache.jsonl"
+        out.write_text('{"source": "one", "pivot": "de"}\n')
+        assert main(["bt-cache", "--captions", str(caps), "--out", str(out), "--mock"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {out}: line 1: bad record: KeyError('result')\n"
+        assert out.read_text() == '{"source": "one", "pivot": "de"}\n'
 
     def test_no_provider_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("AUDIORETRIEVAL_BT_URL", raising=False)

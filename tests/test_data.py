@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -138,13 +139,13 @@ class TestLogmel:
         assert np.allclose(m1.values[:, 3 : n - 2], m2.values[:, 2 : n - 3], atol=1e-6)
 
     def test_filterbank_cached_read_only(self):
-        cfg = FeatureConfig(n_mels=40, f_min=50.0)
+        cfg = FeatureConfig(n_mels=40)
         fb = mel_filterbank(cfg)
-        assert mel_filterbank(FeatureConfig(n_mels=40, f_min=50.0)) is fb
+        assert mel_filterbank(FeatureConfig(n_mels=40)) is fb
         assert not fb.flags.writeable
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
-        fresh = _filterbank.__wrapped__(cfg.n_fft, cfg.n_mels, cfg.target_sr, cfg.f_min, cfg.f_max)
+        fresh = _filterbank.__wrapped__(cfg.n_fft, cfg.n_mels, cfg.target_sr)
         assert fresh is not fb and np.array_equal(fb, fresh)
         assert mel_filterbank(FeatureConfig(n_mels=32)).shape == (32, 513)
 
@@ -394,8 +395,19 @@ class TestTypes:
     def test_feature_config_invariants(self):
         with pytest.raises(ValueError):
             FeatureConfig(hop=2048)
-        with pytest.raises(ValueError):
-            FeatureConfig(f_min=20000.0, f_max=100.0)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_fft", 1023, "n_fft must be even"), ("n_fft", 1024.5, "n_fft must be an integer"),
+        ("n_fft", True, "n_fft must be an integer"), ("hop", 0, "hop must be >= 1"),
+        ("n_mels", 8.0, "n_mels must be an integer"), ("n_mels", 0, "n_mels must be >= 1"),
+        ("target_sr", -1, "target_sr must be >= 1"), ("target_sr", "32000", "target_sr must be"),
+    ])
+    def test_feature_config_checks_each_setting(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureConfig(**{key: value})
+
+    def test_feature_config_has_four_settings(self):
+        assert [f.name for f in fields(FeatureConfig)] == ["n_fft", "hop", "n_mels", "target_sr"]
 
     def test_tokenize_row_length_cap(self):
         v = build_vocab(["w"])

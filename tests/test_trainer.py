@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from audioretrieval import audio_aug, trainer
 from audioretrieval.audio_aug import AudioAugConfig
 from audioretrieval.data import (
+    LOG_FLOOR,
     FeatureConfig,
     MelSpectrogram,
     NormStats,
@@ -276,9 +277,6 @@ class TestPrepareSplit:
             assert np.array_equal(getattr(streamed.stats, name), getattr(loaded.stats, name))
 
 
-LOG_FLOOR = 1e-10
-
-
 def _random_split(rng, n_clips, n_mels, short_first):
     """Log-mels >= log(LOG_FLOOR) with padding after n_frames_valid; clip 0 has
     a single valid frame when ``short_first``."""
@@ -288,7 +286,7 @@ def _random_split(rng, n_clips, n_mels, short_first):
         t_valid = 1 if short_first and k == 0 else int(rng.integers(1, t))
         values = rng.uniform(math.log(LOG_FLOOR), 5.0, size=(n_mels, t))
         mels.append(MelSpectrogram(values, t_valid))
-    feat = FeatureConfig(n_mels=n_mels, log_floor=LOG_FLOOR)
+    feat = FeatureConfig(n_mels=n_mels)
     return PreparedSplit(feat, mels, mel_stats(mels), [["a clip"]] * n_clips)
 
 
@@ -339,7 +337,7 @@ class TestPooledAudioAgainstFrames:
             pooled = pooled_audio(split, idx, norm, True, cfg, rng_new)
         with drawn_gains():
             ref = frame_reference.pooled_batch([split.mels[i] for i in idx], norm_ref, True, cfg,
-                                               rng_ref, LOG_FLOOR, forced)
+                                               rng_ref, forced)
         assert pooled.shape == ref.shape == (n, n_mels)
         # Freq-MixStyle divides by a clip's bin std, so both paths' rounding grows
         # with its slope sd_new / sd; 1e-12 holds up to slopes of 500
