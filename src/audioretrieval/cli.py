@@ -6,7 +6,6 @@ import ctypes
 import json
 import os
 import sys
-import urllib.request
 from collections.abc import Iterable
 from dataclasses import fields, replace
 from pathlib import Path
@@ -100,10 +99,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    split = _prepared(cfg, args.split)
-    if len(split) == 0:
-        print(f"error: split {args.split!r} is empty", file=sys.stderr)
-        return EXIT_USAGE
+    # the checkpoint is read and checked first: decoding the split costs far more
     try:
         params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -115,6 +111,10 @@ def cmd_eval(args) -> int:
             print(f"error: features.{f.name} is {mine!r} in the config but {trained!r} "
                   f"in the checkpoint", file=sys.stderr)
             return EXIT_USAGE
+    split = _prepared(cfg, args.split)
+    if len(split) == 0:
+        print(f"error: split {args.split!r} is empty", file=sys.stderr)
+        return EXIT_USAGE
     tokens, targets = trainer.caption_queries(split, vocab)
     result = trainer.score_split(split, tokens, targets, params, stats)
     print(metrics.metrics_table({args.split: result}))
@@ -264,6 +264,8 @@ def cmd_augment_preview(args) -> int:
 
 
 def _http_provider(base_url: str, api_key: str):
+    import urllib.request  # here, not at module level: it loads http.client and ssl
+
     def provider(text: str, pivot: str) -> str:
         req = urllib.request.Request(
             base_url,

@@ -5,13 +5,13 @@ import csv
 import functools
 import json
 import os
+import struct
 import unicodedata
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 MAX_TOKENS = 32  # captions are truncated to this many tokens
 STFT_BLOCK = 16  # frames that logmel windows and transforms at a time
@@ -140,29 +140,84 @@ class PairedDataset:
 
 
 def load_wav(path) -> Waveform:
-    """Read a RIFF WAV file (PCM 16/32-bit or IEEE float) as mono float."""
+    """Read a RIFF WAV file (PCM 16/24/32-bit or IEEE float 32/64-bit) as mono float."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(path)
     try:
-        sr, raw = wavfile.read(str(path))
+        sr, raw = _read_wav(path.read_bytes())
     except ValueError as exc:
         raise ValueError(f"unsupported WAV format in {path}: {exc}") from exc
-    if raw.dtype == np.int16:
-        samples = raw.astype(np.float64) / 2**15
-    elif raw.dtype == np.int32:
-        samples = raw.astype(np.float64) / 2**31
-    elif raw.dtype in (np.float32, np.float64):
-        samples = raw.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {raw.dtype} in {path}")
+    samples = raw.astype(np.float64)
+    if raw.dtype.kind == "i":  # int16 or (left-justified) int32 to [-1, 1)
+        samples /= 2 ** (8 * raw.dtype.itemsize - 1)
     if samples.ndim == 2:  # downmix by channel mean
         samples = samples.mean(axis=1)
     return Waveform(samples, int(sr))
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# the last 12 bytes of WAVE_FORMAT_EXTENSIBLE's sub-format GUID; its first 4 are the format tag
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample) -> sample dtype; "<i3" is 24-bit PCM, read into int32
+_SAMPLE_DTYPES = {(_PCM, 16): "<i2", (_PCM, 24): "<i3", (_PCM, 32): "<i4",
+                  (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
+
+
+def _read_wav(buf: bytes) -> tuple[int, np.ndarray]:
+    """(rate, samples) of a little-endian RIFF WAVE file's bytes: samples are [frames]
+    for one channel and [frames, channels] otherwise, int16 or int32 for PCM (24-bit
+    left-justified in int32) and float32 or float64 for IEEE float."""
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError(f"not a RIFF WAVE file (starts with {buf[:4]!r})")
+    view, pos, fmt = memoryview(buf), 12, None
+    while pos + 8 <= len(buf):
+        chunk, size = struct.unpack_from("<4sI", buf, pos)
+        body = view[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{chunk.decode('latin-1')!r} chunk cut short")
+        if chunk == b"fmt ":
+            fmt = _wav_format(body)
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            rate, channels, frame, dtype = fmt
+            if size % frame:
+                raise ValueError(f"data chunk of {size} bytes is not whole {frame}-byte frames")
+            if dtype == "<i3":  # each sample's 3 bytes above a zero low byte
+                wide = np.zeros((size // 3, 4), dtype=np.uint8)
+                wide[:, 1:] = np.frombuffer(body, np.uint8).reshape(-1, 3)
+                samples = wide.view("<i4")[:, 0]
+            else:
+                samples = np.frombuffer(body, dtype)
+            return rate, samples.reshape(-1, channels) if channels > 1 else samples
+        pos += 8 + size + (size & 1)  # an odd-sized chunk is followed by a pad byte
+    raise ValueError("no data chunk")
+
+
+def _wav_format(body) -> tuple[int, int, int, str]:
+    """(rate, channels, bytes per frame, sample dtype) of a fmt chunk's body."""
+    if len(body) < 16:
+        raise ValueError("fmt chunk shorter than 16 bytes")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _EXTENSIBLE and len(body) >= 40 and body[28:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<I", body, 24)[0]
+    dtype = _SAMPLE_DTYPES.get((tag, bits))
+    if dtype is None or channels < 1 or block_align != channels * bits // 8:
+        raise ValueError(f"format tag {tag:#x} with {bits}-bit samples, {channels} channel(s) "
+                         f"and {block_align}-byte frames is not supported")
+    return rate, channels, block_align, dtype
+
+
 def save_wav(path, w: Waveform) -> None:
-    wavfile.write(str(path), w.sample_rate, w.samples.astype(np.float32))
+    """Write ``w`` as a mono 32-bit IEEE float WAV file."""
+    pcm = w.samples.astype("<f4").tobytes()
+    chunks = (b"fmt " + struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, 1, w.sample_rate,
+                                    4 * w.sample_rate, 4, 32, 0)
+              + b"fact" + struct.pack("<II", 4, len(w.samples))
+              + b"data" + struct.pack("<I", len(pcm)))
+    Path(path).write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks) + len(pcm)) + b"WAVE"
+                           + chunks + pcm)
 
 
 def resample_linear(w: Waveform, target_sr: int) -> Waveform:
@@ -289,11 +344,22 @@ def write_atomic(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+class _PunctuationTable(dict):
+    """A ``str.translate`` table that deletes Unicode punctuation (category P*) and keeps
+    every other character; each code point's category is looked up once."""
+
+    def __missing__(self, code: int) -> str | None:
+        char = chr(code)
+        self[code] = kept = None if unicodedata.category(char).startswith("P") else char
+        return kept
+
+
+_STRIP_PUNCTUATION = _PunctuationTable()
+
+
 def preprocess_caption(text: str) -> str:
     """Lowercase, strip Unicode punctuation, collapse whitespace."""
-    lowered = text.lower()
-    stripped = "".join(c for c in lowered if not unicodedata.category(c).startswith("P"))
-    return " ".join(stripped.split())
+    return " ".join(text.lower().translate(_STRIP_PUNCTUATION).split())
 
 
 def build_vocab(captions: list[str]) -> TokenVocab:

@@ -124,19 +124,20 @@ def _kde_bandwidth(obs: np.ndarray, rng_width: float) -> float:
     return max(bw, rng_width * MIN_BANDWIDTH)
 
 
+def ndtr(z: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each element of the 1-D array ``z``."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in z.tolist()])
+
+
 def _fit_kde(obs: np.ndarray, lo: float, hi: float) -> tuple:
     """(kernel centres, bandwidth, each kernel's mass inside [lo, hi], lo, hi)."""
-    # imported here: at module level it adds 30-60 ms to every CLI start
-    from scipy.special import ndtr
-
     bw = _kde_bandwidth(obs, hi - lo)
     return obs, bw, np.maximum(ndtr((hi - obs) / bw) - ndtr((lo - obs) / bw), 1e-12), lo, hi
 
 
 def _kde_density(x: float, mus: np.ndarray, bw: float, mass: np.ndarray, lo: float,
                  hi: float) -> float:
-    """Truncated-Gaussian kernel mixture plus a uniform prior component; the
-    normal pdf is written out as scipy.stats.norm computes it."""
+    """Truncated-Gaussian kernel mixture plus a uniform prior component."""
     z = (x - mus) / bw
     dens = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / bw
     kernels = float((dens / mass).sum())

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from audioretrieval import cli
+import audioretrieval
+from audioretrieval import cli, data
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
 from audioretrieval.data import Waveform, save_wav, synth_dataset
@@ -259,6 +264,26 @@ class TestEval:
         assert "retrain" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("spoil", ["missing", "features"])
+    def test_checkpoint_checked_before_the_split_is_decoded(self, tmp_path, monkeypatch,
+                                                            capsys, spoil):
+        cfg = write_manifest_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        if spoil == "missing":
+            ckpt.unlink()
+        else:
+            cfg = write_manifest_config(tmp_path, features={"n_mels": 32})
+        decoded = []
+        real = data.load_wav
+        monkeypatch.setattr(data, "load_wav", lambda path: decoded.append(path) or real(path))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert ("cannot read checkpoint" if spoil == "missing" else "features.n_mels") in err
+        assert decoded == []
+
+
 class TestSmbo:
     def test_zero_trials_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -385,8 +410,10 @@ class TestManifestSplits:
                                                ("eval", "test"), ("smbo", "train")])
     def test_record_without_captions_exit_2(self, tmp_path, capsys, command, split):
         cfg = write_manifest_config(tmp_path)
+        if command == "eval":  # eval reads the checkpoint before the split
+            assert main(["train", "--config", str(cfg)]) == 0
         manifest = self._spoil(tmp_path, split, {"audio": f"{split}/x.wav", "captions": []})
-        argv = {"train": [], "eval": ["--checkpoint", str(tmp_path / "none.json")],
+        argv = {"train": [], "eval": ["--checkpoint", str(tmp_path / "out" / "checkpoint.json")],
                 "smbo": ["--n-init", "2", "--n-trials", "3"]}[command]
         capsys.readouterr()
         assert main([command, "--config", str(cfg), *argv]) == 2
@@ -596,3 +623,57 @@ class TestSynthData:
         ds = load_manifest(out / "val.jsonl", audio_root=out)
         assert len(ds) == 9
         assert all(caps for _, _, caps in ds.items)
+
+
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from audioretrieval.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules
+                if m.partition(".")[0] in ("scipy", "ssl") or m == "urllib.request")
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _run_without_scipy(commands: list[list[str]]) -> dict:
+    src = str(Path(audioretrieval.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """The program needs numpy and the standard library only: with scipy blocked, the
+    commands run on WAV files they wrote, and neither scipy nor ssl is ever loaded."""
+    synthetic = write_config(tmp_path)
+    (tmp_path / "manifest").mkdir()
+    cfg = write_config(tmp_path / "manifest", data=None, paths={
+        "out_dir": str(tmp_path / "out"), "bt_cache": str(tmp_path / "bt.jsonl"),
+        **{key: str(tmp_path / "ds" / f"{split}.jsonl") for key, split in
+           (("dataset", "train"), ("val_dataset", "val"), ("test_dataset", "test"))},
+    })
+    ds = tmp_path / "ds"
+    assert _run_without_scipy([["synth-data", "--config", str(synthetic), "--out", str(ds)]]) == {
+        "codes": [0], "loaded": []}
+    records = [json.loads(line) for line in (ds / "train.jsonl").read_text().splitlines()]
+    (tmp_path / "captions.txt").write_text("".join(c + "\n" for r in records for c in r["captions"]))
+    result = _run_without_scipy([
+        ["bt-cache", "--captions", str(tmp_path / "captions.txt"), "--out",
+         str(tmp_path / "bt.jsonl"), "--mock"],
+        ["train", "--config", str(cfg)],
+        ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "out" / "checkpoint.json")],
+        ["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"],
+    ])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+    trials = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
+    assert [json.loads(t)["status"] != "failed" for t in trials] == [True] * 3

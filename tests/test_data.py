@@ -1,4 +1,8 @@
+import io
 import os
+import struct
+import tempfile
+import unicodedata
 from dataclasses import fields
 from unittest import mock
 
@@ -29,6 +33,7 @@ from audioretrieval.data import (
     synth_dataset,
     tokenize,
     write_atomic,
+    _read_wav,
 )
 
 import stft_reference
@@ -71,6 +76,157 @@ class TestLoadWav:
         path.write_bytes(b"not a riff file at all")
         with pytest.raises(ValueError):
             load_wav(path)
+
+
+def _scipy_load_wav(buf: bytes) -> Waveform:
+    """Reference: ``scipy.io.wavfile.read``, then load_wav's scaling and downmix."""
+    sr, raw = wavfile.read(io.BytesIO(buf))
+    samples = raw.astype(np.float64)
+    if raw.dtype == np.int16:
+        samples = samples / 2**15
+    elif raw.dtype == np.int32:
+        samples = samples / 2**31
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return Waveform(samples, int(sr))
+
+
+def _fmt_chunk(tag, channels, rate, bits, extensible=False):
+    """A fmt chunk; ``extensible`` wraps ``tag`` in WAVE_FORMAT_EXTENSIBLE."""
+    align = channels * bits // 8
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align,
+                       align, bits)
+    if extensible:
+        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        head += struct.pack("<HHI", 22, bits, 0) + guid
+    return _chunk(b"fmt ", head)
+
+
+def _chunk(chunk_id, body, size=None):
+    """A RIFF chunk, with its pad byte when ``body`` has an odd length."""
+    return chunk_id + struct.pack("<I", len(body) if size is None else size) + body + (
+        b"\x00" if len(body) % 2 else b"")
+
+
+def _riff(*chunks, magic=b"RIFF"):
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def _pcm24(values):
+    """Little-endian 24-bit PCM bytes of int ``values``."""
+    return b"".join(struct.pack("<i", int(v))[:3] for v in values)
+
+
+def _loaded(buf: bytes) -> Waveform:
+    """load_wav of ``buf`` written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.wav")
+        with open(path, "wb") as fh:
+            fh.write(buf)
+        return load_wav(path)
+
+
+_RAMP24 = [0, 1, -1, 2**23 - 1, -(2**23), 12345, -54321, 7]
+
+
+class TestWavReader:
+    """load_wav's reader against scipy.io.wavfile, the reader it replaced."""
+
+    @given(dtype=st.sampled_from(["int16", "int32", "float32", "float64"]),
+           channels=st.integers(1, 4), frames=st.integers(1, 300),
+           rate=st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scipy_on_files_scipy_writes(self, dtype, channels, frames, rate, seed):
+        rng = np.random.default_rng(seed)
+        shape = (frames, channels) if channels > 1 else (frames,)
+        if dtype.startswith("int"):
+            info = np.iinfo(dtype)
+            pcm = rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+        else:
+            pcm = rng.uniform(-1.0, 1.0, size=shape).astype(dtype)
+        fh = io.BytesIO()
+        wavfile.write(fh, rate, pcm)
+        buf = fh.getvalue()
+        sr, raw = _read_wav(buf)
+        assert sr == rate and raw.dtype == pcm.dtype and np.array_equal(raw, pcm)
+        ours, ref = _loaded(buf), _scipy_load_wav(buf)
+        assert ours.sample_rate == ref.sample_rate
+        assert np.array_equal(ours.samples, ref.samples)
+
+    @pytest.mark.parametrize("name,buf", [
+        ("pcm24 mono", _riff(_fmt_chunk(1, 1, 8000, 24), _chunk(b"data", _pcm24(_RAMP24)))),
+        ("pcm24 stereo", _riff(_fmt_chunk(1, 2, 8000, 24), _chunk(b"data", _pcm24(_RAMP24)))),
+        ("pcm24, odd-sized data", _riff(_fmt_chunk(1, 1, 8000, 24),
+                                        _chunk(b"data", _pcm24(_RAMP24[:3])))),
+        ("extensible pcm16", _riff(_fmt_chunk(1, 2, 16000, 16, extensible=True),
+                                   _chunk(b"data", np.arange(-6, 6, dtype="<i2").tobytes()))),
+        ("extensible pcm24", _riff(_fmt_chunk(1, 1, 16000, 24, extensible=True),
+                                   _chunk(b"data", _pcm24(_RAMP24)))),
+        ("extensible float32", _riff(_fmt_chunk(3, 3, 48000, 32, extensible=True),
+                                     _chunk(b"data", np.linspace(-1, 1, 9, dtype="<f4").tobytes()))),
+        ("odd LIST chunk before data", _riff(
+            _fmt_chunk(1, 1, 8000, 16), _chunk(b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"),
+            _chunk(b"data", np.arange(5, dtype="<i2").tobytes()))),
+        ("fact and JUNK chunks", _riff(
+            _chunk(b"JUNK", b"\x00" * 7), _fmt_chunk(3, 1, 8000, 64),
+            _chunk(b"fact", struct.pack("<I", 3)),
+            _chunk(b"data", np.array([0.25, -0.5, 1.0], dtype="<f8").tobytes()))),
+    ])
+    def test_equals_scipy_on_hand_built_files(self, name, buf):
+        sr, raw = _read_wav(buf)
+        ref_sr, ref = wavfile.read(io.BytesIO(buf))
+        assert sr == ref_sr and raw.dtype == ref.dtype and np.array_equal(raw, ref)
+        ours = _loaded(buf)
+        assert np.array_equal(ours.samples, _scipy_load_wav(buf).samples)
+
+    def test_pcm24_is_left_justified(self):
+        buf = _riff(_fmt_chunk(1, 1, 8000, 24), _chunk(b"data", _pcm24(_RAMP24)))
+        assert _read_wav(buf)[1].tolist() == [v * 256 for v in _RAMP24]
+        assert _loaded(buf).samples[3] == (2**23 - 1) / 2**23
+
+    def test_save_wav_round_trip(self, tmp_path):
+        samples = np.random.default_rng(3).uniform(-1.0, 1.0, size=501)
+        save_wav(tmp_path / "a.wav", Waveform(samples, 22050))
+        sr, raw = wavfile.read(tmp_path / "a.wav")
+        assert sr == 22050 and raw.dtype == np.float32
+        assert np.array_equal(raw, samples.astype(np.float32))
+        wavfile.write(tmp_path / "b.wav", 22050, samples.astype(np.float32))
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+_ONE_PCM16 = _chunk(b"data", np.arange(4, dtype="<i2").tobytes())
+_REJECTED_WAVS = {
+    "pcm8": _riff(_fmt_chunk(1, 1, 8000, 8), _chunk(b"data", bytes(range(4)))),
+    "pcm12": _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 12)),
+                   _ONE_PCM16),
+    "pcm64": _riff(_fmt_chunk(1, 1, 8000, 64), _chunk(b"data", bytes(16))),
+    "a-law": _riff(_fmt_chunk(6, 1, 8000, 8), _chunk(b"data", bytes(4))),
+    "float16": _riff(_fmt_chunk(3, 1, 8000, 16), _ONE_PCM16),
+    "rifx": b"RIFX" + struct.pack(">I", 36) + b"WAVEfmt " + struct.pack(
+        ">IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16) + b"data" + struct.pack(">I", 8) + bytes(8),
+    "rf64": b"RF64\xff\xff\xff\xffWAVE" + _chunk(b"ds64", struct.pack("<QQQI", 80, 8, 4, 0))
+            + _fmt_chunk(1, 1, 8000, 16) + b"data\xff\xff\xff\xff" + bytes(8),
+    "no fmt chunk": _riff(_ONE_PCM16),
+    "no data chunk": _riff(_fmt_chunk(1, 1, 8000, 16)),
+    "data cut short": _riff(_fmt_chunk(1, 1, 8000, 16),
+                            _chunk(b"data", bytes(6), size=8)),
+    "data not whole frames": _riff(_fmt_chunk(1, 2, 8000, 16), _chunk(b"data", bytes(6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED_WAVS))
+def test_rejected_wav_variant(tmp_path, name):
+    (tmp_path / "x.wav").write_bytes(_REJECTED_WAVS[name])
+    with pytest.raises(ValueError, match="unsupported WAV format"):
+        load_wav(tmp_path / "x.wav")
+    manifest = tmp_path / "data.jsonl"
+    manifest.write_text('{"audio": "ok.wav", "captions": ["a"]}\n'
+                        '{"audio": "x.wav", "captions": ["b"]}\n')
+    save_wav(tmp_path / "ok.wav", Waveform(np.zeros(8), 8000))
+    with pytest.raises(ManifestError, match=r"data\.jsonl: line 2: cannot read 'x\.wav'"):
+        list(iter_manifest(manifest))
 
 
 class TestResample:
@@ -230,6 +386,13 @@ class TestWriteAtomic:
             assert target.read_text() == old
 
 
+def _preprocess_caption_reference(text: str) -> str:
+    """Reference: the punctuation test run on each character in turn."""
+    lowered = text.lower()
+    stripped = "".join(c for c in lowered if not unicodedata.category(c).startswith("P"))
+    return " ".join(stripped.split())
+
+
 class TestCaptions:
     def test_table_style_example(self):
         assert preprocess_caption("The rain pours down.") == "the rain pours down"
@@ -246,6 +409,11 @@ class TestCaptions:
     def test_idempotent(self):
         s = preprocess_caption("Some, loud? NOISE!")
         assert preprocess_caption(s) == s
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_character_reference(self, text):
+        assert preprocess_caption(text) == _preprocess_caption_reference(text)
 
     def test_build_vocab_order(self):
         v = build_vocab(["a b", "b c"])
