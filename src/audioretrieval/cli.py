@@ -67,14 +67,14 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     data.write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
-    return trainer.prepare_split(_load_split(cfg, split), cfg.features)
+def _prepared(cfg: RunConfig, split: str, keep_frames: bool = False) -> trainer.PreparedSplit:
+    return trainer.prepare_split(_load_split(cfg, split), cfg.features, keep_frames)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     provider, lexicon = _provider_and_lexicon(cfg)
-    train = _prepared(cfg, "train")
+    train = _prepared(cfg, "train", trainer.reads_frames(cfg.audio_aug))
     val = _prepared(cfg, "val")
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +175,7 @@ def cmd_smbo(args) -> int:
     if args.objective == "synthetic-quadratic":
         objective = _toy_quadratic_objective
     else:
-        objective = _training_objective(cfg)
+        objective = _training_objective(cfg, space)
 
     trials, best = smbo.run_search(
         objective, space, n_init=args.n_init, n_trials=args.n_trials,
@@ -193,11 +193,20 @@ def cmd_smbo(args) -> int:
     return EXIT_OK
 
 
-def _training_objective(cfg: RunConfig):
+def _samples_positive(spec: smbo.ParamSpec) -> bool:
+    """Whether the search can draw a value above 0 for the parameter."""
+    values = spec.values if spec.kind == "choice" else [spec.hi]
+    return any(isinstance(v, (int, float)) and v > 0 for v in values)
+
+
+def _training_objective(cfg: RunConfig, space: smbo.SearchSpace):
     provider, lexicon = _provider_and_lexicon(cfg)
-    # every trial trains on the same clips: featurize them once for all trials
-    train = _prepared(cfg, "train")
+    # every trial trains on the same clips: featurize them once for all trials, keeping
+    # the training frames, since the default space samples gain and time stripes
+    train = _prepared(cfg, "train", keep_frames=True)
     val = _prepared(cfg, "val")
+    if provider is None and any(p.name == "p_bt" and _samples_positive(p) for p in space.params):
+        raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):
         audio_cfg = audio_aug.AudioAugConfig(

@@ -101,12 +101,21 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
             raise FloatingPointError(f"non-finite gradient in {name}")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
+        step, denom = (1.0 - b1) * g, (1.0 - b2) * g
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
         v *= b2
-        v += (1.0 - b2) * g * g
+        denom *= g
+        v += denom
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order, in the two buffers
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
         p = getattr(params, name)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p -= step
 
 
 class EarlyStopping:
@@ -130,30 +139,43 @@ class PreparedSplit:
     """A split featurized once; runs share it and never modify it."""
 
     feat: FeatureConfig
-    mels: list[MelSpectrogram]     # un-augmented log-mels
-    stats: MelStats                # their per-clip statistics over valid frames
-    captions: list[list[str]]      # raw captions of each clip
+    mels: list[MelSpectrogram] | None  # un-augmented log-mels, None when not kept
+    stats: MelStats                    # their per-clip statistics over valid frames
+    captions: list[list[str]]          # raw captions of each clip
 
     def __len__(self):
-        return len(self.mels)
+        return len(self.captions)
+
+
+def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
+    """Whether ``pooled_audio`` under ``cfg`` reads log-mel frames: only gain and
+    time stripes do; frequency stripes and Freq-MixStyle act on the statistics."""
+    return cfg is not None and bool(cfg.g_max or cfg.n_t)
 
 
 def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
-                  feat: FeatureConfig) -> PreparedSplit:
-    """Resample every clip and compute its log-mel and statistics, once.
+                  feat: FeatureConfig, keep_frames: bool = True) -> PreparedSplit:
+    """Resample every clip and compute its log-mel statistics, once.
 
     ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
-    time) is read once, and no clip's audio is kept. A clip that cannot be
-    featurized (shorter than one hop) raises ManifestError naming it.
+    time) is read once, and no clip's audio is kept. Each clip's statistics are
+    taken as soon as its log-mel exists; the log-mel itself is kept only with
+    ``keep_frames`` (see ``reads_frames``). A clip that cannot be featurized
+    (shorter than one hop) raises ManifestError naming it.
     """
-    mels, captions = [], []
+    mels, per_clip, captions = [], [], []
     for audio_id, w, caps in items:
         try:
-            mels.append(logmel(resample_linear(w, feat.target_sr), feat))
+            m = logmel(resample_linear(w, feat.target_sr), feat)
         except ValueError as exc:
             raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
+        per_clip.append(mel_stats([m]))
+        if keep_frames:
+            mels.append(m)
         captions.append(caps)
-    return PreparedSplit(feat, mels, mel_stats(mels), captions)
+    columns = zip(*((s.count, s.mean, s.var, s.max) for s in per_clip))
+    stats = MelStats(*map(np.concatenate, columns)) if per_clip else mel_stats([])
+    return PreparedSplit(feat, mels if keep_frames else None, stats, captions)
 
 
 def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +191,17 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
     over valid frames after gain, frequency normalization (with ``update``, by the
     batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
 
-    ``cfg`` None skips the augmentations. Frames are read again only for the
-    statistics of gained clips and of the unstriped frames of striped ones.
+    ``cfg`` None skips the augmentations. Frames are read only for the statistics
+    of gained clips and of the unstriped frames of time-striped ones; a split
+    prepared without frames raises ValueError for those.
     """
     stats = split.stats.take(idx)
-    if cfg is not None:
+    if reads_frames(cfg):
+        if split.mels is None:
+            needs = [name for on, name in ((cfg.g_max, "gain (g_max > 0)"),
+                                           (cfg.n_t, "time stripes (n_t > 0)")) if on]
+            raise ValueError(f"cannot apply {' and '.join(needs)}: the split was prepared "
+                             "without log-mel frames")
         mels = [split.mels[i] for i in idx]
         if cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
             mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
@@ -184,9 +212,8 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
         return pool_audio(normed)
     mix_center, slope, offset = audio_aug.freq_mixstyle(normed, cfg.alpha, cfg.p_ms, rng)
     unstriped = []
-    for k, m in enumerate(mels):
-        t = m.n_frames_valid
-        bins, frames = audio_aug.stripe_masks(len(m.values), t, cfg.n_f, cfg.w_f, cfg.n_t,
+    for k, t in enumerate(stats.count.tolist()):
+        bins, frames = audio_aug.stripe_masks(split.feat.n_mels, t, cfg.n_f, cfg.w_f, cfg.n_t,
                                               cfg.w_t, rng)
         # a clip with every bin or every frame striped reads 0 in every bin; its
         # statistics are still taken over all its frames, so that they exist
@@ -194,7 +221,7 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
             bins[:], frames[:] = False, True
         slope[k, ~bins] = offset[k, ~bins] = 0.0
         if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
-            unstriped.append(MelSpectrogram(m.values[:, :t][:, frames], int(frames.sum())))
+            unstriped.append(MelSpectrogram(mels[k].values[:, :t][:, frames], int(frames.sum())))
     if unstriped:
         normed = mel_stats(unstriped).mapped(center, scale)
     return pool_audio(normed.mapped(mix_center, slope, offset), stats.count)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import audioretrieval
-from audioretrieval import cli, data
+from audioretrieval import cli, data, smbo
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
 from audioretrieval.data import Waveform, save_wav, synth_dataset
@@ -324,6 +325,21 @@ class TestSmbo:
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 2
         assert "error: paths.dataset: required" in capsys.readouterr().err
 
+    def test_back_translation_without_cache_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # no paths.bt_cache, and the default space samples p_bt
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 2
+        assert capsys.readouterr().err == ("error: the search space can sample p_bt > 0, "
+                                           "which needs paths.bt_cache\n")
+        assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+    def test_space_without_back_translation_needs_no_cache(self, tmp_path):
+        cfg = write_config(tmp_path)
+        space = write_space(tmp_path, p_bt=0.0)
+        assert main(["smbo", "--config", str(cfg), "--space", str(space),
+                     "--n-init", "1", "--n-trials", "1"]) == 0
+        [trial] = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        assert trial.status != "failed" and trial.config["p_bt"] == 0.0
+
     def test_resume_after_torn_last_line(self, tmp_path, capsys):
         def smbo(out, n_trials, *extra):
             cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / out)})
@@ -391,6 +407,54 @@ class TestSmbo:
         (out / "trials.jsonl").write_text('{"schema": 7, "oops": true}\n')
         assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
                      "--n-trials", "5", "--resume"]) == 3
+
+
+def write_space(tmp_path, **pinned):
+    """The default search space, with the parameters ``pinned`` as one-value choices."""
+    records = [{"name": p.name, "kind": "choice", "values": [pinned[p.name]]}
+               if p.name in pinned else asdict(p) for p in smbo.default_search_space().params]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(records))
+    return path
+
+
+class TestFramesKept:
+    """Only a training split whose augmentation reads log-mel frames (gain or time
+    stripes) keeps them; validation never does."""
+
+    @staticmethod
+    def _splits_trained_on(monkeypatch):
+        seen = []
+        train_run = cli.trainer.train_run
+
+        def capture(train, val, *args, **kwargs):
+            seen.append((train, val))
+            return train_run(train, val, *args, **kwargs)
+        monkeypatch.setattr(cli.trainer, "train_run", capture)
+        return seen
+
+    @pytest.mark.parametrize("audio_aug,kept", [
+        (None, False),
+        ({}, False),
+        ({"n_f": 1, "w_f": 4, "p_ms": 0.5, "alpha": 0.3}, False),
+        ({"g_max": 3}, True),
+        ({"n_t": 2, "w_t": 4}, True),
+    ])
+    def test_train(self, tmp_path, monkeypatch, audio_aug, kept):
+        seen = self._splits_trained_on(monkeypatch)
+        extra = {} if audio_aug is None else {"audio_aug": audio_aug}
+        assert main(["train", "--config", str(write_config(tmp_path, **extra))]) == 0
+        [(train, val)] = seen
+        assert (train.mels is not None) == kept
+        assert val.mels is None
+
+    def test_smbo(self, tmp_path, monkeypatch):
+        seen = self._splits_trained_on(monkeypatch)
+        space = write_space(tmp_path, p_bt=0.0, g_max=0, n_t=0)
+        assert main(["smbo", "--config", str(write_config(tmp_path)), "--space", str(space),
+                     "--n-init", "2", "--n-trials", "2"]) == 0
+        assert len(seen) == 2
+        assert all(train.mels is not None and val.mels is None for train, val in seen)
 
 
 class TestManifestSplits:

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from audioretrieval.data import (
     FeatureConfig,
     MelSpectrogram,
     NormStats,
+    Waveform,
     build_vocab,
     iter_manifest,
     load_manifest,
@@ -22,6 +25,9 @@ from audioretrieval.data import (
 from audioretrieval.model import ModelDims, init_params, load_checkpoint, zeros_like_params
 from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     EarlyStopping,
     OptimConfig,
@@ -84,6 +90,27 @@ class TestAdam:
         adam_step(params, grads, state, 1e-4)
         assert np.all(state.v.w1 > v1)
         assert state.t == 2
+
+    def test_matches_the_out_of_place_update(self, small_dims):
+        params, grads, state = self._setup(small_dims)
+        ref, m_ref, v_ref = params.copy(), zeros_like_params(params), zeros_like_params(params)
+        rng = np.random.default_rng(0)
+        for t in range(1, 7):
+            for _, g in grads.arrays():
+                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 2, size=g.shape)
+            lr = 1e-3 / t
+            adam_step(params, grads, state, lr)
+            bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            for name, g in grads.arrays():
+                m, v, p = getattr(m_ref, name), getattr(v_ref, name), getattr(ref, name)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        for mine, theirs in ((params, ref), (state.m, m_ref), (state.v, v_ref)):
+            for (name, a), (_, b) in zip(mine.arrays(), theirs.arrays()):
+                assert np.array_equal(a, b), name
 
     def test_nonfinite_gradient_rejected(self, small_dims):
         params, grads, state = self._setup(small_dims)
@@ -232,7 +259,7 @@ class TestTrainRun:
 
     def test_empty_val_split_rejected(self):
         train, val = _tiny_splits()
-        empty = PreparedSplit(val.feat, [], mel_stats([]), [])
+        empty = PreparedSplit(val.feat, None, mel_stats([]), [])
         with pytest.raises(ValueError, match="val split is empty"):
             train_run(train, empty, ModelDims(), None, None, OptimConfig(epochs=1))
 
@@ -366,3 +393,61 @@ class TestPooledAudioAgainstFrames:
                         init_params(dims, seed % 1000), norm)
         ref = frame_reference.pooled_batch(split.mels, norm, False)
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12
+
+
+def _noise_clips(rng, n, sample_rate):
+    """n clips of uniform noise, 16 to 400 samples long."""
+    return [(f"c{k}", Waveform(rng.uniform(-1.0, 1.0, int(rng.integers(16, 400))), sample_rate),
+             [f"clip {k}"]) for k in range(n)]
+
+
+class TestSplitWithoutFrames:
+    """A split prepared without its log-mels holds the same statistics, and gives the
+    same model input wherever augmentation reads no frames."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_mels=st.integers(1, 12),
+           plain=st.booleans(), n_f=st.integers(0, 1), w_f=st.integers(1, 32),
+           p_ms=st.floats(0.0, 1.0), alpha=st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_same_statistics_and_pooled_input(self, seed, n, n_mels, plain, n_f, w_f, p_ms,
+                                              alpha):
+        rng = np.random.default_rng(seed)
+        items = _noise_clips(rng, n, 8000)
+        feat = FeatureConfig(n_fft=64, hop=16, n_mels=n_mels, target_sr=8000)
+        framed, bare = prepare_split(items, feat), prepare_split(items, feat, keep_frames=False)
+        assert bare.mels is None and len(bare) == len(framed) == n
+        assert bare.captions == framed.captions
+        whole = mel_stats(framed.mels)  # the statistics of all clips at once
+        for name in ("count", "mean", "var", "max"):
+            assert np.array_equal(getattr(bare.stats, name), getattr(framed.stats, name))
+            assert np.array_equal(getattr(framed.stats, name), getattr(whole, name))
+
+        cfg = None if plain else AudioAugConfig(n_f=n_f, w_f=w_f, p_ms=p_ms, alpha=alpha)
+        idx = rng.permutation(n)
+        runs = []
+        for split in (framed, bare):
+            norm, aug_rng = NormStats.fresh(n_mels), np.random.default_rng(seed + 1)
+            runs.append((pooled_audio(split, idx, norm, True, cfg, aug_rng), norm, aug_rng))
+        (pooled_f, norm_f, rng_f), (pooled_b, norm_b, rng_b) = runs
+        assert np.array_equal(pooled_f, pooled_b)
+        assert rng_f.bit_generator.state == rng_b.bit_generator.state
+        assert np.array_equal(norm_f.mean, norm_b.mean) and np.array_equal(norm_f.var, norm_b.var)
+
+    def test_empty_split(self):
+        split = prepare_split([], FeatureConfig(), keep_frames=False)
+        assert len(split) == 0 and split.mels is None and split.stats.count.shape == (0,)
+
+    @pytest.mark.parametrize("cfg,named", [
+        (AudioAugConfig(g_max=3), "gain (g_max > 0)"),
+        (AudioAugConfig(n_t=2, w_t=4, n_f=1, p_ms=0.5), "time stripes (n_t > 0)"),
+        (AudioAugConfig(g_max=1, n_t=1), "gain (g_max > 0) and time stripes (n_t > 0)"),
+    ])
+    def test_augmentation_reading_frames_rejected(self, cfg, named):
+        train, _ = _tiny_splits()
+        bare = replace(train, mels=None)
+        with pytest.raises(ValueError, match=re.escape(f"cannot apply {named}: the split was "
+                                                       "prepared without log-mel frames")):
+            pooled_audio(bare, np.arange(6), NormStats.fresh(bare.feat.n_mels), True, cfg,
+                         np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            train_run(bare, _tiny_splits()[1], ModelDims(), cfg, None, OptimConfig(epochs=1))
