@@ -201,11 +201,15 @@ def _samples_positive(spec: smbo.ParamSpec) -> bool:
 
 def _training_objective(cfg: RunConfig, space: smbo.SearchSpace):
     provider, lexicon = _provider_and_lexicon(cfg)
+
+    def can_sample(*names):
+        return any(p.name in names and _samples_positive(p) for p in space.params)
+
     # every trial trains on the same clips: featurize them once for all trials, keeping
-    # the training frames, since the default space samples gain and time stripes
-    train = _prepared(cfg, "train", keep_frames=True)
+    # the training frames only if the space can sample gain or time stripes
+    train = _prepared(cfg, "train", keep_frames=can_sample("g_max", "n_t"))
     val = _prepared(cfg, "val")
-    if provider is None and any(p.name == "p_bt" and _samples_positive(p) for p in space.params):
+    if provider is None and can_sample("p_bt"):
         raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):

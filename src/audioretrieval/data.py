@@ -7,7 +7,7 @@ import json
 import os
 import struct
 import unicodedata
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -303,10 +303,21 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
 
 
 def mel_stats(mels: list[MelSpectrogram]) -> MelStats:
-    """Count, mean, population variance and max of each clip's valid frames, per bin."""
-    valid = [m.values[:, : m.n_frames_valid] for m in mels]
-    return MelStats(np.array([v.shape[1] for v in valid], dtype=np.int64),
-                    *(np.array([f(v, axis=1) for v in valid]) for f in (np.mean, np.var, np.max)))
+    """Count, mean, population variance and max of each clip's valid frames, per bin.
+
+    One sum gives the mean, and the variance reuses it: the same operations as
+    ``np.mean``, ``np.var`` and ``np.max`` over the frames, so the same bits."""
+    count, mean, var, top = [], [], [], []
+    for m in mels:
+        v = m.values[:, : m.n_frames_valid]
+        n = v.shape[1]
+        mu = np.add.reduce(v, axis=1) / n
+        dev = v - mu[:, None]
+        count.append(n)
+        mean.append(mu)
+        var.append(np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / n)
+        top.append(np.maximum.reduce(v, axis=1))
+    return MelStats(np.array(count, dtype=np.int64), *map(np.array, (mean, var, top)))
 
 
 def freq_normalize(
@@ -332,13 +343,16 @@ def freq_normalize(
     return mean, 1.0 / np.sqrt(var + 1e-5)
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same directory and
-    ``os.replace``, so ``path`` holds either its old bytes or all of ``text``."""
+def write_atomic(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks written one at a time,
+    to ``path`` through a temporary file in the same directory and ``os.replace``, so
+    ``path`` holds either its old bytes or all of ``text`` (also when a chunk iterator
+    raises)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -12,6 +12,7 @@ from .data import (LOG_FLOOR, FeatureConfig, MelStats, NormStats, TokenVocab, ch
                    write_atomic)
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
+TEXT_BLOCK = 64  # id rows whose token embeddings pool_text gathers at a time
 
 
 @dataclass
@@ -88,9 +89,15 @@ def pool_audio(stats: MelStats, n_valid=None) -> np.ndarray:
 
 def pool_text(ids: np.ndarray, embed: np.ndarray) -> np.ndarray:
     """Mean token embedding over the non-PAD positions of each row of an id
-    matrix [N, width], shape [N, token_embed_dim]; a row of only PAD -> zeros."""
+    matrix [N, width], shape [N, token_embed_dim]; a row of only PAD -> zeros.
+
+    The gathered [rows, width, token_embed_dim] embeddings exist for TEXT_BLOCK
+    rows at a time; each row's sum is the same as over all rows at once."""
     valid = ids != TokenVocab.PAD
-    summed = np.where(valid[..., None], embed[ids], 0.0).sum(axis=1)
+    summed = np.empty((len(ids), embed.shape[1]), dtype=embed.dtype)
+    for start in range(0, len(ids), TEXT_BLOCK):
+        rows = slice(start, start + TEXT_BLOCK)
+        summed[rows] = np.where(valid[rows, :, None], embed[ids[rows]], 0.0).sum(axis=1)
     return summed / np.maximum(valid.sum(axis=1, keepdims=True), 1)
 
 
@@ -205,15 +212,22 @@ def backward(
 def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats,
                     vocab: TokenVocab, feat: FeatureConfig):
     """Version 2: ``arrays`` holds only numeric arrays; the vocabulary (words in
-    id order), the feature config and the normalization frame count sit beside it."""
-    arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()} for name, arr in params.arrays()}
-    arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
-    arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
-    doc = {
-        "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
-        "features": asdict(feat), "norm_count": stats.count, "version": 2,
-    }
-    write_atomic(path, json.dumps(doc))
+    id order), the feature config and the normalization frame count sit beside it.
+
+    The file is ``json.dumps`` of the whole document, written one array's record
+    at a time, so only one array's JSON text is held at once."""
+    arrays = [*params.arrays(), ("norm_mean", stats.mean), ("norm_var", stats.var)]
+
+    def chunks():
+        yield f'{{"dims": {json.dumps(asdict(dims))}, "arrays": {{'
+        for k, (name, arr) in enumerate(arrays):
+            yield f"{', ' if k else ''}{json.dumps(name)}: "
+            yield json.dumps({"shape": list(arr.shape), "data": arr.ravel().tolist()})
+        rest = {"vocab": vocab.words(), "features": asdict(feat), "norm_count": stats.count,
+                "version": 2}
+        yield "}, " + json.dumps(rest)[1:]  # the rest of the document, and its closing brace
+
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab, FeatureConfig]:

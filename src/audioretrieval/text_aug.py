@@ -87,8 +87,8 @@ class TranslationCache:
         return cls(entries)
 
     def save(self, path) -> None:
-        write_atomic(path, "".join(json.dumps({"source": source, "pivot": pivot, "result": result})
-                                   + "\n" for (source, pivot), result in self.entries.items()))
+        write_atomic(path, (json.dumps({"source": source, "pivot": pivot, "result": result}) + "\n"
+                            for (source, pivot), result in self.entries.items()))
 
     def __len__(self):
         return len(self.entries)

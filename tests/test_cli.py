@@ -448,12 +448,26 @@ class TestFramesKept:
         assert (train.mels is not None) == kept
         assert val.mels is None
 
-    def test_smbo(self, tmp_path, monkeypatch):
-        seen = self._splits_trained_on(monkeypatch)
-        space = write_space(tmp_path, p_bt=0.0, g_max=0, n_t=0)
+    @staticmethod
+    def _search(tmp_path, monkeypatch, **pinned):
+        """The (train, val) splits of each trial of a 2-trial search over the default
+        space with ``pinned`` (and p_bt 0, which needs no translation cache)."""
+        seen = TestFramesKept._splits_trained_on(monkeypatch)
+        space = write_space(tmp_path, p_bt=0.0, **pinned)
         assert main(["smbo", "--config", str(write_config(tmp_path)), "--space", str(space),
                      "--n-init", "2", "--n-trials", "2"]) == 0
         assert len(seen) == 2
+        return seen
+
+    def test_smbo(self, tmp_path, monkeypatch):
+        """A space that pins g_max and n_t to 0 never reads frames, so none are kept."""
+        seen = self._search(tmp_path, monkeypatch, g_max=0, n_t=0)
+        assert all(train.mels is None and val.mels is None for train, val in seen)
+
+    @pytest.mark.parametrize("pinned", [{}, {"g_max": 0}, {"n_t": 0}])
+    def test_smbo_space_reads_frames(self, tmp_path, monkeypatch, pinned):
+        """The default space samples both gain and time stripes; either one keeps frames."""
+        seen = self._search(tmp_path, monkeypatch, **pinned)
         assert all(train.mels is not None and val.mels is None for train, val in seen)
 
 

@@ -361,12 +361,57 @@ class TestFreqNormalize:
         assert np.allclose(s1.var, s2.var)
 
 
+def _mel_stats_reference(mels):
+    """Reference: mel_stats as np.mean, np.var and np.max over each clip's valid frames."""
+    valid = [m.values[:, : m.n_frames_valid] for m in mels]
+    return (np.array([v.shape[1] for v in valid], dtype=np.int64),
+            *(np.array([f(v, axis=1) for v in valid]) for f in (np.mean, np.var, np.max)))
+
+
+class TestMelStats:
+    @given(lengths=st.lists(st.sampled_from([1, 2, 3, 997, 4000]), min_size=1, max_size=4),
+           n_mels=st.integers(1, 64), pad=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_reductions(self, lengths, n_mels, pad, scale, seed):
+        rng = np.random.default_rng(seed)
+        mels = [MelSpectrogram(np.concatenate([rng.normal(-5.0, scale, size=(n_mels, t)),
+                                               np.zeros((n_mels, pad))], axis=1), t)
+                for t in lengths]
+        got = mel_stats(mels)
+        for column, want in zip((got.count, got.mean, got.var, got.max), _mel_stats_reference(mels)):
+            assert column.dtype == want.dtype
+            assert np.array_equal(column, want)
+
+
 class TestWriteAtomic:
     def test_writes_text(self, tmp_path):
         write_atomic(tmp_path / "a.json", "old")
         write_atomic(tmp_path / "a.json", "new")
         assert (tmp_path / "a.json").read_text() == "new"
         assert os.listdir(tmp_path) == ["a.json"]
+
+    def test_chunks_write_their_concatenation(self, tmp_path):
+        chunks = ["{", '"k": ', "[1, 2]", "", "ü}\n"]
+        write_atomic(tmp_path / "a.json", iter(chunks))
+        write_atomic(tmp_path / "b.json", "".join(chunks))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("old", [None, "old bytes"])
+    def test_raising_chunks_leave_old_file_and_no_temporary(self, tmp_path, old):
+        target = tmp_path / "checkpoint.json"
+        if old is not None:
+            target.write_text(old)
+
+        def chunks():
+            yield "x" * 100_000  # more than one write buffer reaches the temporary file
+            raise RuntimeError("halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            write_atomic(target, chunks())
+        assert os.listdir(tmp_path) == ([] if old is None else ["checkpoint.json"])
+        if old is not None:
+            assert target.read_bytes() == old.encode()
 
     @pytest.mark.parametrize("old", [None, "old bytes"])
     @pytest.mark.parametrize("failure", ["replace", "write"])

@@ -1,10 +1,16 @@
+import json
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from audioretrieval.data import MelSpectrogram, mel_stats
+from audioretrieval.data import (MAX_TOKENS, FeatureConfig, MelSpectrogram, NormStats, TokenVocab,
+                                 build_vocab, mel_stats, write_atomic)
 from audioretrieval.model import (
     NORM_EPS,
+    TEXT_BLOCK,
     ModelDims,
     _softmax,
     backward,
@@ -290,10 +296,93 @@ class TestTextMatrixAgainstPerCaption:
         assert np.array_equal(grads.embed, _embed_grad_per_caption(pooled, rows, params, 0.7))
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, small_dims, small_params, tmp_path):
-        from audioretrieval.data import FeatureConfig, NormStats, build_vocab
+def _pool_text_one_shot(ids, embed):
+    """Reference: pool_text's expression over every row at once."""
+    valid = ids != 0
+    summed = np.where(valid[..., None], embed[ids], 0.0).sum(axis=1)
+    return summed / np.maximum(valid.sum(axis=1, keepdims=True), 1)
 
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPoolTextBlocks:
+    """pool_text gathers TEXT_BLOCK rows at a time, with the one-shot result's bits."""
+
+    @given(n=st.sampled_from([0, 1, TEXT_BLOCK - 1, TEXT_BLOCK, TEXT_BLOCK + 1, 2 * TEXT_BLOCK + 2]),
+           width=st.integers(0, MAX_TOKENS), dim=st.integers(1, 16),
+           pad=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_shot(self, n, width, dim, pad, seed):
+        rng = np.random.default_rng(seed)
+        embed = rng.normal(0.0, 0.02, size=(20, dim))
+        ids = rng.integers(1, 20, size=(n, width))
+        ids[rng.uniform(size=ids.shape) < pad] = 0
+        ids[rng.uniform(size=n) < 0.2] = 0  # some rows of only PAD
+        out = pool_text(ids, embed)
+        assert out.shape == (n, dim)
+        assert np.array_equal(out, _pool_text_one_shot(ids, embed))
+
+    def test_embed_text_memory_bounded_by_block(self):
+        dims = ModelDims(n_mels=8, embed_dim=16, audio_hidden=16, text_hidden=16,
+                         token_embed_dim=16, vocab_size=50)
+        params = init_params(dims, 0)
+        ids = np.random.default_rng(0).integers(0, 50, size=(5000, MAX_TOKENS))
+        one_shot = ids.size * dims.token_embed_dim * 8  # one gathered copy: 20.5 MB
+        # the [5000, 16] pooled rows and the head's three [5000, 16] arrays, about 3.3 MB
+        assert _traced_peak(embed_text, ids, params) < one_shot / 4
+
+
+def _save_checkpoint_one_shot(path, params, dims, stats, vocab, feat):
+    """Reference: the checkpoint built as one document and written by one json.dumps."""
+    arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+              for name, arr in params.arrays()}
+    arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
+    arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
+    doc = {
+        "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
+        "features": asdict(feat), "norm_count": stats.count, "version": 2,
+    }
+    write_atomic(path, json.dumps(doc))
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_equal_one_shot_document(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        dims = ModelDims(n_mels=5, embed_dim=3, audio_hidden=4, text_hidden=6,
+                         token_embed_dim=2, vocab_size=9)
+        params = init_params(dims, seed)
+        params.b1[:] = rng.normal(size=4) * 1e300  # extreme magnitudes print in exponent form
+        stats = NormStats(rng.normal(size=5), rng.uniform(size=5), 12345)
+        vocab = build_vocab(["rain on a tin roof", "ünïcode \"quoted\" words"])
+        feat = FeatureConfig(n_mels=5, hop=160)
+        save_checkpoint(tmp_path / "a.json", params, dims, stats, vocab, feat)
+        _save_checkpoint_one_shot(tmp_path / "b.json", params, dims, stats, vocab, feat)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_memory_bounded_by_largest_array(self, tmp_path):
+        # four arrays of 40,000 values each, so the whole document is far larger than one
+        dims = ModelDims(n_mels=200, embed_dim=200, audio_hidden=200, text_hidden=200,
+                         token_embed_dim=8, vocab_size=5000)
+        params = init_params(dims, 0)
+        vocab = TokenVocab({f"w{i}": i for i in range(TokenVocab.UNK + 1, dims.vocab_size)})
+        args = (tmp_path / "ckpt.json", params, dims, NormStats.fresh(200), vocab,
+                FeatureConfig(n_mels=200))
+        largest = max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays())
+        peak = _traced_peak(save_checkpoint, *args)
+        # one array's float list, its float reprs and its JSON text: about 6x its JSON
+        assert peak < 8 * largest
+        assert peak < _traced_peak(_save_checkpoint_one_shot, *args) / 2
+
+    def test_roundtrip(self, small_dims, small_params, tmp_path):
         stats = NormStats(np.arange(8.0), np.ones(8) * 0.5, 99)
         vocab = build_vocab(["rain on a tin roof", "a dog barks twice"])  # 8 ids
         feat = FeatureConfig(n_mels=8, hop=160)

@@ -207,6 +207,14 @@ class TestCacheBuild:
         cache.save(path)
         assert TranslationCache.load(path).entries == cache.entries
 
+    def test_save_writes_joined_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = TranslationCache({("a dog barks.", "de"): "ein Hund bellt", ("ünï", "fr"): "\"x\""})
+        cache.save(path)
+        joined = "".join(json.dumps({"source": s, "pivot": p, "result": r}) + "\n"
+                         for (s, p), r in cache.entries.items())
+        assert path.read_bytes() == joined.encode("utf-8")
+
     def test_save_failing_partway_keeps_old_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache_build(["a"], PIVOTS, mock_provider, path)
