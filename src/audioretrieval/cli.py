@@ -16,6 +16,7 @@ from . import audio_aug, data, metrics, model, smbo, text_aug, trainer
 from .config import ConfigError, RunConfig, config_hash, load_config
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CORRUPT = 3
 EXIT_EXTERNAL = 4
@@ -25,6 +26,14 @@ EXIT_EXTERNAL = 4
 # batch would grow the heap and fault its pages in again after the last one trimmed it.
 HEAP_TOP_PAD = 16 << 20
 _M_TOP_PAD = -2  # mallopt's parameter number for it (malloc.h)
+
+
+class CommandError(Exception):
+    """A command that cannot go on: ``main`` prints ``error: <message>``, exits with ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_split(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform, list[str]]]:
@@ -86,8 +95,7 @@ def cmd_train(args) -> int:
             provider=provider, lexicon=lexicon, checkpoint_path=ckpt,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(str(exc)) from exc
     doc = result.as_dict()
     doc["config_hash"] = config_hash(args.config)
     data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
@@ -103,18 +111,15 @@ def cmd_eval(args) -> int:
     try:
         params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(f"cannot read checkpoint: {exc}") from exc
     for f in fields(feat):
         mine, trained = getattr(cfg.features, f.name), getattr(feat, f.name)
         if mine != trained:
-            print(f"error: features.{f.name} is {mine!r} in the config but {trained!r} "
-                  f"in the checkpoint", file=sys.stderr)
-            return EXIT_USAGE
+            raise CommandError(f"features.{f.name} is {mine!r} in the config but {trained!r} "
+                               f"in the checkpoint")
     split = _prepared(cfg, args.split)
     if len(split) == 0:
-        print(f"error: split {args.split!r} is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(f"split {args.split!r} is empty")
     tokens, targets = trainer.caption_queries(split, vocab)
     result = trainer.score_split(split, tokens, targets, params, stats)
     print(metrics.metrics_table({args.split: result}))
@@ -125,30 +130,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _toy_quadratic_objective(cfg: dict, trial_id: int, seed: int):
-    space_names = sorted(cfg)
-    x = np.array([float(cfg[k]) for k in space_names])
-    target = np.full(len(x), 0.7)
-    value = -float(((x - target) ** 2).sum())
-    return value, "completed", 1
-
-
 def cmd_smbo(args) -> int:
     if args.n_trials <= 0 or args.n_init <= 0:
-        print("error: n-trials and n-init must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError("n-trials and n-init must be positive")
     cfg = load_config(args.config)
     if args.space:
         try:
             space = smbo.SearchSpace.from_json(args.space)
         except (ValueError, OSError) as exc:
-            print(f"error: invalid search space: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    elif args.objective == "synthetic-quadratic":
-        space = smbo.SearchSpace([
-            smbo.ParamSpec("x", "uniform_float", 0.0, 1.0),
-            smbo.ParamSpec("y", "uniform_float", 0.0, 1.0),
-        ])
+            raise CommandError(f"invalid search space: {exc}") from exc
     else:
         space = smbo.default_search_space()
 
@@ -162,28 +152,19 @@ def cmd_smbo(args) -> int:
         try:
             logged = len(smbo.load_trials(log_path))
         except (ValueError, KeyError, TypeError) as exc:
-            print(f"error: corrupt trials log {log_path}: {exc}", file=sys.stderr)
-            return EXIT_CORRUPT
+            raise CommandError(f"corrupt trials log {log_path}: {exc}", EXIT_CORRUPT) from exc
         if logged > args.n_trials:
-            print(f"error: {log_path} holds {logged} trials, more than --n-trials {args.n_trials}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise CommandError(f"{log_path} holds {logged} trials, more than --n-trials "
+                               f"{args.n_trials}")
     elif log_path.exists() and log_path.stat().st_size:
-        print(f"error: trials log {log_path} exists; pass --resume to continue", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.objective == "synthetic-quadratic":
-        objective = _toy_quadratic_objective
-    else:
-        objective = _training_objective(cfg, space)
+        raise CommandError(f"trials log {log_path} exists; pass --resume to continue")
 
     trials, best = smbo.run_search(
-        objective, space, n_init=args.n_init, n_trials=args.n_trials,
+        _training_objective(cfg, space), space, n_init=args.n_init, n_trials=args.n_trials,
         seed=cfg.seed, log_path=log_path, resume=args.resume,
     )
     if best is None:
-        print("error: all trials failed", file=sys.stderr)
-        return 1
+        raise CommandError("all trials failed", EXIT_FAILED)
     width = max(len(k) for k in best)
     print(f"{'parameter':<{width}}  best")
     for name in best:
@@ -200,6 +181,15 @@ def _samples_positive(spec: smbo.ParamSpec) -> bool:
 
 
 def _training_objective(cfg: RunConfig, space: smbo.SearchSpace):
+    # a trial sets every augmentation parameter: a space naming other ones fails every trial
+    trained = {f.name for c in (audio_aug.AudioAugConfig, text_aug.TextAugConfig)
+               for f in fields(c)}
+    named = {p.name for p in space.params}
+    missing, unknown = sorted(trained - named), sorted(named - trained)
+    if missing or unknown:
+        raise CommandError(f"the search space must name exactly the {len(trained)} training "
+                           f"parameters; missing: {', '.join(missing) or 'none'}; "
+                           f"unknown: {', '.join(unknown) or 'none'}")
     provider, lexicon = _provider_and_lexicon(cfg)
 
     def can_sample(*names):
@@ -257,14 +247,12 @@ def cmd_augment_preview(args) -> int:
         return EXIT_OK
     # --mode audio (argparse admits only the two modes)
     if not os.path.isfile(args.input):
-        print(f"error: input {args.input} not found", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(f"input {args.input} not found")
     try:
         w = data.resample_linear(data.load_wav(args.input), cfg.features.target_sr)
         mel_before = data.logmel(w, cfg.features)
     except ValueError as exc:
-        print(f"error: cannot use {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(f"cannot use {args.input}: {exc}") from exc
     acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
     mel_after = audio_aug.gain_logmel(mel_before, audio_aug.sample_gain(rng, acfg.g_max))
     mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
@@ -293,8 +281,7 @@ def _http_provider(base_url: str, api_key: str):
 def cmd_bt_cache(args) -> int:
     captions_path = Path(args.captions)
     if not captions_path.is_file():
-        print(f"error: captions file {captions_path} not found", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(f"captions file {captions_path} not found")
     captions = [line.strip() for line in captions_path.read_text().splitlines() if line.strip()]
     if args.mock:
         provider = text_aug.mock_provider
@@ -302,14 +289,12 @@ def cmd_bt_cache(args) -> int:
         base_url = os.environ.get("AUDIORETRIEVAL_BT_URL")
         api_key = os.environ.get("AUDIORETRIEVAL_BT_KEY", "")
         if not base_url:
-            print("error: set AUDIORETRIEVAL_BT_URL or pass --mock", file=sys.stderr)
-            return EXIT_USAGE
+            raise CommandError("set AUDIORETRIEVAL_BT_URL or pass --mock")
         provider = _http_provider(base_url, api_key)
     try:  # provider failures are collected; a ValueError is an existing cache that is malformed
         new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, args.out)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(str(exc)) from exc
     print(f"{new} new entries")
     if failures:
         for caption, pivot in failures:
@@ -321,20 +306,23 @@ def cmd_bt_cache(args) -> int:
 def cmd_synth_data(args) -> int:
     cfg = load_config(args.config)
     if cfg.data is None:
-        print("error: data.synthetic: required for synth-data", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError("data.synthetic: required for synth-data")
     out_dir = Path(args.out)
     for split in ("train", "val", "test"):
         ds = _load_split(cfg, split)  # a PairedDataset: cfg.data is set
-        split_dir = out_dir / split
-        split_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{split}.jsonl", "w") as fh:
-            for audio_id, w, caps in ds:
-                rel = f"{split}/{audio_id}.wav"
-                data.save_wav(out_dir / rel, w)
-                fh.write(json.dumps({"audio": rel, "captions": caps}) + "\n")
+        (out_dir / split).mkdir(parents=True, exist_ok=True)
+        # the manifest appears only once every WAV it names is written
+        data.write_atomic(out_dir / f"{split}.jsonl", _saved_clip_lines(ds, out_dir, split))
         print(f"{split}: {len(ds)} items")
     return EXIT_OK
+
+
+def _saved_clip_lines(ds, out_dir: Path, split: str) -> Iterable[str]:
+    """Save each clip of ``ds`` as ``<out_dir>/<split>/<id>.wav`` and yield its manifest line."""
+    for audio_id, w, caps in ds:
+        rel = f"{split}/{audio_id}.wav"
+        data.save_wav(out_dir / rel, w)
+        yield json.dumps({"audio": rel, "captions": caps}) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-init", type=int, default=10)
     p.add_argument("--n-trials", type=int, default=100)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--objective", default="train", choices=["train", "synthetic-quadratic"])
     p.set_defaults(func=cmd_smbo)
 
     p = sub.add_parser("augment-preview", help="show augmentations on one input")
@@ -397,9 +384,9 @@ def main(argv=None) -> int:
     _pad_heap_top()
     try:
         return args.func(args)
-    except (ConfigError, data.ManifestError, FileNotFoundError) as exc:
+    except (CommandError, ConfigError, data.ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CommandError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

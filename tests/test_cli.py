@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -285,23 +287,39 @@ class TestEval:
         assert decoded == []
 
 
+@pytest.fixture
+def toy_objective(monkeypatch):
+    """Search a quadratic with its maximum at 0.7 on every axis instead of training."""
+    def quadratic(cfg: dict, trial_id: int, seed: int):
+        x = np.array([float(cfg[k]) for k in sorted(cfg)])
+        return -float(((x - 0.7) ** 2).sum()), "completed", 1
+    monkeypatch.setattr(cli, "_training_objective", lambda cfg, space: quadratic)
+
+
+def write_xy_space(tmp_path):
+    path = tmp_path / "xy_space.json"
+    path.write_text(json.dumps([{"name": n, "kind": "uniform_float", "lo": 0.0, "hi": 1.0}
+                                for n in ("x", "y")]))
+    return path
+
+
 class TestSmbo:
     def test_zero_trials_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-trials", "0"]) == 2
 
-    def test_toy_objective(self, tmp_path, capsys):
+    def test_toy_objective(self, tmp_path, capsys, toy_objective):
         cfg = write_config(tmp_path)
-        assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        assert main(["smbo", "--config", str(cfg),
                      "--n-init", "10", "--n-trials", "40"]) == 0
         out = capsys.readouterr().out
         assert "parameter" in out and "best" in out
         trials = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
         assert len(trials) == 40
 
-    def test_toy_objective_near_optimum(self, tmp_path):
+    def test_toy_objective_near_optimum(self, tmp_path, toy_objective):
         cfg = write_config(tmp_path)
-        main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        main(["smbo", "--config", str(cfg), "--space", str(write_xy_space(tmp_path)),
               "--n-init", "10", "--n-trials", "60"])
         best = None
         for line in (tmp_path / "out" / "trials.jsonl").read_text().splitlines():
@@ -311,11 +329,11 @@ class TestSmbo:
         assert abs(best["config"]["x"] - 0.7) < 0.05
         assert abs(best["config"]["y"] - 0.7) < 0.05
 
-    def test_resume_reaches_requested_count(self, tmp_path):
+    def test_resume_reaches_requested_count(self, tmp_path, toy_objective):
         cfg = write_config(tmp_path)
-        main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        main(["smbo", "--config", str(cfg),
               "--n-init", "5", "--n-trials", "12"])
-        assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        assert main(["smbo", "--config", str(cfg),
                      "--n-init", "5", "--n-trials", "20", "--resume"]) == 0
         trials = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
         assert len(trials) == 20
@@ -340,10 +358,10 @@ class TestSmbo:
         [trial] = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
         assert trial.status != "failed" and trial.config["p_bt"] == 0.0
 
-    def test_resume_after_torn_last_line(self, tmp_path, capsys):
+    def test_resume_after_torn_last_line(self, tmp_path, capsys, toy_objective):
         def smbo(out, n_trials, *extra):
             cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / out)})
-            return main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+            return main(["smbo", "--config", str(cfg),
                          "--n-init", "5", "--n-trials", str(n_trials), *extra])
 
         assert smbo("full", 18) == 0
@@ -365,18 +383,18 @@ class TestSmbo:
         [{"name": "x", "kind": "uniform_float", "lo": "0", "hi": "1"}],
         [{"name": "x", "kind": "choice", "values": 5}],
     ])
-    def test_malformed_space_exit_2(self, tmp_path, capsys, space):
+    def test_malformed_space_exit_2(self, tmp_path, capsys, space, toy_objective):
         cfg = write_config(tmp_path)
         path = tmp_path / "space.json"
         path.write_text(json.dumps(space))
-        assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        assert main(["smbo", "--config", str(cfg),
                      "--space", str(path), "--n-init", "2", "--n-trials", "3"]) == 2
         assert "error: invalid search space:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.jsonl").exists()
 
-    def test_existing_log_without_resume_exit_2(self, tmp_path, capsys):
+    def test_existing_log_without_resume_exit_2(self, tmp_path, capsys, toy_objective):
         cfg = write_config(tmp_path)
-        argv = ["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        argv = ["smbo", "--config", str(cfg),
                 "--n-init", "2", "--n-trials", "3"]
         assert main(argv) == 0
         log = tmp_path / "out" / "trials.jsonl"
@@ -387,9 +405,9 @@ class TestSmbo:
             f"error: trials log {log} exists; pass --resume to continue\n"
         assert log.read_bytes() == before
 
-    def test_resume_below_logged_trials_exit_2(self, tmp_path, capsys):
+    def test_resume_below_logged_trials_exit_2(self, tmp_path, capsys, toy_objective):
         cfg = write_config(tmp_path)
-        argv = ["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        argv = ["smbo", "--config", str(cfg),
                 "--n-init", "2"]
         assert main(argv + ["--n-trials", "5"]) == 0
         log = tmp_path / "out" / "trials.jsonl"
@@ -400,13 +418,55 @@ class TestSmbo:
             f"error: {log} holds 5 trials, more than --n-trials 3\n"
         assert log.read_bytes() == before
 
-    def test_corrupt_log_on_resume_exit_3(self, tmp_path):
+    def test_corrupt_log_on_resume_exit_3(self, tmp_path, toy_objective):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         (out / "trials.jsonl").write_text('{"schema": 7, "oops": true}\n')
-        assert main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic",
+        assert main(["smbo", "--config", str(cfg),
                      "--n-trials", "5", "--resume"]) == 3
+
+    def test_objective_option_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["smbo", "--config", str(cfg), "--objective", "synthetic-quadratic"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --objective" in capsys.readouterr().err
+
+    def test_all_trials_failed_exit_1(self, tmp_path, monkeypatch, capsys):
+        def failing(cfg, trial_id, seed):
+            raise RuntimeError("diverged")
+        monkeypatch.setattr(cli, "_training_objective", lambda cfg, space: failing)
+        cfg = write_config(tmp_path)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 1
+        assert capsys.readouterr().err == "error: all trials failed\n"
+        trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        assert [(t.status, t.error) for t in trials] == [("failed", "RuntimeError: diverged")] * 3
+
+    @pytest.mark.parametrize("drop,add,message", [
+        (["g_max"], [], "missing: g_max; unknown: none"),
+        ([p.name for p in smbo.default_search_space().params if p.name != "p_ms"], [],
+         "missing: alpha, g_max, n_f, n_t, p_bt, p_del, p_eda, p_ins, p_swp, p_syn, w_f, w_t; "
+         "unknown: none"),
+        ([], ["x"], "missing: none; unknown: x"),
+    ], ids=["without-g_max", "only-p_ms", "with-x"])
+    def test_space_not_naming_the_training_parameters_exit_2(self, tmp_path, monkeypatch,
+                                                              capsys, drop, add, message):
+        records = [asdict(p) for p in smbo.default_search_space().params if p.name not in drop]
+        records += [{"name": n, "kind": "uniform_float", "lo": 0.0, "hi": 1.0} for n in add]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(records))
+        cfg = write_manifest_config(tmp_path)
+        touched = []
+        monkeypatch.setattr(data, "load_wav", lambda path: touched.append(path))
+        monkeypatch.setattr(cli.trainer, "prepare_split", lambda *a: touched.append(a))
+        capsys.readouterr()
+        assert main(["smbo", "--config", str(cfg), "--space", str(space),
+                     "--n-init", "2", "--n-trials", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the search space must name exactly the 13 training parameters; {message}\n")
+        assert touched == []
+        assert not (tmp_path / "out" / "trials.jsonl").exists()
 
 
 def write_space(tmp_path, **pinned):
@@ -416,6 +476,71 @@ def write_space(tmp_path, **pinned):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(records))
     return path
+
+
+def _cli_command(argv: list[str]) -> dict:
+    """Arguments for running the CLI module in a subprocess that sees this source tree."""
+    src = str(Path(audioretrieval.__file__).resolve().parents[1])
+    return dict(args=[sys.executable, "-m", "audioretrieval.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _run_cli(argv: list[str]) -> int:
+    return subprocess.run(**_cli_command(argv), timeout=300).returncode
+
+
+def _start_cli(argv: list[str]) -> subprocess.Popen:
+    return subprocess.Popen(**_cli_command(argv))
+
+
+def _kill_once(proc: subprocess.Popen, ready) -> bool:
+    """SIGKILL ``proc`` as soon as ``ready()`` holds; whether it was still running then."""
+    deadline = time.monotonic() + 120
+    while not ready() and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.002)
+    proc.send_signal(signal.SIGKILL)
+    return proc.wait(timeout=60) == -signal.SIGKILL
+
+
+class TestKilledRun:
+    """A run killed with SIGKILL leaves each artifact whole or absent, and a killed
+    search resumes to the log of an uninterrupted one."""
+
+    OPTIM = {"epochs": 20, "batch_size": 6, "patience": 20}  # trials long enough to kill one
+
+    def test_smbo_resumes_exactly(self, tmp_path):
+        space = write_space(tmp_path, p_bt=0.0)
+
+        def argv(out, *extra):
+            cfg = write_config(tmp_path, optim=self.OPTIM, paths={"out_dir": str(tmp_path / out)})
+            return ["smbo", "--config", str(cfg), "--space", str(space),
+                    "--n-init", "3", "--n-trials", "6", *extra]
+
+        assert _run_cli(argv("full")) == 0
+        full = (tmp_path / "full" / "trials.jsonl").read_bytes()
+        log = tmp_path / "killed" / "trials.jsonl"
+        proc = _start_cli(argv("killed"))
+        assert _kill_once(proc, lambda: log.exists() and log.read_bytes().count(b"\n") >= 2)
+        assert log.read_bytes().count(b"\n") < 6
+        assert _run_cli(argv("killed", "--resume")) == 0
+        assert log.read_bytes() == full
+
+    @pytest.mark.parametrize("when", ["training", "writing"])
+    def test_train_artifacts_whole_or_absent(self, tmp_path, when):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, optim=self.OPTIM)
+        proc = _start_cli(["train", "--config", str(cfg)])
+        # train makes out_dir once its splits are prepared, and writes the checkpoint first
+        trigger = out if when == "training" else out / "checkpoint.json"
+        killed = _kill_once(proc, trigger.exists)
+        assert killed or when == "writing"
+        for name in ("checkpoint.json", "run_result.json"):
+            if (out / name).exists():
+                json.loads((out / name).read_text())
+        csv = out / "metrics.csv"
+        if csv.exists():
+            assert len(csv.read_text().splitlines()) == 1 + self.OPTIM["epochs"]
 
 
 class TestFramesKept:
@@ -691,6 +816,33 @@ class TestSynthData:
             manifest = out / f"{split}.jsonl"
             assert manifest.exists()
             assert len(manifest.read_text().splitlines()) == n
+
+    def test_manifest_bytes(self, tmp_path):
+        """The manifests hold one JSON line per clip, in the split's order."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dataset"
+        assert main(["synth-data", "--config", str(cfg), "--out", str(out)]) == 0
+        for split in ("train", "val", "test"):
+            expected = "".join(
+                json.dumps({"audio": f"{split}/{audio_id}.wav", "captions": caps}) + "\n"
+                for audio_id, _, caps in cli._load_split(load_config(cfg), split))
+            assert (out / f"{split}.jsonl").read_bytes() == expected.encode()
+
+    def test_failed_clip_leaves_no_manifest(self, tmp_path, monkeypatch):
+        saved, real = [], data.save_wav
+
+        def save_wav(path, w):
+            if len(saved) == 2:
+                raise OSError("disk full")
+            saved.append(path)
+            real(path, w)
+        monkeypatch.setattr(data, "save_wav", save_wav)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dataset"
+        with pytest.raises(OSError, match="disk full"):
+            main(["synth-data", "--config", str(cfg), "--out", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == ["train"]
+        assert len(list((out / "train").iterdir())) == 2
 
     def test_manifest_loads_back(self, tmp_path):
         from audioretrieval.data import load_manifest
