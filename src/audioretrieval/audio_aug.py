@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LOG_FLOOR, MelSpectrogram, MelStats, Waveform
+from .data import LOG_FLOOR, MelSpectrogram, MelStats, Waveform, check_int
 
 
 @dataclass
@@ -19,16 +19,9 @@ class AudioAugConfig:
     alpha: float = 0.5   # Beta shape for the mixing coefficient
 
     def __post_init__(self):
-        if not 0 <= self.g_max <= 6:
-            raise ValueError("g_max outside {0..6}")
-        if self.n_f not in (0, 1):
-            raise ValueError("n_f must be 0 or 1")
-        if not 1 <= self.w_f <= 32:
-            raise ValueError("w_f outside {1..32}")
-        if not 0 <= self.n_t <= 8:
-            raise ValueError("n_t outside {0..8}")
-        if not 1 <= self.w_t <= 64:
-            raise ValueError("w_t outside {1..64}")
+        for name, lo, hi in (("g_max", 0, 6), ("n_f", 0, 1), ("w_f", 1, 32), ("n_t", 0, 8),
+                             ("w_t", 1, 64)):
+            check_int(self, name, lo, hi)
         if not 0.0 <= self.p_ms <= 1.0:
             raise ValueError("p_ms outside [0, 1]")
         if not 0.0 < self.alpha <= 1.0:

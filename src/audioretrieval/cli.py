@@ -83,6 +83,8 @@ def _prepared(cfg: RunConfig, split: str, keep_frames: bool = False) -> trainer.
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     provider, lexicon = _provider_and_lexicon(cfg)
+    if provider is None and cfg.text_aug is not None and cfg.text_aug.p_bt > 0:
+        raise ConfigError("text_aug.p_bt > 0 needs paths.bt_cache")
     train = _prepared(cfg, "train", trainer.reads_frames(cfg.audio_aug))
     val = _prepared(cfg, "val")
     out_dir = Path(cfg.paths.out_dir)
@@ -134,14 +136,6 @@ def cmd_smbo(args) -> int:
     if args.n_trials <= 0 or args.n_init <= 0:
         raise CommandError("n-trials and n-init must be positive")
     cfg = load_config(args.config)
-    if args.space:
-        try:
-            space = smbo.SearchSpace.from_json(args.space)
-        except (ValueError, OSError) as exc:
-            raise CommandError(f"invalid search space: {exc}") from exc
-    else:
-        space = smbo.default_search_space()
-
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "trials.jsonl"
@@ -160,8 +154,8 @@ def cmd_smbo(args) -> int:
         raise CommandError(f"trials log {log_path} exists; pass --resume to continue")
 
     trials, best = smbo.run_search(
-        _training_objective(cfg, space), space, n_init=args.n_init, n_trials=args.n_trials,
-        seed=cfg.seed, log_path=log_path, resume=args.resume,
+        _training_objective(cfg), smbo.default_search_space(), n_init=args.n_init,
+        n_trials=args.n_trials, seed=cfg.seed, log_path=log_path, resume=args.resume,
     )
     if best is None:
         raise CommandError("all trials failed", EXIT_FAILED)
@@ -174,46 +168,18 @@ def cmd_smbo(args) -> int:
     return EXIT_OK
 
 
-def _samples_positive(spec: smbo.ParamSpec) -> bool:
-    """Whether the search can draw a value above 0 for the parameter."""
-    values = spec.values if spec.kind == "choice" else [spec.hi]
-    return any(isinstance(v, (int, float)) and v > 0 for v in values)
-
-
-def _training_objective(cfg: RunConfig, space: smbo.SearchSpace):
-    # a trial sets every augmentation parameter: a space naming other ones fails every trial
-    trained = {f.name for c in (audio_aug.AudioAugConfig, text_aug.TextAugConfig)
-               for f in fields(c)}
-    named = {p.name for p in space.params}
-    missing, unknown = sorted(trained - named), sorted(named - trained)
-    if missing or unknown:
-        raise CommandError(f"the search space must name exactly the {len(trained)} training "
-                           f"parameters; missing: {', '.join(missing) or 'none'}; "
-                           f"unknown: {', '.join(unknown) or 'none'}")
+def _training_objective(cfg: RunConfig):
     provider, lexicon = _provider_and_lexicon(cfg)
-
-    def can_sample(*names):
-        return any(p.name in names and _samples_positive(p) for p in space.params)
-
     # every trial trains on the same clips: featurize them once for all trials, keeping
-    # the training frames only if the space can sample gain or time stripes
-    train = _prepared(cfg, "train", keep_frames=can_sample("g_max", "n_t"))
+    # the training frames, which the gain and time stripes that the search samples read
+    train = _prepared(cfg, "train", keep_frames=True)
     val = _prepared(cfg, "val")
-    if provider is None and can_sample("p_bt"):
+    if provider is None:
         raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):
-        audio_cfg = audio_aug.AudioAugConfig(
-            g_max=int(trial_cfg["g_max"]), n_f=int(trial_cfg["n_f"]),
-            w_f=int(trial_cfg["w_f"]), n_t=int(trial_cfg["n_t"]),
-            w_t=int(trial_cfg["w_t"]), p_ms=float(trial_cfg["p_ms"]),
-            alpha=max(float(trial_cfg["alpha"]), 1e-3),
-        )
-        text_cfg = text_aug.TextAugConfig(
-            p_eda=float(trial_cfg["p_eda"]), p_syn=float(trial_cfg["p_syn"]),
-            p_swp=float(trial_cfg["p_swp"]), p_ins=float(trial_cfg["p_ins"]),
-            p_del=float(trial_cfg["p_del"]), p_bt=float(trial_cfg["p_bt"]),
-        )
+        audio_cfg, text_cfg = (C(**{f.name: trial_cfg[f.name] for f in fields(C)})
+                               for C in (audio_aug.AudioAugConfig, text_aug.TextAugConfig))
         optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
         result = trainer.train_run(
             train, val, cfg.model, audio_cfg, text_cfg, optim,
@@ -342,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smbo", help="hyperparameter search")
     p.add_argument("--config", required=True)
-    p.add_argument("--space", default=None, help="search space JSON (default: built-in)")
     p.add_argument("--n-init", type=int, default=10)
     p.add_argument("--n-trials", type=int, default=100)
     p.add_argument("--resume", action="store_true")

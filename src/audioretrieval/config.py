@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .audio_aug import AudioAugConfig
-from .data import FeatureConfig
+from .data import CLASS_WORDS, FeatureConfig, check_int
 from .model import ModelDims
 from .text_aug import TextAugConfig
 from .trainer import OptimConfig
@@ -30,6 +31,16 @@ class SyntheticSpec:
     sample_rate: int = 32000
     duration: float = 1.0
     captions_per_item: int = 3
+
+    def __post_init__(self):
+        for name, minimum, maximum in (
+            ("n_classes", 2, len(CLASS_WORDS)), ("n_train", 0, None), ("n_val", 0, None),
+            ("n_test", 0, None), ("sample_rate", 1, None), ("captions_per_item", 1, None),
+        ):
+            check_int(self, name, minimum, maximum)
+        d = self.duration
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d < math.inf:
+            raise ValueError(f"duration must be a finite number > 0, got {d!r}")
 
 
 @dataclass

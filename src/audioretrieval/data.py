@@ -31,13 +31,16 @@ class Waveform:
             raise ValueError("sample_rate must be positive")
 
 
-def check_int(obj, name: str, minimum: int) -> None:
-    """Reject the field ``name`` of ``obj`` unless it is an int (not a bool) >= ``minimum``."""
+def check_int(obj, name: str, minimum: int, maximum: int | None = None) -> None:
+    """Reject the field ``name`` of ``obj`` unless it is an int (not a bool) >= ``minimum``
+    and, if ``maximum`` is given, <= ``maximum``."""
     value = getattr(obj, name)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}")
 
 
 @dataclass
@@ -397,7 +400,7 @@ def tokenize(texts: list[str], vocab: TokenVocab) -> np.ndarray:
     return out
 
 
-_CLASS_WORDS = [
+CLASS_WORDS = [
     ["rain", "pours", "heavily", "outside"],
     ["dog", "barks", "loudly", "nearby"],
     ["engine", "rumbles", "idling", "steadily"],
@@ -434,8 +437,8 @@ def synth_dataset(
     """
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
-    if n_classes > len(_CLASS_WORDS):
-        raise ValueError(f"at most {len(_CLASS_WORDS)} classes supported")
+    if n_classes > len(CLASS_WORDS):
+        raise ValueError(f"at most {len(CLASS_WORDS)} classes supported")
     rng = np.random.default_rng(seed)
     n_samp = int(sample_rate * duration)
     t = np.arange(n_samp) / sample_rate
@@ -455,7 +458,7 @@ def synth_dataset(
         captions = []
         for _ in range(captions_per_item):
             extra = rng.choice(_DISTRACTORS, size=3, replace=False)
-            words = list(_CLASS_WORDS[k]) + list(extra)
+            words = list(CLASS_WORDS[k]) + list(extra)
             rng.shuffle(words)
             captions.append(" ".join(words))
         items.append((f"{split}_{i:05d}_c{k}", Waveform(sig, sample_rate), captions))

@@ -45,17 +45,6 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
 
-    @classmethod
-    def from_json(cls, path) -> "SearchSpace":
-        """Read a JSON list of ``ParamSpec`` records; a malformed document raises ValueError."""
-        records = json.loads(Path(path).read_text())
-        if not isinstance(records, list) or not records:
-            raise ValueError("expected a non-empty JSON list of parameter records")
-        try:
-            return cls([ParamSpec(**rec) for rec in records])
-        except TypeError as exc:  # a record that is not an object, or a missing or unknown key
-            raise ValueError(str(exc)) from exc
-
 
 def default_search_space() -> SearchSpace:
     """The full 13-parameter augmentation search space."""
@@ -72,7 +61,7 @@ def default_search_space() -> SearchSpace:
         ParamSpec("w_t", "int_range", 1, 64),
         ParamSpec("g_max", "int_range", 0, 6),
         ParamSpec("p_ms", "uniform_float", 0.0, 1.0),
-        ParamSpec("alpha", "uniform_float", 0.0, 1.0),
+        ParamSpec("alpha", "uniform_float", 1e-3, 1.0),  # a Beta shape: must be > 0
     ])
 
 

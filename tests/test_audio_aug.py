@@ -216,6 +216,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"g_max": 7}, {"n_f": 2}, {"w_f": 0}, {"w_f": 33},
         {"n_t": 9}, {"w_t": 65}, {"p_ms": 1.5}, {"alpha": 0.0},
+        {"n_t": 1.5}, {"n_f": 1.0}, {"g_max": True},
     ])
     def test_range_violations(self, kwargs):
         with pytest.raises(ValueError):

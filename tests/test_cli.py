@@ -44,6 +44,20 @@ def write_manifest_config(tmp_path, **overrides):
     }, **overrides)
 
 
+def write_config_with_bt_cache(tmp_path, **overrides):
+    """``write_config``'s config with ``paths.bt_cache`` set to a ``bt-cache --mock`` cache of
+    its train captions, which a search needs: the default space samples ``p_bt > 0``."""
+    cfg = load_config(write_config(tmp_path, **overrides))
+    captions = tmp_path / "captions.txt"
+    captions.write_text("".join(c + "\n" for _, _, caps in cli._load_split(cfg, "train")
+                                for c in caps))
+    cache = tmp_path / "bt.jsonl"
+    assert main(["bt-cache", "--captions", str(captions), "--out", str(cache), "--mock"]) == 0
+    paths = {"out_dir": str(tmp_path / "out"), **overrides.pop("paths", {}),
+             "bt_cache": str(cache)}
+    return write_config(tmp_path, paths=paths, **overrides)
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -119,6 +133,38 @@ class TestTrain:
             load_config(path)
         assert main(["train", "--config", str(path)]) == 2
         assert f"{section}: {key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_train", 12.5, "n_train must be an integer, got 12.5"),
+        ("n_classes", 1, "n_classes must be >= 2"),
+        ("duration", -1, "duration must be a finite number > 0, got -1"),
+        ("captions_per_item", 0, "captions_per_item must be >= 1"),
+        ("sample_rate", 0, "sample_rate must be >= 1"),
+    ])
+    def test_bad_synthetic_setting_exit_2(self, tmp_path, capsys, key, value, message):
+        synthetic = {"n_classes": 3, "n_train": 18, "n_val": 9, "n_test": 9, "duration": 0.2}
+        path = write_config(tmp_path, data={"synthetic": {**synthetic, key: value}})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: data.synthetic: {message}\n"
+
+    @pytest.mark.parametrize("key,value", [("n_t", 1.5), ("n_f", 1.0), ("g_max", True)])
+    def test_non_integer_augmentation_setting_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                     key, value):
+        prepared = []
+        monkeypatch.setattr(cli.trainer, "prepare_split", lambda *a: prepared.append(a))
+        path = write_config(tmp_path, audio_aug={key: value})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: audio_aug: {key} must be an integer, got {value!r}\n"
+        assert prepared == []
+
+    def test_back_translation_without_cache_exit_2(self, tmp_path, monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(cli.trainer, "prepare_split", lambda *a: prepared.append(a))
+        path = write_config(tmp_path, text_aug={"p_bt": 0.5})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: text_aug.p_bt > 0 needs paths.bt_cache\n"
+        assert prepared == []
 
     @pytest.mark.parametrize("key,value,message", [
         ("n_fft", 1023, "n_fft must be even"),  # 0.2 s clips: hop divides their length
@@ -293,14 +339,7 @@ def toy_objective(monkeypatch):
     def quadratic(cfg: dict, trial_id: int, seed: int):
         x = np.array([float(cfg[k]) for k in sorted(cfg)])
         return -float(((x - 0.7) ** 2).sum()), "completed", 1
-    monkeypatch.setattr(cli, "_training_objective", lambda cfg, space: quadratic)
-
-
-def write_xy_space(tmp_path):
-    path = tmp_path / "xy_space.json"
-    path.write_text(json.dumps([{"name": n, "kind": "uniform_float", "lo": 0.0, "hi": 1.0}
-                                for n in ("x", "y")]))
-    return path
+    monkeypatch.setattr(cli, "_training_objective", lambda cfg: quadratic)
 
 
 class TestSmbo:
@@ -317,10 +356,11 @@ class TestSmbo:
         trials = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
         assert len(trials) == 40
 
-    def test_toy_objective_near_optimum(self, tmp_path, toy_objective):
+    def test_toy_objective_near_optimum(self, tmp_path, monkeypatch, toy_objective):
+        monkeypatch.setattr(smbo, "default_search_space", lambda: smbo.SearchSpace(
+            [smbo.ParamSpec(n, "uniform_float", 0.0, 1.0) for n in ("x", "y")]))
         cfg = write_config(tmp_path)
-        main(["smbo", "--config", str(cfg), "--space", str(write_xy_space(tmp_path)),
-              "--n-init", "10", "--n-trials", "60"])
+        main(["smbo", "--config", str(cfg), "--n-init", "10", "--n-trials", "60"])
         best = None
         for line in (tmp_path / "out" / "trials.jsonl").read_text().splitlines():
             rec = json.loads(line)
@@ -350,14 +390,6 @@ class TestSmbo:
                                            "which needs paths.bt_cache\n")
         assert not (tmp_path / "out" / "trials.jsonl").exists()
 
-    def test_space_without_back_translation_needs_no_cache(self, tmp_path):
-        cfg = write_config(tmp_path)
-        space = write_space(tmp_path, p_bt=0.0)
-        assert main(["smbo", "--config", str(cfg), "--space", str(space),
-                     "--n-init", "1", "--n-trials", "1"]) == 0
-        [trial] = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
-        assert trial.status != "failed" and trial.config["p_bt"] == 0.0
-
     def test_resume_after_torn_last_line(self, tmp_path, capsys, toy_objective):
         def smbo(out, n_trials, *extra):
             cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / out)})
@@ -375,22 +407,6 @@ class TestSmbo:
         assert smbo("torn", 18, "--resume") == 0
         assert "dropped the torn last line" in capsys.readouterr().err
         assert log.read_bytes() == full
-
-    @pytest.mark.parametrize("space", [
-        [], {"x": 1}, "x", [1],
-        [{"name": "x", "kind": "uniform_float", "lo": 0.0, "hi": 1.0, "step": 0.1}],
-        [{"kind": "uniform_float", "lo": 0.0, "hi": 1.0}],
-        [{"name": "x", "kind": "uniform_float", "lo": "0", "hi": "1"}],
-        [{"name": "x", "kind": "choice", "values": 5}],
-    ])
-    def test_malformed_space_exit_2(self, tmp_path, capsys, space, toy_objective):
-        cfg = write_config(tmp_path)
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(space))
-        assert main(["smbo", "--config", str(cfg),
-                     "--space", str(path), "--n-init", "2", "--n-trials", "3"]) == 2
-        assert "error: invalid search space:" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "trials.jsonl").exists()
 
     def test_existing_log_without_resume_exit_2(self, tmp_path, capsys, toy_objective):
         cfg = write_config(tmp_path)
@@ -433,49 +449,39 @@ class TestSmbo:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --objective" in capsys.readouterr().err
 
+    def test_space_option_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["smbo", "--config", str(cfg), "--space", "f.json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --space" in capsys.readouterr().err
+
     def test_all_trials_failed_exit_1(self, tmp_path, monkeypatch, capsys):
         def failing(cfg, trial_id, seed):
             raise RuntimeError("diverged")
-        monkeypatch.setattr(cli, "_training_objective", lambda cfg, space: failing)
+        monkeypatch.setattr(cli, "_training_objective", lambda cfg: failing)
         cfg = write_config(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 1
         assert capsys.readouterr().err == "error: all trials failed\n"
         trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
         assert [(t.status, t.error) for t in trials] == [("failed", "RuntimeError: diverged")] * 3
 
-    @pytest.mark.parametrize("drop,add,message", [
-        (["g_max"], [], "missing: g_max; unknown: none"),
-        ([p.name for p in smbo.default_search_space().params if p.name != "p_ms"], [],
-         "missing: alpha, g_max, n_f, n_t, p_bt, p_del, p_eda, p_ins, p_swp, p_syn, w_f, w_t; "
-         "unknown: none"),
-        ([], ["x"], "missing: none; unknown: x"),
-    ], ids=["without-g_max", "only-p_ms", "with-x"])
-    def test_space_not_naming_the_training_parameters_exit_2(self, tmp_path, monkeypatch,
-                                                              capsys, drop, add, message):
-        records = [asdict(p) for p in smbo.default_search_space().params if p.name not in drop]
-        records += [{"name": n, "kind": "uniform_float", "lo": 0.0, "hi": 1.0} for n in add]
-        space = tmp_path / "space.json"
-        space.write_text(json.dumps(records))
-        cfg = write_manifest_config(tmp_path)
-        touched = []
-        monkeypatch.setattr(data, "load_wav", lambda path: touched.append(path))
-        monkeypatch.setattr(cli.trainer, "prepare_split", lambda *a: touched.append(a))
-        capsys.readouterr()
-        assert main(["smbo", "--config", str(cfg), "--space", str(space),
-                     "--n-init", "2", "--n-trials", "3"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: the search space must name exactly the 13 training parameters; {message}\n")
-        assert touched == []
-        assert not (tmp_path / "out" / "trials.jsonl").exists()
+    def test_trial_configs_built_by_field_name(self, tmp_path, monkeypatch):
+        """Each trial trains on configs whose fields are the trial's values, with the five
+        integer settings as ints, for random and TPE-suggested trials alike."""
+        built = []
+        train_run = cli.trainer.train_run
 
-
-def write_space(tmp_path, **pinned):
-    """The default search space, with the parameters ``pinned`` as one-value choices."""
-    records = [{"name": p.name, "kind": "choice", "values": [pinned[p.name]]}
-               if p.name in pinned else asdict(p) for p in smbo.default_search_space().params]
-    path = tmp_path / "space.json"
-    path.write_text(json.dumps(records))
-    return path
+        def capture(train, val, dims, audio_cfg, text_cfg, *args, **kwargs):
+            built.append({**asdict(audio_cfg), **asdict(text_cfg)})
+            return train_run(train, val, dims, audio_cfg, text_cfg, *args, **kwargs)
+        monkeypatch.setattr(cli.trainer, "train_run", capture)
+        cfg = write_config_with_bt_cache(tmp_path)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 0
+        trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        assert built == [t.config for t in trials]
+        for values in built:
+            assert all(type(values[k]) is int for k in ("g_max", "n_f", "w_f", "n_t", "w_t"))
 
 
 def _cli_command(argv: list[str]) -> dict:
@@ -510,12 +516,10 @@ class TestKilledRun:
     OPTIM = {"epochs": 20, "batch_size": 6, "patience": 20}  # trials long enough to kill one
 
     def test_smbo_resumes_exactly(self, tmp_path):
-        space = write_space(tmp_path, p_bt=0.0)
-
         def argv(out, *extra):
-            cfg = write_config(tmp_path, optim=self.OPTIM, paths={"out_dir": str(tmp_path / out)})
-            return ["smbo", "--config", str(cfg), "--space", str(space),
-                    "--n-init", "3", "--n-trials", "6", *extra]
+            cfg = write_config_with_bt_cache(tmp_path, optim=self.OPTIM,
+                                             paths={"out_dir": str(tmp_path / out)})
+            return ["smbo", "--config", str(cfg), "--n-init", "3", "--n-trials", "6", *extra]
 
         assert _run_cli(argv("full")) == 0
         full = (tmp_path / "full" / "trials.jsonl").read_bytes()
@@ -573,26 +577,12 @@ class TestFramesKept:
         assert (train.mels is not None) == kept
         assert val.mels is None
 
-    @staticmethod
-    def _search(tmp_path, monkeypatch, **pinned):
-        """The (train, val) splits of each trial of a 2-trial search over the default
-        space with ``pinned`` (and p_bt 0, which needs no translation cache)."""
-        seen = TestFramesKept._splits_trained_on(monkeypatch)
-        space = write_space(tmp_path, p_bt=0.0, **pinned)
-        assert main(["smbo", "--config", str(write_config(tmp_path)), "--space", str(space),
-                     "--n-init", "2", "--n-trials", "2"]) == 0
+    def test_smbo_space_reads_frames(self, tmp_path, monkeypatch):
+        """The search samples gain and time stripes, so smbo keeps the training frames."""
+        seen = self._splits_trained_on(monkeypatch)
+        cfg = write_config_with_bt_cache(tmp_path)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "2"]) == 0
         assert len(seen) == 2
-        return seen
-
-    def test_smbo(self, tmp_path, monkeypatch):
-        """A space that pins g_max and n_t to 0 never reads frames, so none are kept."""
-        seen = self._search(tmp_path, monkeypatch, g_max=0, n_t=0)
-        assert all(train.mels is None and val.mels is None for train, val in seen)
-
-    @pytest.mark.parametrize("pinned", [{}, {"g_max": 0}, {"n_t": 0}])
-    def test_smbo_space_reads_frames(self, tmp_path, monkeypatch, pinned):
-        """The default space samples both gain and time stripes; either one keeps frames."""
-        seen = self._search(tmp_path, monkeypatch, **pinned)
         assert all(train.mels is not None and val.mels is None for train, val in seen)
 
 
