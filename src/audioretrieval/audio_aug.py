@@ -5,7 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LOG_FLOOR, MelSpectrogram, MelStats, Waveform, check_int
+from .data import MelSpectrogram, MelStats, Waveform, check_int
+
+# a gain of g dB scales the mel power by 10^(g/10): on the log-mel, a shift by g times this
+LOG_MEL_PER_DB = np.log(10.0) / 10.0
 
 
 @dataclass
@@ -40,16 +43,6 @@ def sample_gain(rng: np.random.Generator, g_max: int) -> float:
 def apply_gain(w: Waveform, g: float) -> Waveform:
     """Scale the waveform by 10^(g/20); no clipping."""
     return Waveform(w.samples * 10.0 ** (g / 20.0), w.sample_rate)
-
-
-def gain_logmel(m: MelSpectrogram, g: float) -> MelSpectrogram:
-    """``logmel(apply_gain(w, g))`` up to rounding, from ``m = logmel(w)``: STFT and
-    filterbank are linear, so the mel power exp(m) - LOG_FLOOR scales by 10^(g/10).
-    g == 0 returns ``m`` itself."""
-    if g == 0.0:
-        return m
-    power = np.exp(m.values) - LOG_FLOOR
-    return MelSpectrogram(np.log(10.0 ** (g / 10.0) * power + LOG_FLOOR), m.n_frames_valid)
 
 
 def stripe_masks(n_mels: int, t_valid: int, n_f: int, w_f: int, n_t: int, w_t: int,

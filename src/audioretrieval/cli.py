@@ -69,6 +69,18 @@ def _provider_and_lexicon(cfg: RunConfig):
     return provider, lexicon or text_aug.SynonymLexicon.bundled()
 
 
+def _check_bt_cache(cfg: RunConfig, cache: text_aug.TranslationCache,
+                    train: trainer.PreparedSplit) -> None:
+    """Raise ConfigError naming the first (caption, pivot) pair of the training split that
+    the back-translation cache lacks; training would stop at it in the batch drawing it."""
+    for caption in (c for caps in train.captions for c in caps):
+        for pivot in text_aug.PIVOTS:
+            if (caption, pivot) not in cache.entries:
+                raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for "
+                                  f"({caption!r}, {pivot!r}); every training caption needs "
+                                  "one per pivot")
+
+
 def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     lines = ["epoch,train_loss,val_map10"]
     for e, (loss, vmap) in enumerate(zip(result.train_losses, result.val_maps)):
@@ -83,9 +95,12 @@ def _prepared(cfg: RunConfig, split: str, keep_frames: bool = False) -> trainer.
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     provider, lexicon = _provider_and_lexicon(cfg)
-    if provider is None and cfg.text_aug is not None and cfg.text_aug.p_bt > 0:
+    back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
+    if provider is None and back_translates:
         raise ConfigError("text_aug.p_bt > 0 needs paths.bt_cache")
     train = _prepared(cfg, "train", trainer.reads_frames(cfg.audio_aug))
+    if back_translates:
+        _check_bt_cache(cfg, provider, train)
     val = _prepared(cfg, "val")
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,11 +186,12 @@ def cmd_smbo(args) -> int:
 def _training_objective(cfg: RunConfig):
     provider, lexicon = _provider_and_lexicon(cfg)
     # every trial trains on the same clips: featurize them once for all trials, keeping
-    # the training frames, which the gain and time stripes that the search samples read
+    # the training frames, which the time stripes that the search samples read
     train = _prepared(cfg, "train", keep_frames=True)
-    val = _prepared(cfg, "val")
     if provider is None:
         raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
+    _check_bt_cache(cfg, provider, train)
+    val = _prepared(cfg, "val")
 
     def objective(trial_cfg: dict, trial_id: int, seed: int):
         audio_cfg, text_cfg = (C(**{f.name: trial_cfg[f.name] for f in fields(C)})
@@ -220,7 +236,8 @@ def cmd_augment_preview(args) -> int:
     except ValueError as exc:
         raise CommandError(f"cannot use {args.input}: {exc}") from exc
     acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
-    mel_after = audio_aug.gain_logmel(mel_before, audio_aug.sample_gain(rng, acfg.g_max))
+    shift = audio_aug.LOG_MEL_PER_DB * audio_aug.sample_gain(rng, acfg.g_max)
+    mel_after = data.MelSpectrogram(mel_before.values + shift, mel_before.n_frames_valid)
     mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

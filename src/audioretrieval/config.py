@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .audio_aug import AudioAugConfig
-from .data import CLASS_WORDS, FeatureConfig, check_int
+from .data import CLASS_WORDS, FeatureConfig, check_int, check_positive
 from .model import ModelDims
 from .text_aug import TextAugConfig
 from .trainer import OptimConfig
@@ -38,9 +37,7 @@ class SyntheticSpec:
             ("n_test", 0, None), ("sample_rate", 1, None), ("captions_per_item", 1, None),
         ):
             check_int(self, name, minimum, maximum)
-        d = self.duration
-        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d < math.inf:
-            raise ValueError(f"duration must be a finite number > 0, got {d!r}")
+        check_positive(self, "duration")
 
 
 @dataclass
@@ -103,11 +100,11 @@ def parse_config(doc: dict) -> RunConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected an integer")
-
-    cfg = RunConfig(seed=seed)
+    cfg = RunConfig(seed=doc.get("seed", 0))
+    try:
+        check_int(cfg, "seed", 0)
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from exc
     data = doc.get("data")
     if data is not None:
         if not isinstance(data, dict) or set(data) - {"synthetic"}:

@@ -43,6 +43,14 @@ def check_int(obj, name: str, minimum: int, maximum: int | None = None) -> None:
         raise ValueError(f"{name} must be <= {maximum}")
 
 
+def check_positive(obj, name: str) -> None:
+    """Reject the field ``name`` of ``obj`` unless it is an int or float (not a bool),
+    finite and > 0."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass
 class FeatureConfig:
     n_fft: int = 1024

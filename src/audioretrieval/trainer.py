@@ -19,6 +19,7 @@ from .data import (
     Waveform,
     build_vocab,
     check_int,
+    check_positive,
     freq_normalize,
     logmel,
     mel_stats,
@@ -53,8 +54,7 @@ class OptimConfig:
     seed: int = 0  # set from the run's seed; a config cannot set it
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        check_positive(self, "lr0")
         for name, minimum in (("batch_size", 2), ("epochs", 1), ("patience", 1)):
             check_int(self, name, minimum)
 
@@ -148,9 +148,9 @@ class PreparedSplit:
 
 
 def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
-    """Whether ``pooled_audio`` under ``cfg`` reads log-mel frames: only gain and
-    time stripes do; frequency stripes and Freq-MixStyle act on the statistics."""
-    return cfg is not None and bool(cfg.g_max or cfg.n_t)
+    """Whether ``pooled_audio`` under ``cfg`` reads log-mel frames: only time stripes
+    do; gain, frequency stripes and Freq-MixStyle act on the statistics."""
+    return cfg is not None and cfg.n_t > 0
 
 
 def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
@@ -191,21 +191,19 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
     over valid frames after gain, frequency normalization (with ``update``, by the
     batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
 
-    ``cfg`` None skips the augmentations. Frames are read only for the statistics
-    of gained clips and of the unstriped frames of time-striped ones; a split
-    prepared without frames raises ValueError for those.
+    ``cfg`` None skips the augmentations. Gain is a per-clip shift of the log-mel
+    (``audio_aug.LOG_MEL_PER_DB``), so frames are read only for the statistics of the
+    unstriped frames of time-striped clips; a split prepared without frames raises
+    ValueError for those.
     """
-    stats = split.stats.take(idx)
-    if reads_frames(cfg):
-        if split.mels is None:
-            needs = [name for on, name in ((cfg.g_max, "gain (g_max > 0)"),
-                                           (cfg.n_t, "time stripes (n_t > 0)")) if on]
-            raise ValueError(f"cannot apply {' and '.join(needs)}: the split was prepared "
-                             "without log-mel frames")
-        mels = [split.mels[i] for i in idx]
-        if cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
-            mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
-            stats = mel_stats(mels)
+    if reads_frames(cfg) and split.mels is None:
+        raise ValueError("cannot apply time stripes (n_t > 0): the split was prepared "
+                         "without log-mel frames")
+    stats, shift = split.stats.take(idx), 0.0
+    if cfg is not None and cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
+        gains = np.array([[audio_aug.sample_gain(rng, cfg.g_max)] for _ in idx])
+        shift = audio_aug.LOG_MEL_PER_DB * gains
+        stats = stats.mapped(0.0, 1.0, shift)
     center, scale = freq_normalize(stats, norm, update)
     normed = stats.mapped(center, scale)
     if cfg is None:
@@ -221,9 +219,10 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
             bins[:], frames[:] = False, True
         slope[k, ~bins] = offset[k, ~bins] = 0.0
         if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
-            unstriped.append(MelSpectrogram(mels[k].values[:, :t][:, frames], int(frames.sum())))
-    if unstriped:
-        normed = mel_stats(unstriped).mapped(center, scale)
+            values = split.mels[idx[k]].values[:, :t][:, frames]
+            unstriped.append(MelSpectrogram(values, int(frames.sum())))
+    if unstriped:  # the gain's shift is folded into the center
+        normed = mel_stats(unstriped).mapped(center - shift, scale)
     return pool_audio(normed.mapped(mix_center, slope, offset), stats.count)
 
 

@@ -1,9 +1,9 @@
 """Reference for the pooled audio path: the frame chain it replaced.
 
-Frequency normalization, Freq-MixStyle, SpecAugment (the program's own, which
-still acts on frames) and (mean + max) / 2 pooling, each over every clip's
-[n_mels, T] frames, with the same random draws in the same order as
-``trainer.pooled_audio``.
+Gain (a shift of the frames), frequency normalization, Freq-MixStyle,
+SpecAugment (the program's own, which still acts on frames) and (mean + max) / 2
+pooling, each over every clip's [n_mels, T] frames, with the same random draws
+in the same order as ``trainer.pooled_audio``.
 """
 import numpy as np
 
@@ -65,10 +65,16 @@ def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
     return np.stack(rows)
 
 
+def gain(m: MelSpectrogram, g: float) -> MelSpectrogram:
+    """A gain of g dB on the frames: the mel power scales by 10^(g/10), so without the
+    log floor every log-mel value moves by g ln(10) / 10."""
+    return MelSpectrogram(m.values + g * np.log(10.0) / 10.0, m.n_frames_valid)
+
+
 def pooled_batch(mels, norm, update, cfg=None, rng=None, forced_lambda=None):
     """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool."""
     if cfg is not None:
-        mels = [audio_aug.gain_logmel(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
+        mels = [gain(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
     mels = freq_normalize(mels, norm, update)
     if cfg is not None:
         mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng, forced_lambda)

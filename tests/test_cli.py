@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import signal
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import urllib.request
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import audioretrieval
-from audioretrieval import cli, data, smbo
+from audioretrieval import cli, data, smbo, text_aug
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
 from audioretrieval.data import Waveform, save_wav, synth_dataset
@@ -56,6 +58,22 @@ def write_config_with_bt_cache(tmp_path, **overrides):
     paths = {"out_dir": str(tmp_path / "out"), **overrides.pop("paths", {}),
              "bt_cache": str(cache)}
     return write_config(tmp_path, paths=paths, **overrides)
+
+
+def write_one_entry_cache_config(tmp_path, monkeypatch, **overrides):
+    """``write_config``'s config with a ``paths.bt_cache`` holding only the first training
+    caption under the first pivot; returns the config, the cache, that caption, and the
+    splits that ``prepare_split`` is called on, in order."""
+    caption = next(iter(cli._load_split(load_config(write_config(tmp_path)), "train")))[2][0]
+    cache = tmp_path / "bt.jsonl"
+    cache.write_text(json.dumps({"source": caption, "pivot": text_aug.PIVOTS[0],
+                                 "result": caption}) + "\n")
+    prepared, prepare_split = [], cli.trainer.prepare_split
+    monkeypatch.setattr(cli.trainer, "prepare_split",
+                        lambda *a: prepared.append(a) or prepare_split(*a))
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "bt_cache": str(cache)}, **overrides)
+    return path, cache, caption, prepared
 
 
 class TestConfigParsing:
@@ -165,6 +183,32 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: text_aug.p_bt > 0 needs paths.bt_cache\n"
         assert prepared == []
+
+    def test_back_translation_cache_miss_exit_2(self, tmp_path, monkeypatch, capsys):
+        path, cache, caption, prepared = write_one_entry_cache_config(
+            tmp_path, monkeypatch, text_aug={"p_bt": 0.5})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: paths.bt_cache: {cache}: no entry for ({caption!r}, 'fr'); every training "
+            "caption needs one per pivot\n")
+        assert len(prepared) == 1  # the train split only: val is not featurized
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"seed": -1}, "seed: seed must be >= 0"),
+        ({"seed": True}, "seed: seed must be an integer, got True"),
+        ({"optim": {"lr0": float("nan")}}, "optim: lr0 must be a finite number > 0, got nan"),
+        ({"optim": {"lr0": float("inf")}}, "optim: lr0 must be a finite number > 0, got inf"),
+        ({"optim": {"lr0": True}}, "optim: lr0 must be a finite number > 0, got True"),
+        ({"optim": {"lr0": "1e-3"}}, "optim: lr0 must be a finite number > 0, got '1e-3'"),
+    ])
+    def test_bad_seed_or_learning_rate_exit_2(self, tmp_path, capsys, doc, message):
+        if "optim" in doc:
+            doc = {"optim": {"epochs": 2, "batch_size": 6, **doc["optim"]}}
+        path = write_config(tmp_path, **doc)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("n_fft", 1023, "n_fft must be even"),  # 0.2 s clips: hop divides their length
@@ -390,6 +434,15 @@ class TestSmbo:
                                            "which needs paths.bt_cache\n")
         assert not (tmp_path / "out" / "trials.jsonl").exists()
 
+    def test_back_translation_cache_miss_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg, cache, caption, prepared = write_one_entry_cache_config(tmp_path, monkeypatch)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: paths.bt_cache: {cache}: no entry for ({caption!r}, 'fr'); every training "
+            "caption needs one per pivot\n")
+        assert len(prepared) == 1  # the train split only: val is not featurized
+        assert not (tmp_path / "out" / "trials.jsonl").exists()
+
     def test_resume_after_torn_last_line(self, tmp_path, capsys, toy_objective):
         def smbo(out, n_trials, *extra):
             cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / out)})
@@ -548,8 +601,8 @@ class TestKilledRun:
 
 
 class TestFramesKept:
-    """Only a training split whose augmentation reads log-mel frames (gain or time
-    stripes) keeps them; validation never does."""
+    """Only a training split whose augmentation reads log-mel frames (time stripes)
+    keeps them; validation never does."""
 
     @staticmethod
     def _splits_trained_on(monkeypatch):
@@ -566,7 +619,7 @@ class TestFramesKept:
         (None, False),
         ({}, False),
         ({"n_f": 1, "w_f": 4, "p_ms": 0.5, "alpha": 0.3}, False),
-        ({"g_max": 3}, True),
+        ({"g_max": 3}, False),
         ({"n_t": 2, "w_t": 4}, True),
     ])
     def test_train(self, tmp_path, monkeypatch, audio_aug, kept):
@@ -578,7 +631,7 @@ class TestFramesKept:
         assert val.mels is None
 
     def test_smbo_space_reads_frames(self, tmp_path, monkeypatch):
-        """The search samples gain and time stripes, so smbo keeps the training frames."""
+        """The search samples time stripes, so smbo keeps the training frames."""
         seen = self._splits_trained_on(monkeypatch)
         cfg = write_config_with_bt_cache(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "2"]) == 0
@@ -729,16 +782,26 @@ class TestAugmentPreview:
         assert capsys.readouterr().out == first
 
     def test_audio_mode_writes_csvs(self, tmp_path):
-        from audioretrieval.data import Waveform, save_wav, synth_dataset
-
-        ds = synth_dataset(2, 1, 0, duration=0.2)
+        """With gain alone, every value of the preview moves by one g ln(10) / 10; frequency
+        stripes then zero whole bins of that same gained log-mel."""
         wav = tmp_path / "clip.wav"
-        save_wav(wav, ds.items[0][1])
-        cfg = write_config(tmp_path, audio_aug={"g_max": 3, "n_f": 1, "w_f": 4})
-        assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
-                     "--input", str(wav), "--seed", "0"]) == 0
-        assert (tmp_path / "out" / "preview_before.csv").exists()
-        assert (tmp_path / "out" / "preview_after.csv").exists()
+        save_wav(wav, synth_dataset(2, 1, 0, duration=0.2).items[0][1])
+
+        def preview(audio_aug):
+            cfg = write_config(tmp_path, audio_aug=audio_aug)
+            assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
+                         "--input", str(wav), "--seed", "0"]) == 0
+            return [np.loadtxt(tmp_path / "out" / f"preview_{name}.csv", delimiter=",")
+                    for name in ("before", "after")]
+
+        before, gained = preview({"g_max": 6})
+        moved = gained - before
+        assert before.shape == gained.shape and before.size > 0
+        assert np.ptp(moved) <= 1e-12 and 0.0 < abs(moved[0, 0]) <= 6 * np.log(10.0) / 10.0
+        _, striped = preview({"g_max": 6, "n_f": 1, "w_f": 4})
+        zeroed = np.all(striped == 0.0, axis=1)
+        assert 1 <= zeroed.sum() <= 4
+        assert np.array_equal(striped[~zeroed], gained[~zeroed])
 
     def test_missing_audio_input_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -788,6 +851,49 @@ class TestBtCache:
         assert capsys.readouterr().err == \
             f"error: {out}: line 1: bad record: KeyError('result')\n"
         assert out.read_text() == '{"source": "one", "pivot": "de"}\n'
+
+    @staticmethod
+    def _live_provider(monkeypatch, failing_pivot=None):
+        """Point bt-cache at a provider URL whose requests a fake ``urlopen`` answers with
+        "<text> (<pivot>)", failing for ``failing_pivot``; returns the requests it saw."""
+        monkeypatch.setenv("AUDIORETRIEVAL_BT_URL", "http://localhost:9/translate")
+        monkeypatch.setenv("AUDIORETRIEVAL_BT_KEY", "k-123")
+        requests = []
+
+        def urlopen(req, timeout):
+            body = json.loads(req.data)
+            requests.append((req.full_url, req.get_header("Authorization"),
+                             req.get_header("Content-type"), body))
+            if body["pivot"] == failing_pivot:
+                raise OSError("provider unavailable")
+            return io.BytesIO(json.dumps({"result": f"{body['text']} ({body['pivot']})"}).encode())
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        return requests
+
+    def test_live_provider_requests_and_caches(self, tmp_path, monkeypatch, capsys):
+        requests = self._live_provider(monkeypatch)
+        caps = tmp_path / "caps.txt"
+        caps.write_text("one\ntwo\n")
+        out = tmp_path / "cache.jsonl"
+        assert main(["bt-cache", "--captions", str(caps), "--out", str(out)]) == 0
+        assert "6 new entries" in capsys.readouterr().out
+        pairs = [(c, p) for c in ("one", "two") for p in text_aug.PIVOTS]
+        assert requests == [("http://localhost:9/translate", "Bearer k-123", "application/json",
+                             {"text": c, "pivot": p}) for c, p in pairs]
+        assert text_aug.TranslationCache.load(out).entries == {(c, p): f"{c} ({p})"
+                                                               for c, p in pairs}
+
+    def test_live_provider_failures_exit_4(self, tmp_path, monkeypatch, capsys):
+        self._live_provider(monkeypatch, failing_pivot="fr")
+        caps = tmp_path / "caps.txt"
+        caps.write_text("one\ntwo\n")
+        out = tmp_path / "cache.jsonl"
+        assert main(["bt-cache", "--captions", str(caps), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "4 new entries" in captured.out
+        assert captured.err == "failed: ('one', 'fr')\nfailed: ('two', 'fr')\n"
+        assert text_aug.TranslationCache.load(out).entries == {
+            (c, p): f"{c} ({p})" for c in ("one", "two") for p in text_aug.PIVOTS if p != "fr"}
 
     def test_no_provider_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("AUDIORETRIEVAL_BT_URL", raising=False)
