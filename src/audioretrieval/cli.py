@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -88,8 +89,19 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     data.write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _prepared(cfg: RunConfig, split: str, keep_frames: bool = False) -> trainer.PreparedSplit:
-    return trainer.prepare_split(_load_split(cfg, split), cfg.features, keep_frames)
+def _prepared(cfg: RunConfig, split: str, frames_dir: Path | None = None) -> trainer.PreparedSplit:
+    return trainer.prepare_split(_load_split(cfg, split), cfg.features, frames_dir)
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    """``paths.out_dir``, made if missing; a path that cannot be a directory is a
+    ConfigError. Commands make it before decoding any clip."""
+    out_dir = Path(cfg.paths.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"paths.out_dir: {out_dir}: {exc.strerror}") from exc
+    return out_dir
 
 
 def cmd_train(args) -> int:
@@ -98,21 +110,21 @@ def cmd_train(args) -> int:
     back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
     if provider is None and back_translates:
         raise ConfigError("text_aug.p_bt > 0 needs paths.bt_cache")
-    train = _prepared(cfg, "train", trainer.reads_frames(cfg.audio_aug))
-    if back_translates:
-        _check_bt_cache(cfg, provider, train)
-    val = _prepared(cfg, "val")
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / "checkpoint.json"
-    optim = replace(cfg.optim, seed=cfg.seed)
-    try:
-        result = trainer.train_run(
-            train, val, cfg.model, cfg.audio_aug, cfg.text_aug, optim,
-            provider=provider, lexicon=lexicon, checkpoint_path=ckpt,
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    out_dir = _out_dir(cfg)
+    # only time stripes read the training frames: then they go to a file in out_dir
+    frames_dir = out_dir if trainer.reads_frames(cfg.audio_aug) else None
+    with contextlib.closing(_prepared(cfg, "train", frames_dir)) as train:
+        if back_translates:
+            _check_bt_cache(cfg, provider, train)
+        val = _prepared(cfg, "val")
+        optim = replace(cfg.optim, seed=cfg.seed)
+        try:
+            result = trainer.train_run(
+                train, val, cfg.model, cfg.audio_aug, cfg.text_aug, optim,
+                provider=provider, lexicon=lexicon, checkpoint_path=out_dir / "checkpoint.json",
+            )
+        except ValueError as exc:
+            raise CommandError(str(exc)) from exc
     doc = result.as_dict()
     doc["config_hash"] = config_hash(args.config)
     data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
@@ -151,8 +163,7 @@ def cmd_smbo(args) -> int:
     if args.n_trials <= 0 or args.n_init <= 0:
         raise CommandError("n-trials and n-init must be positive")
     cfg = load_config(args.config)
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     log_path = out_dir / "trials.jsonl"
     if args.resume and log_path.exists():
         torn = smbo.drop_torn_tail(log_path)
@@ -168,10 +179,11 @@ def cmd_smbo(args) -> int:
     elif log_path.exists() and log_path.stat().st_size:
         raise CommandError(f"trials log {log_path} exists; pass --resume to continue")
 
-    trials, best = smbo.run_search(
-        _training_objective(cfg), smbo.default_search_space(), n_init=args.n_init,
-        n_trials=args.n_trials, seed=cfg.seed, log_path=log_path, resume=args.resume,
-    )
+    with _training_objective(cfg, out_dir) as objective:
+        trials, best = smbo.run_search(
+            objective, smbo.default_search_space(), n_init=args.n_init,
+            n_trials=args.n_trials, seed=cfg.seed, log_path=log_path, resume=args.resume,
+        )
     if best is None:
         raise CommandError("all trials failed", EXIT_FAILED)
     width = max(len(k) for k in best)
@@ -183,28 +195,31 @@ def cmd_smbo(args) -> int:
     return EXIT_OK
 
 
-def _training_objective(cfg: RunConfig):
+@contextlib.contextmanager
+def _training_objective(cfg: RunConfig, out_dir: Path):
     provider, lexicon = _provider_and_lexicon(cfg)
     # every trial trains on the same clips: featurize them once for all trials, keeping
-    # the training frames, which the time stripes that the search samples read
-    train = _prepared(cfg, "train", keep_frames=True)
-    if provider is None:
-        raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
-    _check_bt_cache(cfg, provider, train)
-    val = _prepared(cfg, "val")
+    # the training frames (in a file in out_dir), which the time stripes that the
+    # search samples read
+    with contextlib.closing(_prepared(cfg, "train", out_dir)) as train:
+        if provider is None:
+            raise ConfigError("the search space can sample p_bt > 0, which needs "
+                              "paths.bt_cache")
+        _check_bt_cache(cfg, provider, train)
+        val = _prepared(cfg, "val")
 
-    def objective(trial_cfg: dict, trial_id: int, seed: int):
-        audio_cfg, text_cfg = (C(**{f.name: trial_cfg[f.name] for f in fields(C)})
-                               for C in (audio_aug.AudioAugConfig, text_aug.TextAugConfig))
-        optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
-        result = trainer.train_run(
-            train, val, cfg.model, audio_cfg, text_cfg, optim,
-            provider=provider, lexicon=lexicon,
-        )
-        status = "pruned" if result.stopped_early else "completed"
-        return result.best_val_map, status, result.epochs_run
+        def objective(trial_cfg: dict, trial_id: int, seed: int):
+            audio_cfg, text_cfg = (C(**{f.name: trial_cfg[f.name] for f in fields(C)})
+                                   for C in (audio_aug.AudioAugConfig, text_aug.TextAugConfig))
+            optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
+            result = trainer.train_run(
+                train, val, cfg.model, audio_cfg, text_cfg, optim,
+                provider=provider, lexicon=lexicon,
+            )
+            status = "pruned" if result.stopped_early else "completed"
+            return result.best_val_map, status, result.epochs_run
 
-    return objective
+        yield objective
 
 
 def cmd_augment_preview(args) -> int:
@@ -230,6 +245,7 @@ def cmd_augment_preview(args) -> int:
     # --mode audio (argparse admits only the two modes)
     if not os.path.isfile(args.input):
         raise CommandError(f"input {args.input} not found")
+    out_dir = _out_dir(cfg)
     try:
         w = data.resample_linear(data.load_wav(args.input), cfg.features.target_sr)
         mel_before = data.logmel(w, cfg.features)
@@ -239,8 +255,6 @@ def cmd_augment_preview(args) -> int:
     shift = audio_aug.LOG_MEL_PER_DB * audio_aug.sample_gain(rng, acfg.g_max)
     mel_after = data.MelSpectrogram(mel_before.values + shift, mel_before.n_frames_valid)
     mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "preview_before.csv", mel_before.values, delimiter=",")
     np.savetxt(out_dir / "preview_after.csv", mel_after.values, delimiter=",")
     print(f"wrote {out_dir}/preview_before.csv and preview_after.csv")

@@ -13,6 +13,7 @@ from .data import (LOG_FLOOR, FeatureConfig, MelStats, NormStats, TokenVocab, ch
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 TEXT_BLOCK = 64  # id rows whose token embeddings pool_text gathers at a time
+CHECKPOINT_SLICE = 1024  # values of an array that save_checkpoint turns into JSON at a time
 
 
 @dataclass
@@ -214,15 +215,19 @@ def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats
     """Version 2: ``arrays`` holds only numeric arrays; the vocabulary (words in
     id order), the feature config and the normalization frame count sit beside it.
 
-    The file is ``json.dumps`` of the whole document, written one array's record
-    at a time, so only one array's JSON text is held at once."""
+    The file is ``json.dumps`` of the whole document, with the arrays written
+    CHECKPOINT_SLICE values at a time, so one slice's JSON text is held at once."""
     arrays = [*params.arrays(), ("norm_mean", stats.mean), ("norm_var", stats.var)]
 
     def chunks():
         yield f'{{"dims": {json.dumps(asdict(dims))}, "arrays": {{'
         for k, (name, arr) in enumerate(arrays):
-            yield f"{', ' if k else ''}{json.dumps(name)}: "
-            yield json.dumps({"shape": list(arr.shape), "data": arr.ravel().tolist()})
+            yield f'{", " if k else ""}{json.dumps(name)}: {{"shape": {list(arr.shape)}, "data": ['
+            flat = arr.ravel()
+            for s in range(0, flat.size, CHECKPOINT_SLICE):  # each slice's list, unbracketed
+                piece = json.dumps(flat[s : s + CHECKPOINT_SLICE].tolist())[1:-1]
+                yield f", {piece}" if s else piece
+            yield "]}"
         rest = {"vocab": vocab.words(), "features": asdict(feat), "norm_count": stats.count,
                 "version": 2}
         yield "}, " + json.dumps(rest)[1:]  # the rest of the document, and its closing brace

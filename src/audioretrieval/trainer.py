@@ -3,6 +3,7 @@ on-the-fly augmentation, retrieval scoring for validation and eval, early
 stopping."""
 from __future__ import annotations
 
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
@@ -134,17 +135,56 @@ class EarlyStopping:
         return epoch - self.best_epoch >= self.patience
 
 
+class FrameStore:
+    """The log-mel frames of a split's clips, float64 [n_mels, T] each, end to end in
+    one unnamed temporary file: clip i is the bytes from ``offsets[i]`` to
+    ``offsets[i + 1]``, read back bit for bit with one read. The file has no name, so
+    no run leaves it behind, not even a killed one; it lives in a given directory
+    rather than TMPDIR, which is often RAM (tmpfs)."""
+
+    def __init__(self, directory, n_mels: int):
+        self.n_mels = n_mels
+        self.offsets = [0]
+        self._file = tempfile.TemporaryFile(dir=directory)
+
+    def append(self, values: np.ndarray) -> None:
+        values = np.ascontiguousarray(values, dtype=np.float64)  # [n_mels, T]
+        self._file.write(values)
+        self.offsets.append(self.offsets[-1] + values.nbytes)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):  # an IndexError also ends iteration
+            raise IndexError(f"clip {i} of {len(self)}")
+        start, end = self.offsets[i], self.offsets[i + 1]
+        values = np.empty((self.n_mels, (end - start) // (8 * self.n_mels)))
+        self._file.seek(start)
+        if self._file.readinto(values) != end - start:
+            raise OSError(f"frame store: clip {i} is cut short")
+        return values
+
+    def close(self) -> None:
+        self._file.close()
+
+
 @dataclass(frozen=True)
 class PreparedSplit:
     """A split featurized once; runs share it and never modify it."""
 
     feat: FeatureConfig
-    mels: list[MelSpectrogram] | None  # un-augmented log-mels, None when not kept
-    stats: MelStats                    # their per-clip statistics over valid frames
-    captions: list[list[str]]          # raw captions of each clip
+    mels: FrameStore | None    # un-augmented log-mel frames, None when not kept
+    stats: MelStats            # their per-clip statistics over valid frames
+    captions: list[list[str]]  # raw captions of each clip
 
     def __len__(self):
         return len(self.captions)
+
+    def close(self) -> None:
+        """Close the frame store, if the split has one."""
+        if self.mels is not None:
+            self.mels.close()
 
 
 def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
@@ -154,28 +194,34 @@ def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
 
 
 def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
-                  feat: FeatureConfig, keep_frames: bool = True) -> PreparedSplit:
+                  feat: FeatureConfig, frames_dir=None) -> PreparedSplit:
     """Resample every clip and compute its log-mel statistics, once.
 
     ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
     time) is read once, and no clip's audio is kept. Each clip's statistics are
-    taken as soon as its log-mel exists; the log-mel itself is kept only with
-    ``keep_frames`` (see ``reads_frames``). A clip that cannot be featurized
-    (shorter than one hop) raises ManifestError naming it.
+    taken as soon as its log-mel exists; the log-mel itself is kept only with a
+    ``frames_dir`` (see ``reads_frames``), in a FrameStore there. A clip that cannot
+    be featurized (shorter than one hop) raises ManifestError naming it.
     """
-    mels, per_clip, captions = [], [], []
-    for audio_id, w, caps in items:
-        try:
-            m = logmel(resample_linear(w, feat.target_sr), feat)
-        except ValueError as exc:
-            raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
-        per_clip.append(mel_stats([m]))
-        if keep_frames:
-            mels.append(m)
-        captions.append(caps)
+    frames = None if frames_dir is None else FrameStore(frames_dir, feat.n_mels)
+    per_clip, captions = [], []
+    try:
+        for audio_id, w, caps in items:
+            try:
+                m = logmel(resample_linear(w, feat.target_sr), feat)
+            except ValueError as exc:
+                raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
+            per_clip.append(mel_stats([m]))
+            if frames is not None:
+                frames.append(m.values)
+            captions.append(caps)
+    except BaseException:
+        if frames is not None:
+            frames.close()
+        raise
     columns = zip(*((s.count, s.mean, s.var, s.max) for s in per_clip))
     stats = MelStats(*map(np.concatenate, columns)) if per_clip else mel_stats([])
-    return PreparedSplit(feat, mels if keep_frames else None, stats, captions)
+    return PreparedSplit(feat, frames, stats, captions)
 
 
 def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +238,9 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
     batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
 
     ``cfg`` None skips the augmentations. Gain is a per-clip shift of the log-mel
-    (``audio_aug.LOG_MEL_PER_DB``), so frames are read only for the statistics of the
-    unstriped frames of time-striped clips; a split prepared without frames raises
-    ValueError for those.
+    (``audio_aug.LOG_MEL_PER_DB``), so frames are read, one read from the split's
+    FrameStore per clip, only for the statistics of the unstriped frames of
+    time-striped clips; a split prepared without frames raises ValueError for those.
     """
     if reads_frames(cfg) and split.mels is None:
         raise ValueError("cannot apply time stripes (n_t > 0): the split was prepared "
@@ -219,7 +265,7 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
             bins[:], frames[:] = False, True
         slope[k, ~bins] = offset[k, ~bins] = 0.0
         if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
-            values = split.mels[idx[k]].values[:, :t][:, frames]
+            values = split.mels[idx[k]][:, frames]
             unstriped.append(MelSpectrogram(values, int(frames.sum())))
     if unstriped:  # the gain's shift is folded into the center
         normed = mel_stats(unstriped).mapped(center - shift, scale)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -192,7 +193,7 @@ class TestTrain:
             f"error: paths.bt_cache: {cache}: no entry for ({caption!r}, 'fr'); every training "
             "caption needs one per pivot\n")
         assert len(prepared) == 1  # the train split only: val is not featurized
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == []  # made first, and nothing written
 
     @pytest.mark.parametrize("doc,message", [
         ({"seed": -1}, "seed: seed must be >= 0"),
@@ -383,7 +384,8 @@ def toy_objective(monkeypatch):
     def quadratic(cfg: dict, trial_id: int, seed: int):
         x = np.array([float(cfg[k]) for k in sorted(cfg)])
         return -float(((x - 0.7) ** 2).sum()), "completed", 1
-    monkeypatch.setattr(cli, "_training_objective", lambda cfg: quadratic)
+    monkeypatch.setattr(cli, "_training_objective",
+                        lambda cfg, out_dir: contextlib.nullcontext(quadratic))
 
 
 class TestSmbo:
@@ -512,7 +514,8 @@ class TestSmbo:
     def test_all_trials_failed_exit_1(self, tmp_path, monkeypatch, capsys):
         def failing(cfg, trial_id, seed):
             raise RuntimeError("diverged")
-        monkeypatch.setattr(cli, "_training_objective", lambda cfg: failing)
+        monkeypatch.setattr(cli, "_training_objective",
+                            lambda cfg, out_dir: contextlib.nullcontext(failing))
         cfg = write_config(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 1
         assert capsys.readouterr().err == "error: all trials failed\n"
@@ -537,11 +540,11 @@ class TestSmbo:
             assert all(type(values[k]) is int for k in ("g_max", "n_f", "w_f", "n_t", "w_t"))
 
 
-def _cli_command(argv: list[str]) -> dict:
+def _cli_command(argv: list[str], **env) -> dict:
     """Arguments for running the CLI module in a subprocess that sees this source tree."""
     src = str(Path(audioretrieval.__file__).resolve().parents[1])
     return dict(args=[sys.executable, "-m", "audioretrieval.cli", *argv],
-                env=dict(os.environ, PYTHONPATH=src),
+                env=dict(os.environ, PYTHONPATH=src, **env),
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -551,6 +554,36 @@ def _run_cli(argv: list[str]) -> int:
 
 def _start_cli(argv: list[str]) -> subprocess.Popen:
     return subprocess.Popen(**_cli_command(argv))
+
+
+# Runs the CLI with sys.argv[4:] after replacing trainer.<sys.argv[1]> by a wrapper that
+# lets sys.argv[2] calls through, then touches the file sys.argv[3] and waits to be killed.
+_HELD_CLI = """
+import sys, time
+from pathlib import Path
+from audioretrieval import cli, trainer
+*owner, name = sys.argv[1].split(".")
+owner = getattr(trainer, owner[0]) if owner else trainer
+real, calls = getattr(owner, name), []
+
+def held(*args, **kwargs):
+    calls.append(None)
+    if len(calls) > int(sys.argv[2]):
+        Path(sys.argv[3]).touch()
+        time.sleep(300)
+    return real(*args, **kwargs)
+setattr(owner, name, held)
+sys.exit(cli.main(sys.argv[4:]))
+"""
+
+
+def _start_cli_held(argv: list[str], target: str, calls: int, marker: Path,
+                    **env) -> subprocess.Popen:
+    """Start the CLI, to stop inside call ``calls + 1`` of ``trainer.<target>`` and touch
+    ``marker`` there."""
+    command = _cli_command(argv, **env)
+    command["args"] = [sys.executable, "-c", _HELD_CLI, target, str(calls), str(marker), *argv]
+    return subprocess.Popen(**command)
 
 
 def _kill_once(proc: subprocess.Popen, ready) -> bool:
@@ -585,11 +618,13 @@ class TestKilledRun:
 
     @pytest.mark.parametrize("when", ["training", "writing"])
     def test_train_artifacts_whole_or_absent(self, tmp_path, when):
-        out = tmp_path / "out"
+        out, marker = tmp_path / "out", tmp_path / "held"
         cfg = write_config(tmp_path, optim=self.OPTIM)
-        proc = _start_cli(["train", "--config", str(cfg)])
-        # train makes out_dir once its splits are prepared, and writes the checkpoint first
-        trigger = out if when == "training" else out / "checkpoint.json"
+        argv = ["train", "--config", str(cfg)]
+        if when == "training":  # stopped at the fourth Adam step
+            proc, trigger = _start_cli_held(argv, "adam_step", 3, marker), marker
+        else:  # train writes the checkpoint first
+            proc, trigger = _start_cli(argv), out / "checkpoint.json"
         killed = _kill_once(proc, trigger.exists)
         assert killed or when == "writing"
         for name in ("checkpoint.json", "run_result.json"):
@@ -598,6 +633,26 @@ class TestKilledRun:
         csv = out / "metrics.csv"
         if csv.exists():
             assert len(csv.read_text().splitlines()) == 1 + self.OPTIM["epochs"]
+
+    @pytest.mark.parametrize("when,target", [("preparing", "FrameStore.append"),
+                                             ("training", "adam_step")])
+    def test_time_striped_train_leaves_no_stray_file(self, tmp_path, when, target):
+        """The training frames are in a file without a name: it shows neither in out_dir
+        nor in TMPDIR while the run holds it, nor once the run is killed."""
+        out, tmp, marker = tmp_path / "out", tmp_path / "tmp", tmp_path / "held"
+        tmp.mkdir()
+        cfg = write_config(tmp_path, optim=self.OPTIM, audio_aug={"n_t": 2, "w_t": 4})
+        proc = _start_cli_held(["train", "--config", str(cfg)], target, 5, marker,
+                               TMPDIR=str(tmp))
+        seen = []  # out_dir and TMPDIR while the run is held
+
+        def held():
+            if marker.exists():
+                seen.append((os.listdir(out), os.listdir(tmp)))
+            return bool(seen)
+        assert _kill_once(proc, held)
+        assert seen == [([], [])]
+        assert os.listdir(out) == [] and os.listdir(tmp) == []
 
 
 class TestFramesKept:
@@ -615,6 +670,18 @@ class TestFramesKept:
         monkeypatch.setattr(cli.trainer, "train_run", capture)
         return seen
 
+    @staticmethod
+    def _store_dirs(monkeypatch):
+        """The directory of each FrameStore made from here on."""
+        dirs = []
+
+        class Recorded(cli.trainer.FrameStore):
+            def __init__(self, directory, n_mels):
+                dirs.append(Path(directory))
+                super().__init__(directory, n_mels)
+        monkeypatch.setattr(cli.trainer, "FrameStore", Recorded)
+        return dirs
+
     @pytest.mark.parametrize("audio_aug,kept", [
         (None, False),
         ({}, False),
@@ -623,20 +690,27 @@ class TestFramesKept:
         ({"n_t": 2, "w_t": 4}, True),
     ])
     def test_train(self, tmp_path, monkeypatch, audio_aug, kept):
-        seen = self._splits_trained_on(monkeypatch)
+        seen, dirs = self._splits_trained_on(monkeypatch), self._store_dirs(monkeypatch)
         extra = {} if audio_aug is None else {"audio_aug": audio_aug}
         assert main(["train", "--config", str(write_config(tmp_path, **extra))]) == 0
         [(train, val)] = seen
         assert (train.mels is not None) == kept
         assert val.mels is None
+        out = tmp_path / "out"
+        assert dirs == ([out] if kept else [])
+        if kept:  # and closed once training is done
+            assert train.mels._file.closed
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "metrics.csv", "run_result.json"]
 
     def test_smbo_space_reads_frames(self, tmp_path, monkeypatch):
         """The search samples time stripes, so smbo keeps the training frames."""
-        seen = self._splits_trained_on(monkeypatch)
+        seen, dirs = self._splits_trained_on(monkeypatch), self._store_dirs(monkeypatch)
         cfg = write_config_with_bt_cache(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "2"]) == 0
         assert len(seen) == 2
         assert all(train.mels is not None and val.mels is None for train, val in seen)
+        assert dirs == [tmp_path / "out"] and seen[0][0].mels._file.closed
+        assert os.listdir(tmp_path / "out") == ["trials.jsonl"]
 
 
 class TestManifestSplits:
@@ -752,6 +826,33 @@ class TestOutsideFiles:
                                                                        "trials.jsonl"))
 
 
+class TestUnusableOutDir:
+    """A ``paths.out_dir`` that names a file, or a path under one, stops train, smbo and
+    augment-preview with exit 2 before any clip is decoded."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["train", "smbo", "augment-preview"])
+    def test_exit_2_before_decoding(self, tmp_path, monkeypatch, capsys, command, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if under else blocker
+        cfg = str(write_config(tmp_path, paths={"out_dir": str(out)}))
+        wav = tmp_path / "clip.wav"
+        save_wav(wav, Waveform(np.zeros(1600), 16000))
+        decoded = []
+        monkeypatch.setattr(cli, "_load_split", lambda *a: decoded.append(a))
+        monkeypatch.setattr(cli.data, "load_wav", lambda *a: decoded.append(a))
+        argv = {"train": ["train", "--config", cfg],
+                "smbo": ["smbo", "--config", cfg, "--n-init", "2", "--n-trials", "2"],
+                "augment-preview": ["augment-preview", "--config", cfg, "--mode", "audio",
+                                    "--input", str(wav)]}[command]
+        assert main(argv) == 2
+        reason = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err == f"error: paths.out_dir: {out}: {reason}\n"
+        assert decoded == []
+        assert blocker.read_text() == "not a directory"
+
+
 class TestAugmentPreview:
     def test_text_stage_listing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, text_aug={
@@ -815,7 +916,7 @@ class TestAugmentPreview:
         assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
                      "--input", str(text)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot use {text}: ")
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == []  # made first, and nothing written
 
 
 class TestBtCache:

@@ -382,6 +382,22 @@ class TestCheckpoint:
         assert peak < 8 * largest
         assert peak < _traced_peak(_save_checkpoint_one_shot, *args) / 2
 
+    def test_memory_does_not_grow_with_the_largest_array(self, tmp_path):
+        """The arrays are written CHECKPOINT_SLICE values at a time: doubling the
+        largest array (w1, [n_mels, audio_hidden]) leaves the traced peak about as it was."""
+        peaks, largest = [], []
+        for n_mels in (200, 400):
+            dims = ModelDims(n_mels=n_mels, embed_dim=50, audio_hidden=200, text_hidden=50,
+                             token_embed_dim=8, vocab_size=50)
+            params = init_params(dims, 0)
+            largest.append(max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays()))
+            peaks.append(_traced_peak(save_checkpoint, tmp_path / "ckpt.json", params, dims,
+                                      NormStats.fresh(n_mels), build_vocab(["a b"]),
+                                      FeatureConfig(n_mels=n_mels)))
+        assert largest[1] - largest[0] > 700_000  # w1 grew by 40,000 floats
+        assert peaks[1] - peaks[0] < (largest[1] - largest[0]) / 100
+        assert peaks[1] < largest[0] / 4  # about 6x one slice's JSON
+
     def test_roundtrip(self, small_dims, small_params, tmp_path):
         stats = NormStats(np.arange(8.0), np.ones(8) * 0.5, 99)
         vocab = build_vocab(["rain on a tin roof", "a dog barks twice"])  # 8 ids

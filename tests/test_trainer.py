@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 import re
 from dataclasses import replace
 from unittest import mock
@@ -12,13 +14,16 @@ from audioretrieval.audio_aug import AudioAugConfig
 from audioretrieval.data import (
     LOG_FLOOR,
     FeatureConfig,
+    ManifestError,
     MelSpectrogram,
     NormStats,
     Waveform,
     build_vocab,
     iter_manifest,
     load_manifest,
+    logmel,
     mel_stats,
+    resample_linear,
     save_wav,
     synth_dataset,
 )
@@ -30,6 +35,7 @@ from audioretrieval.trainer import (
     ADAM_EPS,
     AdamState,
     EarlyStopping,
+    FrameStore,
     OptimConfig,
     PreparedSplit,
     adam_step,
@@ -153,18 +159,26 @@ class TestEarlyStopping:
         assert stopper.best_epoch == 0
 
 
-def _tiny_run(seed=0, epochs=3, audio_cfg=None, text_cfg=None, **kwargs):
-    train = synth_dataset(3, 18, 50, split="train", duration=0.2)
-    val = synth_dataset(3, 9, 51, split="val", duration=0.2)
+@pytest.fixture(scope="module")
+def frames_dir(tmp_path_factory):
+    """A directory for frame stores; their files have no name, so it stays empty."""
+    path = tmp_path_factory.mktemp("frames")
+    yield path
+    assert os.listdir(path) == []
+
+
+def _tiny_run(seed=0, epochs=3, audio_cfg=None, text_cfg=None, frames_dir=None, **kwargs):
     optim = OptimConfig(epochs=epochs, batch_size=6, seed=seed, patience=10)
-    return train_run(prepare_split(train, FeatureConfig()), prepare_split(val, FeatureConfig()),
-                     ModelDims(), audio_cfg, text_cfg, optim, **kwargs)
+    train, val = _tiny_splits(frames_dir)
+    with contextlib.closing(train):
+        return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim, **kwargs)
 
 
-def _tiny_splits():
+def _tiny_splits(frames_dir=None):
+    """The tiny train split, with its frames when given a directory, and the val split."""
     train = synth_dataset(3, 18, 50, split="train", duration=0.2)
     val = synth_dataset(3, 9, 51, split="val", duration=0.2)
-    return prepare_split(train, FeatureConfig()), prepare_split(val, FeatureConfig())
+    return prepare_split(train, FeatureConfig(), frames_dir), prepare_split(val, FeatureConfig())
 
 
 class TestTrainRun:
@@ -185,9 +199,10 @@ class TestTrainRun:
         assert r_id.train_losses == r_off.train_losses
         assert r_id.val_maps == r_off.val_maps
 
-    def test_active_augmentation_changes_losses(self):
+    def test_active_augmentation_changes_losses(self, frames_dir):
         aug = AudioAugConfig(g_max=3, n_f=1, w_f=4, n_t=2, w_t=8, p_ms=0.5, alpha=0.5)
-        assert _tiny_run(seed=4, audio_cfg=aug).train_losses != _tiny_run(seed=4).train_losses
+        assert _tiny_run(seed=4, audio_cfg=aug, frames_dir=frames_dir).train_losses \
+            != _tiny_run(seed=4).train_losses
 
     def test_checkpoint_written_at_best(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
@@ -200,14 +215,14 @@ class TestTrainRun:
         result = _tiny_run(seed=8, epochs=8)
         assert result.train_losses[-1] < result.train_losses[0]
 
-    def test_shared_prepared_splits_unchanged_by_runs(self):
+    def test_shared_prepared_splits_unchanged_by_runs(self, frames_dir):
         audio = AudioAugConfig(g_max=3, n_f=1, w_f=4, n_t=2, w_t=8, p_ms=0.5, alpha=0.5)
         text = TextAugConfig(p_eda=0.5, p_syn=0.2, p_swp=0.2, p_ins=0.2, p_del=0.2)
-        shared = _tiny_splits()
+        shared = _tiny_splits(frames_dir)
 
         def arrays():
             return [a.copy() for split in shared
-                    for a in [m.values for m in split.mels]
+                    for a in list(split.mels or [])
                     + [split.stats.count, split.stats.mean, split.stats.var, split.stats.max]]
 
         def run(train, val):
@@ -215,9 +230,11 @@ class TestTrainRun:
             return train_run(train, val, ModelDims(), audio, text, optim).as_dict()
 
         before = arrays()
-        first, second = run(*shared), run(*shared)
-        assert first == second == run(*_tiny_splits())
+        first, second, fresh = run(*shared), run(*shared), _tiny_splits(frames_dir)
+        assert first == second == run(*fresh)
         assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
+        for split in (*shared, *fresh):
+            split.close()
 
     def test_untouched_captions_tokenized_once(self):
         calls = []
@@ -284,7 +301,7 @@ class TestTrainRun:
 
 
 class TestPrepareSplit:
-    def test_streamed_manifest_prepares_as_loaded(self, tmp_path):
+    def test_streamed_manifest_prepares_as_loaded(self, tmp_path, frames_dir):
         import json
 
         ds = synth_dataset(3, 7, 8, sample_rate=44100, duration=0.3)
@@ -293,28 +310,31 @@ class TestPrepareSplit:
                 save_wav(tmp_path / f"{audio_id}.wav", w)
                 fh.write(json.dumps({"audio": f"{audio_id}.wav", "captions": caps}) + "\n")
         feat = FeatureConfig()
-        streamed = prepare_split(iter_manifest(tmp_path / "m.jsonl"), feat)
-        loaded = prepare_split(load_manifest(tmp_path / "m.jsonl"), feat)
-        assert len(streamed) == len(loaded) == 7
+        streamed = prepare_split(iter_manifest(tmp_path / "m.jsonl"), feat, frames_dir)
+        loaded = prepare_split(load_manifest(tmp_path / "m.jsonl"), feat, frames_dir)
+        assert len(streamed) == len(loaded) == len(streamed.mels) == len(loaded.mels) == 7
         assert streamed.captions == loaded.captions == [caps for _, _, caps in ds]
         for a, b in zip(streamed.mels, loaded.mels):
-            assert a.n_frames_valid == b.n_frames_valid
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
         for name in ("count", "mean", "var", "max"):
             assert np.array_equal(getattr(streamed.stats, name), getattr(loaded.stats, name))
+        streamed.close()
+        loaded.close()
 
 
-def _random_split(rng, n_clips, n_mels, short_first):
-    """Log-mels >= log(LOG_FLOOR) with padding after n_frames_valid; clip 0 has
-    a single valid frame when ``short_first``."""
-    mels = []
+def _random_split(rng, n_clips, n_mels, short_first, frames_dir):
+    """A split whose valid frames are in a FrameStore in ``frames_dir``, and its clips'
+    log-mels >= log(LOG_FLOOR) with padding after n_frames_valid; clip 0 has a single
+    valid frame when ``short_first``."""
+    mels, store = [], FrameStore(frames_dir, n_mels)
     for k in range(n_clips):
         t = int(rng.integers(2, 40))
         t_valid = 1 if short_first and k == 0 else int(rng.integers(1, t))
         values = rng.uniform(math.log(LOG_FLOOR), 5.0, size=(n_mels, t))
         mels.append(MelSpectrogram(values, t_valid))
+        store.append(values[:, :t_valid])
     feat = FeatureConfig(n_mels=n_mels)
-    return PreparedSplit(feat, mels, mel_stats(mels), [["a clip"]] * n_clips)
+    return PreparedSplit(feat, store, mel_stats(mels), [["a clip"]] * n_clips), mels
 
 
 def _norm_stats(rng, n_mels):
@@ -333,10 +353,10 @@ class TestPooledAudioAgainstFrames:
     @example(seed=3, n=4, n_mels=6, gains=[0.0, 0.4, -1.0, 0.0] * 2, g_max=6, p_ms=1.0,
              alpha=0.3, forced=None, n_f=1, w_f=3, n_t=2, w_t=4, short_first=True)
     @settings(max_examples=150, deadline=None)
-    def test_training_batch(self, seed, n, n_mels, gains, g_max, p_ms, alpha, forced,
-                            n_f, w_f, n_t, w_t, short_first):
+    def test_training_batch(self, frames_dir, seed, n, n_mels, gains, g_max, p_ms, alpha,
+                            forced, n_f, w_f, n_t, w_t, short_first):
         rng = np.random.default_rng(seed)
-        split = _random_split(rng, n + 2, n_mels, short_first)
+        split, mels = _random_split(rng, n + 2, n_mels, short_first, frames_dir)
         idx = np.concatenate([[0], rng.permutation(np.arange(1, n + 2))[: n - 1]])
         cfg = AudioAugConfig(g_max=g_max, n_f=n_f, w_f=w_f, n_t=n_t, w_t=w_t,
                              p_ms=p_ms, alpha=alpha)
@@ -363,7 +383,7 @@ class TestPooledAudioAgainstFrames:
         with drawn_gains(), mock.patch.object(audio_aug, "freq_mixstyle", mixstyle):
             pooled = pooled_audio(split, idx, norm, True, cfg, rng_new)
         with drawn_gains():
-            ref = frame_reference.pooled_batch([split.mels[i] for i in idx], norm_ref, True, cfg,
+            ref = frame_reference.pooled_batch([mels[i] for i in idx], norm_ref, True, cfg,
                                                rng_ref, forced)
         assert pooled.shape == ref.shape == (n, n_mels)
         # Freq-MixStyle divides by a clip's bin std, so both paths' rounding grows
@@ -376,12 +396,13 @@ class TestPooledAudioAgainstFrames:
         assert np.max(np.abs(norm.var - norm_ref.var)) <= 1e-12
         if short_first and n_t > 0:  # clip 0's only valid frame is striped
             assert np.all(pooled[0] == 0.0)
+        split.close()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_mels=st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
-    def test_score_split_input_under_running_stats(self, seed, n, n_mels):
+    def test_score_split_input_under_running_stats(self, frames_dir, seed, n, n_mels):
         rng = np.random.default_rng(seed)
-        split = _random_split(rng, n, n_mels, short_first=False)
+        split, mels = _random_split(rng, n, n_mels, False, frames_dir)
         norm = _norm_stats(rng, n_mels)
         dims = ModelDims(n_mels=n_mels, embed_dim=4, audio_hidden=8, text_hidden=8,
                          token_embed_dim=4, vocab_size=4)
@@ -391,14 +412,52 @@ class TestPooledAudioAgainstFrames:
                                lambda pooled, p: seen.append(pooled) or embed_audio(pooled, p)):
             score_split(split, *caption_queries(split, build_vocab(["a clip"])),
                         init_params(dims, seed % 1000), norm)
-        ref = frame_reference.pooled_batch(split.mels, norm, False)
+        ref = frame_reference.pooled_batch(mels, norm, False)
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12
+        split.close()
 
 
 def _noise_clips(rng, n, sample_rate):
     """n clips of uniform noise, 16 to 400 samples long."""
     return [(f"c{k}", Waveform(rng.uniform(-1.0, 1.0, int(rng.integers(16, 400))), sample_rate),
              [f"clip {k}"]) for k in range(n)]
+
+
+class TestFrameStore:
+    """prepare_split writes each clip's log-mel to an unnamed file and reads it back
+    bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), n_mels=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(self, frames_dir, seed, n, n_mels):
+        items = _noise_clips(np.random.default_rng(seed), n, 8000)
+        feat = FeatureConfig(n_fft=64, hop=16, n_mels=n_mels, target_sr=8000)
+        store = prepare_split(items, feat, frames_dir).mels
+        assert len(store) == n and os.listdir(frames_dir) == []
+        expected = [logmel(resample_linear(w, feat.target_sr), feat).values for _, w, _ in items]
+        for i in (*range(n), *reversed(range(n))):  # any order of reads
+            assert store[i].dtype == np.float64 and np.array_equal(store[i], expected[i])
+        assert all(np.array_equal(a, b) for a, b in zip(store, expected, strict=True))
+        for i in (-1, n):
+            with pytest.raises(IndexError):
+                store[i]
+        store.close()
+
+    def test_closed_when_preparation_fails(self, frames_dir, monkeypatch):
+        stores = []
+
+        class Recorded(FrameStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+        monkeypatch.setattr(trainer, "FrameStore", Recorded)
+        items = _noise_clips(np.random.default_rng(0), 3, 8000)
+        items.append(("short", Waveform(np.zeros(4), 8000), ["too short"]))
+        feat = FeatureConfig(n_fft=64, hop=16, n_mels=4, target_sr=8000)
+        with pytest.raises(ManifestError, match="clip 'short'"):
+            prepare_split(items, feat, frames_dir)
+        [store] = stores
+        assert len(store) == 3 and store._file.closed
 
 
 class TestSplitWithoutFrames:
@@ -409,15 +468,16 @@ class TestSplitWithoutFrames:
            plain=st.booleans(), g_max=st.integers(0, 6), n_f=st.integers(0, 1),
            w_f=st.integers(1, 32), p_ms=st.floats(0.0, 1.0), alpha=st.floats(0.01, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_same_statistics_and_pooled_input(self, seed, n, n_mels, plain, g_max, n_f, w_f,
-                                              p_ms, alpha):
+    def test_same_statistics_and_pooled_input(self, frames_dir, seed, n, n_mels, plain, g_max,
+                                              n_f, w_f, p_ms, alpha):
         rng = np.random.default_rng(seed)
         items = _noise_clips(rng, n, 8000)
         feat = FeatureConfig(n_fft=64, hop=16, n_mels=n_mels, target_sr=8000)
-        framed, bare = prepare_split(items, feat), prepare_split(items, feat, keep_frames=False)
+        framed, bare = prepare_split(items, feat, frames_dir), prepare_split(items, feat)
         assert bare.mels is None and len(bare) == len(framed) == n
         assert bare.captions == framed.captions
-        whole = mel_stats(framed.mels)  # the statistics of all clips at once
+        # the statistics of all clips at once
+        whole = mel_stats([MelSpectrogram(v, v.shape[1]) for v in framed.mels])
         for name in ("count", "mean", "var", "max"):
             assert np.array_equal(getattr(bare.stats, name), getattr(framed.stats, name))
             assert np.array_equal(getattr(framed.stats, name), getattr(whole, name))
@@ -433,9 +493,10 @@ class TestSplitWithoutFrames:
         assert np.array_equal(pooled_f, pooled_b)
         assert rng_f.bit_generator.state == rng_b.bit_generator.state
         assert np.array_equal(norm_f.mean, norm_b.mean) and np.array_equal(norm_f.var, norm_b.var)
+        framed.close()
 
     def test_empty_split(self):
-        split = prepare_split([], FeatureConfig(), keep_frames=False)
+        split = prepare_split([], FeatureConfig())
         assert len(split) == 0 and split.mels is None and split.stats.count.shape == (0,)
 
     def test_augmentation_reading_frames_rejected(self):
