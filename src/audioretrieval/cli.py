@@ -110,6 +110,8 @@ def cmd_train(args) -> int:
     back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
     if provider is None and back_translates:
         raise ConfigError("text_aug.p_bt > 0 needs paths.bt_cache")
+    if not back_translates:  # no batch draws a back translation: keep none of the cache
+        provider = None
     out_dir = _out_dir(cfg)
     # only time stripes read the training frames: then they go to a file in out_dir
     frames_dir = out_dir if trainer.reads_frames(cfg.audio_aug) else None
@@ -198,13 +200,13 @@ def cmd_smbo(args) -> int:
 @contextlib.contextmanager
 def _training_objective(cfg: RunConfig, out_dir: Path):
     provider, lexicon = _provider_and_lexicon(cfg)
+    items = _load_split(cfg, "train")  # a missing manifest path raises here; nothing is decoded
+    if provider is None:
+        raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
     # every trial trains on the same clips: featurize them once for all trials, keeping
     # the training frames (in a file in out_dir), which the time stripes that the
     # search samples read
-    with contextlib.closing(_prepared(cfg, "train", out_dir)) as train:
-        if provider is None:
-            raise ConfigError("the search space can sample p_bt > 0, which needs "
-                              "paths.bt_cache")
+    with contextlib.closing(trainer.prepare_split(items, cfg.features, out_dir)) as train:
         _check_bt_cache(cfg, provider, train)
         val = _prepared(cfg, "val")
 

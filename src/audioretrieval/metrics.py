@@ -49,8 +49,8 @@ def map_at_10(ranks: np.ndarray) -> float:
     return float(ap.mean())
 
 
-def evaluate(scores: np.ndarray, targets: np.ndarray) -> RetrievalResult:
-    ranks = rank_targets(scores, targets)
+def from_ranks(ranks: np.ndarray) -> RetrievalResult:
+    """R@1, R@5, R@10 and mAP@10 of the queries whose targets have these 1-based ranks."""
     return RetrievalResult(
         ranks=ranks,
         r1=recall_at_k(ranks, 1),
@@ -58,6 +58,10 @@ def evaluate(scores: np.ndarray, targets: np.ndarray) -> RetrievalResult:
         r10=recall_at_k(ranks, 10),
         map10=map_at_10(ranks),
     )
+
+
+def evaluate(scores: np.ndarray, targets: np.ndarray) -> RetrievalResult:
+    return from_ranks(rank_targets(scores, targets))
 
 
 def metrics_table(rows: dict[str, RetrievalResult]) -> str:

@@ -12,7 +12,7 @@ from .data import (LOG_FLOOR, FeatureConfig, MelStats, NormStats, TokenVocab, ch
                    write_atomic)
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
-TEXT_BLOCK = 64  # id rows whose token embeddings pool_text gathers at a time
+TEXT_BLOCK = 64  # id rows pool_text gathers, and caption queries score_split ranks, at a time
 CHECKPOINT_SLICE = 1024  # values of an array that save_checkpoint turns into JSON at a time
 
 
@@ -235,18 +235,23 @@ def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats
     write_atomic(path, chunks())
 
 
+def _array_record(obj: dict):
+    """A checkpoint's ``{"shape", "data"}`` record as a float64 array, made as the
+    parser closes it, so one array's values at a time exist as Python floats."""
+    if obj.keys() == {"shape", "data"}:
+        return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+    return obj
+
+
 def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab, FeatureConfig]:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(), object_hook=_array_record)
     if doc.get("version") == 1:
         raise ValueError("checkpoint version 1 carries no vocabulary or feature config; "
                          "retrain to write a version-2 checkpoint")
     if doc.get("version") != 2:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     dims = ModelDims(**doc["dims"])
-    arrays = {
-        name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in doc["arrays"].items()
-    }
+    arrays = doc["arrays"]
     stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"), doc["norm_count"])
     vocab = TokenVocab({word: i for i, word in enumerate(doc["vocab"], start=TokenVocab.UNK + 1)})
     if len(vocab) != dims.vocab_size:

@@ -28,8 +28,9 @@ from .data import (
     resample_linear,
     tokenize,
 )
-from .metrics import RetrievalResult, evaluate
+from .metrics import RetrievalResult, from_ranks, rank_targets
 from .model import (
+    TEXT_BLOCK,
     ModelDims,
     ModelParams,
     backward,
@@ -274,11 +275,18 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
 
 def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, params: ModelParams,
                 stats: NormStats) -> RetrievalResult:
-    """Rank the split's clips for each caption query under frozen normalization stats."""
+    """Rank the split's clips for each caption query under frozen normalization stats.
+
+    Queries are embedded, scored against every clip and ranked TEXT_BLOCK at a time, so
+    no [queries, clips] array exists. A one-row last block joins the one before it:
+    BLAS computes a one-row product with another kernel, which rounds differently."""
     audio_emb = embed_audio(pooled_audio(split, np.arange(len(split)), stats, update=False), params)
-    text_emb = embed_text(tokens, params)
-    scores = similarity_matrix(text_emb, audio_emb)  # queries x recordings
-    return evaluate(scores, targets)
+    starts = list(range(0, len(tokens) - 1, TEXT_BLOCK)) or [0]
+    ranks = []
+    for a, b in zip(starts, starts[1:] + [len(tokens)]):
+        scores = similarity_matrix(embed_text(tokens[a:b], params), audio_emb)  # block x clips
+        ranks.append(rank_targets(scores, targets[a:b]))
+    return from_ranks(np.concatenate(ranks))
 
 
 def train_run(

@@ -1,8 +1,23 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from audioretrieval.data import MelSpectrogram
 from audioretrieval.model import ModelDims, init_params
+
+# CI's tier-1 step sets HYPOTHESIS_PROFILE=ci: every property test derandomized, so that
+# a failure there reproduces locally under the same variable, and with four times the
+# examples it runs by default (see ``examples``).
+settings.register_profile("ci", max_examples=400, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def examples(n: int) -> int:
+    """A property test's example count: ``n`` under the default profile (whose
+    max_examples is 100), scaled with the loaded profile's max_examples."""
+    return n * settings.default.max_examples // 100
 
 
 @pytest.fixture

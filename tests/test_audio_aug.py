@@ -20,7 +20,7 @@ from audioretrieval.data import (
     mel_stats,
 )
 
-from conftest import random_mel_batch
+from conftest import examples, random_mel_batch
 from frame_reference import apply_map
 
 
@@ -37,7 +37,7 @@ class TestGainShift:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(128, 4000),
            amplitude=st.floats(1e-3, 1.0), g=st.floats(-6.0, 6.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_within_floor_bound_of_gained_waveform(self, seed, n, amplitude, g):
         w = Waveform(np.random.default_rng(seed).uniform(-amplitude, amplitude, n), 8000)
         m = logmel(w, self.FEAT)
@@ -122,7 +122,7 @@ class TestSpecAugment:
     @given(seed=st.integers(0, 2**32 - 1), n_mels=st.integers(1, 12), t=st.integers(1, 40),
            pad=st.integers(0, 5), n_f=st.integers(0, 1), w_f=st.integers(1, 32),
            n_t=st.integers(0, 8), w_t=st.integers(1, 64))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_masks_match_stripes_drawn_one_by_one(self, seed, n_mels, t, pad, n_f, w_f, n_t,
                                                    w_t):
         m = MelSpectrogram(np.random.default_rng(seed).uniform(1.0, 2.0, (n_mels, t + pad)), t)

@@ -195,6 +195,18 @@ class TestTrain:
         assert len(prepared) == 1  # the train split only: val is not featurized
         assert os.listdir(tmp_path / "out") == []  # made first, and nothing written
 
+    @pytest.mark.parametrize("aug,kept", [(None, False), ({"p_eda": 0.5}, False),
+                                          ({"p_bt": 0.5}, True)])
+    def test_cache_kept_only_for_back_translation(self, tmp_path, monkeypatch, aug, kept):
+        """The cache is read and checked either way; training gets it only with p_bt > 0."""
+        providers, train_run = [], cli.trainer.train_run
+        monkeypatch.setattr(cli.trainer, "train_run", lambda *a, **kw: providers.append(
+            kw["provider"]) or train_run(*a, **kw))
+        path = write_config_with_bt_cache(tmp_path, text_aug=aug)
+        assert main(["train", "--config", str(path)]) == 0
+        [provider] = providers
+        assert isinstance(provider, text_aug.TranslationCache) if kept else provider is None
+
     @pytest.mark.parametrize("doc,message", [
         ({"seed": -1}, "seed: seed must be >= 0"),
         ({"seed": True}, "seed: seed must be an integer, got True"),
@@ -435,6 +447,16 @@ class TestSmbo:
         assert capsys.readouterr().err == ("error: the search space can sample p_bt > 0, "
                                            "which needs paths.bt_cache\n")
         assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+    def test_back_translation_without_cache_decodes_no_clip(self, tmp_path, monkeypatch,
+                                                              capsys):
+        cfg = write_manifest_config(tmp_path)  # no paths.bt_cache
+        decoded = []
+        monkeypatch.setattr(cli.data, "load_wav", lambda *a: decoded.append(a))
+        assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 2
+        assert capsys.readouterr().err == ("error: the search space can sample p_bt > 0, "
+                                           "which needs paths.bt_cache\n")
+        assert decoded == [] and os.listdir(tmp_path / "out") == []
 
     def test_back_translation_cache_miss_exit_2(self, tmp_path, monkeypatch, capsys):
         cfg, cache, caption, prepared = write_one_entry_cache_config(tmp_path, monkeypatch)
@@ -732,6 +754,11 @@ class TestManifestSplits:
         cfg = write_manifest_config(tmp_path)
         if command == "eval":  # eval reads the checkpoint before the split
             assert main(["train", "--config", str(cfg)]) == 0
+        if command == "smbo":  # a search needs a cache before it decodes any clip
+            doc = json.loads(cfg.read_text())
+            doc["paths"]["bt_cache"] = str(tmp_path / "bt.jsonl")
+            (tmp_path / "bt.jsonl").write_text("")
+            cfg.write_text(json.dumps(doc))
         manifest = self._spoil(tmp_path, split, {"audio": f"{split}/x.wav", "captions": []})
         argv = {"train": [], "eval": ["--checkpoint", str(tmp_path / "out" / "checkpoint.json")],
                 "smbo": ["--n-init", "2", "--n-trials", "3"]}[command]

@@ -37,6 +37,7 @@ from audioretrieval.data import (
 )
 
 import stft_reference
+from conftest import examples
 from frame_reference import apply_map
 
 
@@ -137,7 +138,7 @@ class TestWavReader:
            channels=st.integers(1, 4), frames=st.integers(1, 300),
            rate=st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000]),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_equals_scipy_on_files_scipy_writes(self, dtype, channels, frames, rate, seed):
         rng = np.random.default_rng(seed)
         shape = (frames, channels) if channels > 1 else (frames,)
@@ -306,7 +307,7 @@ class TestLogmel:
         assert mel_filterbank(FeatureConfig(n_mels=32)).shape == (32, 513)
 
     @given(st.integers(min_value=320, max_value=50000))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_frame_count_formula(self, n):
         cfg = FeatureConfig()
         w = Waveform(np.ones(n) * 0.1, 32000)
@@ -317,7 +318,7 @@ class TestLogmel:
            extra=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1),
            cfg=st.sampled_from([FeatureConfig(), FeatureConfig(n_fft=256, hop=64, n_mels=16),
                                 FeatureConfig(n_fft=400, hop=160, n_mels=40)]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_blocked_stft_equals_one_block(self, blocks, off, extra, seed, cfg):
         # frame counts at, just below and just above a multiple of STFT_BLOCK
         n_frames = max(2, blocks * STFT_BLOCK + off)
@@ -372,7 +373,7 @@ class TestMelStats:
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 997, 4000]), min_size=1, max_size=4),
            n_mels=st.integers(1, 64), pad=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 30.0]),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_matches_numpy_reductions(self, lengths, n_mels, pad, scale, seed):
         rng = np.random.default_rng(seed)
         mels = [MelSpectrogram(np.concatenate([rng.normal(-5.0, scale, size=(n_mels, t)),
@@ -456,7 +457,7 @@ class TestCaptions:
         assert preprocess_caption(s) == s
 
     @given(st.text(max_size=80))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_equals_per_character_reference(self, text):
         assert preprocess_caption(text) == _preprocess_caption_reference(text)
 

@@ -1,17 +1,18 @@
 import json
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from audioretrieval.data import (MAX_TOKENS, FeatureConfig, MelSpectrogram, NormStats, TokenVocab,
-                                 build_vocab, mel_stats, write_atomic)
+                                 build_vocab, mel_stats)
 from audioretrieval.model import (
     NORM_EPS,
     TEXT_BLOCK,
     ModelDims,
+    ModelParams,
     _softmax,
     backward,
     embed_audio,
@@ -25,7 +26,8 @@ from audioretrieval.model import (
     similarity_matrix,
 )
 
-from conftest import random_mel_batch, random_token_batch
+import checkpoint_reference
+from conftest import examples, random_mel_batch, random_token_batch
 from frame_reference import pool_audio as pool_frames
 
 
@@ -211,7 +213,7 @@ class TestBackward:
     @given(n=st.integers(2, 9), n_mels=st.integers(1, 10), embed_dim=st.integers(1, 10),
            hidden=st.integers(1, 12), vocab_size=st.integers(2, 12),
            tau=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_loss_is_the_forward_pass(self, n, n_mels, embed_dim, hidden, vocab_size, tau, seed):
         rng = np.random.default_rng(seed)
         dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
@@ -279,7 +281,7 @@ class TestTextMatrixAgainstPerCaption:
            st.integers(0, 2**32 - 1))
     @example([[], [3] * 32, [1, 2]], 0)
     @example([[4] * 32, [5, 6, 7] * 10 + [8, 9]], 1)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_pool_and_embed_gradient(self, lists, seed):
         rng = np.random.default_rng(seed)
         dims = ModelDims(n_mels=8, embed_dim=8, audio_hidden=16, text_hidden=16,
@@ -319,7 +321,7 @@ class TestPoolTextBlocks:
     @given(n=st.sampled_from([0, 1, TEXT_BLOCK - 1, TEXT_BLOCK, TEXT_BLOCK + 1, 2 * TEXT_BLOCK + 2]),
            width=st.integers(0, MAX_TOKENS), dim=st.integers(1, 16),
            pad=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_matches_one_shot(self, n, width, dim, pad, seed):
         rng = np.random.default_rng(seed)
         embed = rng.normal(0.0, 0.02, size=(20, dim))
@@ -340,19 +342,6 @@ class TestPoolTextBlocks:
         assert _traced_peak(embed_text, ids, params) < one_shot / 4
 
 
-def _save_checkpoint_one_shot(path, params, dims, stats, vocab, feat):
-    """Reference: the checkpoint built as one document and written by one json.dumps."""
-    arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-              for name, arr in params.arrays()}
-    arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
-    arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
-    doc = {
-        "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
-        "features": asdict(feat), "norm_count": stats.count, "version": 2,
-    }
-    write_atomic(path, json.dumps(doc))
-
-
 class TestCheckpoint:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bytes_equal_one_shot_document(self, tmp_path, seed):
@@ -365,7 +354,7 @@ class TestCheckpoint:
         vocab = build_vocab(["rain on a tin roof", "ünïcode \"quoted\" words"])
         feat = FeatureConfig(n_mels=5, hop=160)
         save_checkpoint(tmp_path / "a.json", params, dims, stats, vocab, feat)
-        _save_checkpoint_one_shot(tmp_path / "b.json", params, dims, stats, vocab, feat)
+        checkpoint_reference.save_checkpoint(tmp_path / "b.json", params, dims, stats, vocab, feat)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_memory_bounded_by_largest_array(self, tmp_path):
@@ -380,7 +369,7 @@ class TestCheckpoint:
         peak = _traced_peak(save_checkpoint, *args)
         # one array's float list, its float reprs and its JSON text: about 6x its JSON
         assert peak < 8 * largest
-        assert peak < _traced_peak(_save_checkpoint_one_shot, *args) / 2
+        assert peak < _traced_peak(checkpoint_reference.save_checkpoint, *args) / 2
 
     def test_memory_does_not_grow_with_the_largest_array(self, tmp_path):
         """The arrays are written CHECKPOINT_SLICE values at a time: doubling the
@@ -413,6 +402,36 @@ class TestCheckpoint:
         assert loaded_stats.count == 99
         assert loaded_vocab == vocab
         assert loaded_feat == feat
+
+    # -0.0, the smallest and largest subnormals, the smallest normal, +-1e308, the largest
+    EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   1e308, -1e308, 1.7976931348623157e308]
+
+    @given(data=st.data())
+    @settings(max_examples=examples(60), deadline=None)
+    def test_load_matches_whole_document_loader(self, tmp_path_factory, data):
+        """Every array is made as its record is parsed, with the bits of the one-shot parse."""
+        vocab = build_vocab(["a b c d e f"])  # 8 ids with PAD and UNK: one per edge value
+        dims = ModelDims(n_mels=2, embed_dim=2, audio_hidden=3, text_hidden=3,
+                         token_embed_dim=1, vocab_size=len(vocab))
+        values = st.sampled_from(self.EDGE_VALUES) | st.floats(allow_nan=False,
+                                                               allow_infinity=False)
+        params = ModelParams(**{name: data.draw(arrays(np.float64, arr.shape, elements=values))
+                                for name, arr in init_params(dims, 0).arrays()})
+        params.embed[:, 0] = self.EDGE_VALUES  # every edge value, in every example
+        stats = NormStats(*(data.draw(arrays(np.float64, 2, elements=values)) for _ in range(2)), 3)
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(path, params, dims, stats, vocab, FeatureConfig(n_mels=2))
+        loaded, _, loaded_stats, _, _ = load_checkpoint(path)
+        ref, ref_stats = checkpoint_reference.load_arrays(path)
+
+        def bits(arr):
+            return arr.dtype, arr.shape, arr.tobytes()
+        for (name, a), (_, b), (_, c) in zip(loaded.arrays(), ref.arrays(), params.arrays()):
+            assert bits(a) == bits(b) == bits(c), name
+        for name in ("mean", "var"):
+            a, b, c = (getattr(x, name) for x in (loaded_stats, ref_stats, stats))
+            assert bits(a) == bits(b) == bits(c), name
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.json"

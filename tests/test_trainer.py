@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -16,6 +17,7 @@ from audioretrieval.data import (
     FeatureConfig,
     ManifestError,
     MelSpectrogram,
+    MelStats,
     NormStats,
     Waveform,
     build_vocab,
@@ -27,7 +29,9 @@ from audioretrieval.data import (
     save_wav,
     synth_dataset,
 )
-from audioretrieval.model import ModelDims, init_params, load_checkpoint, zeros_like_params
+from audioretrieval.metrics import evaluate
+from audioretrieval.model import (TEXT_BLOCK, ModelDims, init_params, load_checkpoint,
+                                  zeros_like_params)
 from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import (
     ADAM_BETA1,
@@ -48,6 +52,8 @@ from audioretrieval.trainer import (
 )
 
 import frame_reference
+import score_reference
+from conftest import examples
 
 
 class TestLrSchedule:
@@ -352,7 +358,7 @@ class TestPooledAudioAgainstFrames:
            short_first=st.booleans())
     @example(seed=3, n=4, n_mels=6, gains=[0.0, 0.4, -1.0, 0.0] * 2, g_max=6, p_ms=1.0,
              alpha=0.3, forced=None, n_f=1, w_f=3, n_t=2, w_t=4, short_first=True)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_training_batch(self, frames_dir, seed, n, n_mels, gains, g_max, p_ms, alpha,
                             forced, n_f, w_f, n_t, w_t, short_first):
         rng = np.random.default_rng(seed)
@@ -399,7 +405,7 @@ class TestPooledAudioAgainstFrames:
         split.close()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_mels=st.integers(1, 12))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_score_split_input_under_running_stats(self, frames_dir, seed, n, n_mels):
         rng = np.random.default_rng(seed)
         split, mels = _random_split(rng, n, n_mels, False, frames_dir)
@@ -417,6 +423,93 @@ class TestPooledAudioAgainstFrames:
         split.close()
 
 
+def _stats_split(rng, n_clips, n_distinct, n_mels):
+    """A split without frames whose n_clips clips repeat the statistics of n_distinct."""
+    rows = rng.integers(0, n_distinct, n_clips)
+    mean = rng.normal(size=(n_distinct, n_mels))
+    stats = MelStats(rng.integers(1, 50, n_distinct)[rows], mean[rows],
+                     rng.uniform(0.0, 2.0, (n_distinct, n_mels))[rows],
+                     (mean + rng.uniform(0.0, 3.0, (n_distinct, n_mels)))[rows])
+    return PreparedSplit(FeatureConfig(n_mels=n_mels), None, stats, [["a clip"]] * n_clips)
+
+
+class TestScoreSplitBlocks:
+    """score_split ranks TEXT_BLOCK queries at a time. Against ranking them all at once
+    (``score_reference``), the ranking itself is exact; the scores are the same to
+    rounding only, because BLAS rounds a row of a product differently with the
+    product's height for some clip counts (as for 81 to 84 clips)."""
+
+    SCORE_TOL = 1e-12  # cosine scores in [-1, 1] from dot products of at most 128 terms
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_queries=st.integers(1, 200) | st.sampled_from([TEXT_BLOCK * k + 1 for k in (1, 2, 3)]),
+           n_distinct_queries=st.integers(1, 200),
+           n_clips=st.integers(1, 40) | st.sampled_from([80, 83, 160]),
+           n_distinct_clips=st.integers(1, 160), n_mels=st.integers(1, 12),
+           embed_dim=st.sampled_from([1, 5, 64]), hidden=st.sampled_from([3, 16, 128]))
+    @example(seed=0, n_queries=TEXT_BLOCK + 1, n_distinct_queries=20, n_clips=30,
+             n_distinct_clips=10, n_mels=8, embed_dim=64, hidden=128)
+    @example(seed=166, n_queries=121, n_distinct_queries=1, n_clips=10, n_distinct_clips=1,
+             n_mels=2, embed_dim=64, hidden=3)  # scores off by rounding, ties broken
+    @settings(max_examples=examples(100), deadline=None)
+    def test_matches_one_block(self, seed, n_queries, n_distinct_queries, n_clips,
+                               n_distinct_clips, n_mels, embed_dim, hidden):
+        """Repeated captions and clips make scores tied, or tied but for rounding."""
+        rng = np.random.default_rng(seed)
+        split = _stats_split(rng, n_clips, min(n_distinct_clips, n_clips), n_mels)
+        dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
+                         text_hidden=hidden, token_embed_dim=embed_dim, vocab_size=30)
+        params, norm = init_params(dims, seed % 1000), _norm_stats(rng, n_mels)
+        captions = rng.integers(0, 30, size=(n_distinct_queries, 12))
+        tokens = captions[rng.integers(0, n_distinct_queries, n_queries)]
+        targets = rng.integers(0, n_clips, n_queries)
+        blocks, rank_targets = [], trainer.rank_targets
+        with mock.patch.object(trainer, "rank_targets",
+                               lambda s, t: blocks.append(s) or rank_targets(s, t)):
+            result = score_split(split, tokens, targets, params, norm)
+        assert all(len(b) > 1 for b in blocks) or n_queries == 1
+        # ranked in blocks as at once, with the same metrics
+        scores = np.concatenate(blocks)
+        assert np.array_equal(result.ranks, rank_targets(scores, targets))
+        assert result.as_dict() == evaluate(scores, targets).as_dict()
+        # the scores of the one-block product, to rounding
+        ref_scores = score_reference.scores(split, tokens, params, norm)
+        assert scores.shape == ref_scores.shape == (n_queries, n_clips)
+        assert np.max(np.abs(scores - ref_scores)) <= self.SCORE_TOL
+        ref = score_reference.score_split(split, tokens, targets, params, norm)
+        if np.array_equal(scores, ref_scores):
+            assert np.array_equal(result.ranks, ref.ranks)
+            assert result.as_dict() == ref.as_dict()
+        # each rank is the reference's, up to the order of clips scored within rounding
+        # of the target (tied clips among them)
+        target = ref_scores[np.arange(n_queries), targets][:, None]
+        above = (ref_scores > target + self.SCORE_TOL).sum(axis=1)
+        near = (np.abs(ref_scores - target) <= self.SCORE_TOL).sum(axis=1)  # the target too
+        assert np.all((above < result.ranks) & (result.ranks <= above + near))
+        assert np.array_equal(result.ranks[near == 1], ref.ranks[near == 1])
+
+    def test_memory_does_not_grow_with_the_query_count(self):
+        """2,000 or 4,000 queries against 500 clips: at 2,000 the [queries, clips] scores
+        alone would take 8 MB. The peak is the clips' side: pooling and the audio head's
+        three [500, hidden] arrays, about 2.3 MB."""
+        rng = np.random.default_rng(0)
+        split = _stats_split(rng, 500, 500, 64)
+        params, norm = init_params(ModelDims(vocab_size=50), 0), _norm_stats(rng, 64)
+        peaks = []
+        for n_queries in (2000, 4000):
+            tokens = rng.integers(0, 50, size=(n_queries, 20))
+            targets = rng.integers(0, 500, n_queries)
+            tracemalloc.start()
+            try:
+                score_split(split, tokens, targets, params, norm)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3_000_000
+        # only the ranks and the metrics' per-query arrays grow: a few bytes per query
+        assert peaks[1] - peaks[0] < 2000 * 64
+
+
 def _noise_clips(rng, n, sample_rate):
     """n clips of uniform noise, 16 to 400 samples long."""
     return [(f"c{k}", Waveform(rng.uniform(-1.0, 1.0, int(rng.integers(16, 400))), sample_rate),
@@ -428,7 +521,7 @@ class TestFrameStore:
     bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), n_mels=st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_round_trip(self, frames_dir, seed, n, n_mels):
         items = _noise_clips(np.random.default_rng(seed), n, 8000)
         feat = FeatureConfig(n_fft=64, hop=16, n_mels=n_mels, target_sr=8000)
@@ -467,7 +560,7 @@ class TestSplitWithoutFrames:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_mels=st.integers(1, 12),
            plain=st.booleans(), g_max=st.integers(0, 6), n_f=st.integers(0, 1),
            w_f=st.integers(1, 32), p_ms=st.floats(0.0, 1.0), alpha=st.floats(0.01, 1.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_same_statistics_and_pooled_input(self, frames_dir, seed, n, n_mels, plain, g_max,
                                               n_f, w_f, p_ms, alpha):
         rng = np.random.default_rng(seed)
