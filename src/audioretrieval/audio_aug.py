@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MelSpectrogram, MelStats, Waveform, check_int
+from .data import MelSpectrogram, MelStats, Waveform, check_int, check_range
 
 # a gain of g dB scales the mel power by 10^(g/10): on the log-mel, a shift by g times this
 LOG_MEL_PER_DB = np.log(10.0) / 10.0
@@ -25,10 +25,8 @@ class AudioAugConfig:
         for name, lo, hi in (("g_max", 0, 6), ("n_f", 0, 1), ("w_f", 1, 32), ("n_t", 0, 8),
                              ("w_t", 1, 64)):
             check_int(self, name, lo, hi)
-        if not 0.0 <= self.p_ms <= 1.0:
-            raise ValueError("p_ms outside [0, 1]")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha outside (0, 1]")
+        check_range(self, "p_ms", 0, 1)
+        check_range(self, "alpha", 0, 1, open_below=True)
 
 
 def sample_gain(rng: np.random.Generator, g_max: int) -> float:

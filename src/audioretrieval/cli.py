@@ -70,18 +70,6 @@ def _provider_and_lexicon(cfg: RunConfig):
     return provider, lexicon or text_aug.SynonymLexicon.bundled()
 
 
-def _check_bt_cache(cfg: RunConfig, cache: text_aug.TranslationCache,
-                    train: trainer.PreparedSplit) -> None:
-    """Raise ConfigError naming the first (caption, pivot) pair of the training split that
-    the back-translation cache lacks; training would stop at it in the batch drawing it."""
-    for caption in (c for caps in train.captions for c in caps):
-        for pivot in text_aug.PIVOTS:
-            if (caption, pivot) not in cache.entries:
-                raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for "
-                                  f"({caption!r}, {pivot!r}); every training caption needs "
-                                  "one per pivot")
-
-
 def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     lines = ["epoch,train_loss,val_map10"]
     for e, (loss, vmap) in enumerate(zip(result.train_losses, result.val_maps)):
@@ -89,8 +77,8 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     data.write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _prepared(cfg: RunConfig, split: str, frames_dir: Path | None = None) -> trainer.PreparedSplit:
-    return trainer.prepare_split(_load_split(cfg, split), cfg.features, frames_dir)
+def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
+    return trainer.prepare_split(_load_split(cfg, split), cfg.features)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -106,25 +94,12 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    provider, lexicon = _provider_and_lexicon(cfg)
-    back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
-    if provider is None and back_translates:
-        raise ConfigError("text_aug.p_bt > 0 needs paths.bt_cache")
-    if not back_translates:  # no batch draws a back translation: keep none of the cache
-        provider = None
     out_dir = _out_dir(cfg)
-    # only time stripes read the training frames: then they go to a file in out_dir
-    frames_dir = out_dir if trainer.reads_frames(cfg.audio_aug) else None
-    with contextlib.closing(_prepared(cfg, "train", frames_dir)) as train:
-        if back_translates:
-            _check_bt_cache(cfg, provider, train)
-        val = _prepared(cfg, "val")
-        optim = replace(cfg.optim, seed=cfg.seed)
+    back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
+    with _training(cfg, out_dir, trainer.reads_frames(cfg.audio_aug),
+                   "text_aug.p_bt > 0 needs paths.bt_cache" if back_translates else None) as run:
         try:
-            result = trainer.train_run(
-                train, val, cfg.model, cfg.audio_aug, cfg.text_aug, optim,
-                provider=provider, lexicon=lexicon, checkpoint_path=out_dir / "checkpoint.json",
-            )
+            result = run(cfg.audio_aug, cfg.text_aug, cfg.seed, out_dir / "checkpoint.json")
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
     doc = result.as_dict()
@@ -134,6 +109,33 @@ def cmd_train(args) -> int:
     print(f"best val mAP@10 {result.best_val_map:.4f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs run)")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _training(cfg: RunConfig, out_dir: Path, keep_frames: bool, no_cache_error: str | None):
+    """Prepare the splits once; yield ``run(audio_cfg, text_cfg, seed, checkpoint_path=None)``.
+    A run that can back-translate passes the error for a missing ``paths.bt_cache`` (None:
+    no cache); one that can time-stripe keeps the training frames, in a file in out_dir."""
+    provider, lexicon = _provider_and_lexicon(cfg)
+    items = _load_split(cfg, "train")  # a missing manifest path raises here; nothing is decoded
+    if no_cache_error is None:  # no batch draws a back translation: keep none of the cache
+        provider = None
+    elif provider is None:
+        raise ConfigError(no_cache_error)
+    frames_dir = out_dir if keep_frames else None
+    with contextlib.closing(trainer.prepare_split(items, cfg.features, frames_dir)) as train:
+        if provider is not None:  # a missing pair would stop training in the batch drawing it
+            for pair in ((c, p) for caps in train.captions for c in caps for p in text_aug.PIVOTS):
+                if pair not in provider.entries:
+                    raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for "
+                                      f"{pair!r}; every training caption needs one per pivot")
+        val = _prepared(cfg, "val")
+
+        def run(audio_cfg, text_cfg, seed: int, checkpoint_path=None) -> trainer.RunResult:
+            return trainer.train_run(train, val, cfg.model, audio_cfg, text_cfg,
+                                     replace(cfg.optim, seed=seed), provider=provider,
+                                     lexicon=lexicon, checkpoint_path=checkpoint_path)
+        yield run
 
 
 def cmd_eval(args) -> int:
@@ -199,25 +201,13 @@ def cmd_smbo(args) -> int:
 
 @contextlib.contextmanager
 def _training_objective(cfg: RunConfig, out_dir: Path):
-    provider, lexicon = _provider_and_lexicon(cfg)
-    items = _load_split(cfg, "train")  # a missing manifest path raises here; nothing is decoded
-    if provider is None:
-        raise ConfigError("the search space can sample p_bt > 0, which needs paths.bt_cache")
-    # every trial trains on the same clips: featurize them once for all trials, keeping
-    # the training frames (in a file in out_dir), which the time stripes that the
-    # search samples read
-    with contextlib.closing(trainer.prepare_split(items, cfg.features, out_dir)) as train:
-        _check_bt_cache(cfg, provider, train)
-        val = _prepared(cfg, "val")
-
+    """A trial is a training run with its values; the space samples ``n_t`` and ``p_bt``."""
+    with _training(cfg, out_dir, True, "the search space can sample p_bt > 0, which needs "
+                   "paths.bt_cache") as run:
         def objective(trial_cfg: dict, trial_id: int, seed: int):
             audio_cfg, text_cfg = (C(**{f.name: trial_cfg[f.name] for f in fields(C)})
                                    for C in (audio_aug.AudioAugConfig, text_aug.TextAugConfig))
-            optim = replace(cfg.optim, seed=seed * 100003 + trial_id)
-            result = trainer.train_run(
-                train, val, cfg.model, audio_cfg, text_cfg, optim,
-                provider=provider, lexicon=lexicon,
-            )
+            result = run(audio_cfg, text_cfg, seed * 100003 + trial_id)
             status = "pruned" if result.stopped_early else "completed"
             return result.best_val_map, status, result.epochs_run
 

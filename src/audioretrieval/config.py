@@ -50,6 +50,12 @@ class PathsConfig:
     bt_cache: str | None = None
     synonym_lexicon: str | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and (value is not None or f.name == "out_dir"):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
+
 
 @dataclass
 class RunConfig:

@@ -43,6 +43,16 @@ def check_int(obj, name: str, minimum: int, maximum: int | None = None) -> None:
         raise ValueError(f"{name} must be <= {maximum}")
 
 
+def check_range(obj, name: str, minimum: float, maximum: float, open_below: bool = False) -> None:
+    """Reject the field ``name`` of ``obj`` unless it is an int or float (not a bool) in
+    [``minimum``, ``maximum``], or in (``minimum``, ``maximum``] with ``open_below``."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (minimum < value if open_below else minimum <= value) or not value <= maximum:
+        raise ValueError(f"{name} outside {'(' if open_below else '['}{minimum}, {maximum}]")
+
+
 def check_positive(obj, name: str) -> None:
     """Reject the field ``name`` of ``obj`` unless it is an int or float (not a bool),
     finite and > 0."""

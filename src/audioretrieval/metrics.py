@@ -21,8 +21,10 @@ class RetrievalResult:
 def rank_targets(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """1-based rank of each query's target candidate.
 
-    Ties break by candidate index: a tied candidate with a lower index than
-    the target counts ahead of it.
+    Ties break by candidate index: a candidate whose score equals the target's
+    exactly (float equality) and whose index is lower counts ahead of it. Clips
+    with identical features need not score exactly alike, because BLAS rounds a
+    product's entries differently with its shape.
     """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)

@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .data import TokenVocab, preprocess_caption, write_atomic
+from .data import TokenVocab, check_range, preprocess_caption, write_atomic
 
 PIVOTS = ("de", "fr", "es")
 
@@ -27,12 +27,8 @@ class TextAugConfig:
     p_bt: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_eda", "p_bt"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
-        for name in ("p_syn", "p_swp", "p_ins", "p_del"):
-            if not 0.0 <= getattr(self, name) <= 0.3:
-                raise ValueError(f"{name} outside [0, 0.3]")
+        for f in fields(self):  # an EDA operation's probability is at most 0.3
+            check_range(self, f.name, 0, 1 if f.name in ("p_eda", "p_bt") else 0.3)
 
 
 @dataclass

@@ -8,7 +8,7 @@ import sys
 import time
 import tracemalloc
 import urllib.request
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import audioretrieval
-from audioretrieval import cli, data, smbo, text_aug
+from audioretrieval import audio_aug, cli, data, smbo, text_aug
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
 from audioretrieval.data import Waveform, save_wav, synth_dataset
@@ -176,6 +176,39 @@ class TestTrain:
         assert capsys.readouterr().err == \
             f"error: audio_aug: {key} must be an integer, got {value!r}\n"
         assert prepared == []
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("audio_aug", "p_ms", True, "p_ms must be a number, got True"),
+        ("audio_aug", "alpha", True, "alpha must be a number, got True"),
+        ("text_aug", "p_eda", True, "p_eda must be a number, got True"),
+        ("text_aug", "p_bt", False, "p_bt must be a number, got False"),
+        ("text_aug", "p_syn", "0.1", "p_syn must be a number, got '0.1'"),
+        ("text_aug", "p_del", None, "p_del must be a number, got None"),
+        ("audio_aug", "p_ms", 1.5, "p_ms outside [0, 1]"),
+        ("audio_aug", "alpha", 0, "alpha outside (0, 1]"),
+        ("audio_aug", "alpha", float("nan"), "alpha outside (0, 1]"),
+        ("text_aug", "p_swp", 0.31, "p_swp outside [0, 0.3]"),
+    ])
+    def test_bad_augmentation_probability_exit_2(self, tmp_path, monkeypatch, capsys, section,
+                                                  key, value, message):
+        prepared = []
+        monkeypatch.setattr(cli.trainer, "prepare_split", lambda *a: prepared.append(a))
+        path = write_config(tmp_path, **{section: {key: value}})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {section}: {message}\n"
+        assert prepared == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("out_dir", 5), ("out_dir", None), ("dataset", 7), ("val_dataset", ["v.jsonl"]),
+        ("audio_root", False), ("synonym_lexicon", 0), ("bt_cache", 2),
+    ])
+    def test_non_string_path_exit_2(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir would be made here
+        path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"), key: value})
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: paths: {key} must be a string, got {value!r}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_back_translation_without_cache_exit_2(self, tmp_path, monkeypatch, capsys):
         prepared = []
@@ -543,6 +576,25 @@ class TestSmbo:
         assert capsys.readouterr().err == "error: all trials failed\n"
         trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
         assert [(t.status, t.error) for t in trials] == [("failed", "RuntimeError: diverged")] * 3
+
+    def test_trial_is_a_train_run(self, tmp_path):
+        """A trial trains as ``train`` does with the trial's values and seed
+        ``seed * 100003 + trial_id``, here 0 * 100003 + 0."""
+        cfg = write_config_with_bt_cache(tmp_path)
+        assert main(["smbo", "--config", str(cfg), "--n-init", "1", "--n-trials", "1"]) == 0
+        [trial] = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        assert trial.status != "failed"
+        doc = json.loads(cfg.read_text())
+        assert doc["seed"] == 0 * 100003 + 0
+        for section, C in (("audio_aug", audio_aug.AudioAugConfig),
+                           ("text_aug", text_aug.TextAugConfig)):
+            doc[section] = {f.name: trial.config[f.name] for f in fields(C)}
+        doc["paths"]["out_dir"] = str(tmp_path / "train")
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 0
+        result = json.loads((tmp_path / "train" / "run_result.json").read_text())
+        assert (result["best_val_map"], result["epochs_run"]) == \
+            (trial.objective, trial.epochs_run)
 
     def test_trial_configs_built_by_field_name(self, tmp_path, monkeypatch):
         """Each trial trains on configs whose fields are the trial's values, with the five
