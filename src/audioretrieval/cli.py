@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_aug, data, metrics, model, smbo, text_aug, trainer
-from .config import ConfigError, RunConfig, config_hash, load_config
+from .config import ConfigError, RunConfig, load_config, read_config
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -38,21 +38,25 @@ class CommandError(Exception):
 
 
 def _load_split(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform, list[str]]]:
-    """The split's items: a synthetic dataset, or the manifest read one record at a time."""
-    if cfg.data is not None:  # synthetic
-        spec = cfg.data
-        n = {"train": spec.n_train, "val": spec.n_val, "test": spec.n_test}[split]
-        # split-specific seed offsets keep the three sets disjoint
-        offset = {"train": 0, "val": 1, "test": 2}[split]
-        return data.synth_dataset(
-            spec.n_classes, n, cfg.seed * 3 + offset, split=split,
-            sample_rate=spec.sample_rate, duration=spec.duration,
-            captions_per_item=spec.captions_per_item,
-        )
+    """The split's items, generated (synthetic) or read from the manifest one record at a
+    time; no clip is made or decoded before the first item is drawn."""
+    if cfg.data is not None:
+        return _synthetic_items(cfg, split)
     path = {"train": cfg.paths.dataset, "val": cfg.paths.val_dataset, "test": cfg.paths.test_dataset}[split]
     if path is None:
         raise ConfigError(f"paths.{'dataset' if split == 'train' else split + '_dataset'}: required")
     return data.iter_manifest(path, cfg.paths.audio_root)
+
+
+def _synthetic_items(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform, list[str]]]:
+    spec = cfg.data
+    # split-specific seed offsets keep the three sets disjoint
+    yield from data.synth_dataset(
+        spec.n_classes, getattr(spec, f"n_{split}"),
+        cfg.seed * 3 + ("train", "val", "test").index(split), split=split,
+        sample_rate=spec.sample_rate, duration=spec.duration,
+        captions_per_item=spec.captions_per_item,
+    )
 
 
 def _provider_and_lexicon(cfg: RunConfig):
@@ -93,7 +97,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg, digest = read_config(args.config)
     out_dir = _out_dir(cfg)
     back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
     with _training(cfg, out_dir, trainer.reads_frames(cfg.audio_aug),
@@ -103,7 +107,7 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
     doc = result.as_dict()
-    doc["config_hash"] = config_hash(args.config)
+    doc["config_hash"] = digest
     data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
     _write_metrics_csv(out_dir / "metrics.csv", result)
     print(f"best val mAP@10 {result.best_val_map:.4f} at epoch {result.best_epoch} "
@@ -115,15 +119,17 @@ def cmd_train(args) -> int:
 def _training(cfg: RunConfig, out_dir: Path, keep_frames: bool, no_cache_error: str | None):
     """Prepare the splits once; yield ``run(audio_cfg, text_cfg, seed, checkpoint_path=None)``.
     A run that can back-translate passes the error for a missing ``paths.bt_cache`` (None:
-    no cache); one that can time-stripe keeps the training frames, in a file in out_dir."""
+    no cache); one that can time-stripe keeps the training frames in out_dir, in a
+    FrameStore that is opened and closed here and nowhere else."""
     provider, lexicon = _provider_and_lexicon(cfg)
-    items = _load_split(cfg, "train")  # a missing manifest path raises here; nothing is decoded
+    items = _load_split(cfg, "train")  # a missing manifest path raises here; no clip is made
     if no_cache_error is None:  # no batch draws a back translation: keep none of the cache
         provider = None
     elif provider is None:
         raise ConfigError(no_cache_error)
-    frames_dir = out_dir if keep_frames else None
-    with contextlib.closing(trainer.prepare_split(items, cfg.features, frames_dir)) as train:
+    with (contextlib.closing(trainer.FrameStore(out_dir, cfg.features.n_mels)) if keep_frames
+          else contextlib.nullcontext()) as frames:
+        train = trainer.prepare_split(items, cfg.features, frames)
         if provider is not None:  # a missing pair would stop training in the batch drawing it
             for pair in ((c, p) for caps in train.captions for c in caps for p in text_aug.PIVOTS):
                 if pair not in provider.entries:
@@ -139,7 +145,7 @@ def _training(cfg: RunConfig, out_dir: Path, keep_frames: bool, no_cache_error: 
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg, digest = read_config(args.config)
     # the checkpoint is read and checked first: decoding the split costs far more
     try:
         params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
@@ -158,7 +164,7 @@ def cmd_eval(args) -> int:
     print(metrics.metrics_table({args.split: result}))
     sidecar = Path(args.out or (Path(args.checkpoint).parent / f"eval_{args.split}.json"))
     doc = result.as_dict()
-    doc["config_hash"] = config_hash(args.config)
+    doc["config_hash"] = digest
     data.write_atomic(sidecar, json.dumps(doc, indent=1))
     return EXIT_OK
 
@@ -298,11 +304,11 @@ def cmd_synth_data(args) -> int:
         raise CommandError("data.synthetic: required for synth-data")
     out_dir = Path(args.out)
     for split in ("train", "val", "test"):
-        ds = _load_split(cfg, split)  # a PairedDataset: cfg.data is set
         (out_dir / split).mkdir(parents=True, exist_ok=True)
         # the manifest appears only once every WAV it names is written
-        data.write_atomic(out_dir / f"{split}.jsonl", _saved_clip_lines(ds, out_dir, split))
-        print(f"{split}: {len(ds)} items")
+        data.write_atomic(out_dir / f"{split}.jsonl",
+                          _saved_clip_lines(_load_split(cfg, split), out_dir, split))
+        print(f"{split}: {getattr(cfg.data, f'n_{split}')} items")
     return EXIT_OK
 
 

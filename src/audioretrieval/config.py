@@ -129,6 +129,12 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    return read_config(path)[0]
+
+
+def read_config(path) -> tuple[RunConfig, str]:
+    """The config in ``path``, and the provenance hash of the document it was parsed
+    from: of its canonical JSON, from the same read of the file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -136,11 +142,5 @@ def load_config(path) -> RunConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    return parse_config(doc)
-
-
-def config_hash(path) -> str:
-    """Provenance hash of the canonicalized config document."""
-    doc = json.loads(Path(path).read_text())
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return parse_config(doc), hashlib.sha256(canon.encode()).hexdigest()[:16]

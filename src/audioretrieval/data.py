@@ -508,7 +508,7 @@ def iter_manifest(path, audio_root=None) -> Iterator[tuple[str, Waveform, list[s
 def _manifest_records(path: Path) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, audio file, captions) of each record of a manifest."""
     if path.suffix.lower() == ".jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with _open_manifest(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -521,13 +521,22 @@ def _manifest_records(path: Path) -> Iterator[tuple[int, str, list[str]]]:
                     raise ManifestError(f"{path}: line {line_no}: captions must be a list of strings")
                 yield line_no, audio, captions
     else:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _open_manifest(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "file_name" not in reader.fieldnames:
                 raise ManifestError(f"{path}: line 1: no file_name column")
             cap_cols = [c for c in reader.fieldnames if c.startswith("caption_")]
             for row in reader:
                 yield reader.line_num, row["file_name"], [row[c] for c in cap_cols if row.get(c)]
+
+
+def _open_manifest(path: Path, newline=None):
+    """The manifest opened for reading; a file that cannot be opened (missing, a
+    directory, unreadable) raises ManifestError naming it and why."""
+    try:
+        return open(path, newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot open the manifest: {exc.strerror or exc}") from exc
 
 
 def load_manifest(path, audio_root=None) -> PairedDataset:

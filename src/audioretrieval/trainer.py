@@ -182,11 +182,6 @@ class PreparedSplit:
     def __len__(self):
         return len(self.captions)
 
-    def close(self) -> None:
-        """Close the frame store, if the split has one."""
-        if self.mels is not None:
-            self.mels.close()
-
 
 def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
     """Whether ``pooled_audio`` under ``cfg`` reads log-mel frames: only time stripes
@@ -195,31 +190,25 @@ def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
 
 
 def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
-                  feat: FeatureConfig, frames_dir=None) -> PreparedSplit:
+                  feat: FeatureConfig, frames=None) -> PreparedSplit:
     """Resample every clip and compute its log-mel statistics, once.
 
     ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
     time) is read once, and no clip's audio is kept. Each clip's statistics are
-    taken as soon as its log-mel exists; the log-mel itself is kept only with a
-    ``frames_dir`` (see ``reads_frames``), in a FrameStore there. A clip that cannot
-    be featurized (shorter than one hop) raises ManifestError naming it.
+    taken as soon as its log-mel exists; the log-mel itself is appended to ``frames``
+    when given (see ``reads_frames``): a FrameStore its caller opens and closes, or a
+    list. A clip shorter than one hop raises ManifestError naming it.
     """
-    frames = None if frames_dir is None else FrameStore(frames_dir, feat.n_mels)
     per_clip, captions = [], []
-    try:
-        for audio_id, w, caps in items:
-            try:
-                m = logmel(resample_linear(w, feat.target_sr), feat)
-            except ValueError as exc:
-                raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
-            per_clip.append(mel_stats([m]))
-            if frames is not None:
-                frames.append(m.values)
-            captions.append(caps)
-    except BaseException:
+    for audio_id, w, caps in items:
+        try:
+            m = logmel(resample_linear(w, feat.target_sr), feat)
+        except ValueError as exc:
+            raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
+        per_clip.append(mel_stats([m]))
         if frames is not None:
-            frames.close()
-        raise
+            frames.append(m.values)
+        captions.append(caps)
     columns = zip(*((s.count, s.mean, s.var, s.max) for s in per_clip))
     stats = MelStats(*map(np.concatenate, columns)) if per_clip else mel_stats([])
     return PreparedSplit(feat, frames, stats, captions)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -35,6 +36,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def canonical_hash(path) -> str:
+    """The provenance hash of the config document in ``path``: of its canonical JSON."""
+    canon = json.dumps(json.loads(Path(path).read_text()), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def write_manifest_config(tmp_path, **overrides):
@@ -218,6 +225,39 @@ class TestTrain:
         assert capsys.readouterr().err == "error: text_aug.p_bt > 0 needs paths.bt_cache\n"
         assert prepared == []
 
+    @pytest.mark.parametrize("command,message", [
+        ("train", "text_aug.p_bt > 0 needs paths.bt_cache"),
+        ("smbo", "the search space can sample p_bt > 0, which needs paths.bt_cache"),
+    ])
+    def test_back_translation_without_cache_generates_no_clip(self, tmp_path, monkeypatch,
+                                                              capsys, command, message):
+        generated = []
+        monkeypatch.setattr(cli.data, "synth_dataset", lambda *a, **kw: generated.append(a))
+        path = write_config(tmp_path, text_aug={"p_bt": 0.5})  # synthetic, no paths.bt_cache
+        argv = ["--n-init", "2", "--n-trials", "3"] if command == "smbo" else []
+        assert main([command, "--config", str(path), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert generated == [] and os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("change", ["deleted", "rewritten"])
+    def test_config_hash_of_the_config_that_ran(self, tmp_path, monkeypatch, change):
+        """A config file removed or rewritten during training changes neither the run
+        nor its artifacts: the hash is of the document the run parsed."""
+        path = write_config(tmp_path)
+        digest, train_run = canonical_hash(path), cli.trainer.train_run
+
+        def changing(*args, **kwargs):
+            if change == "deleted":
+                path.unlink()
+            else:
+                write_config(tmp_path, seed=1)
+            return train_run(*args, **kwargs)
+        monkeypatch.setattr(cli.trainer, "train_run", changing)
+        assert main(["train", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "metrics.csv", "run_result.json"]
+        assert json.loads((out / "run_result.json").read_text())["config_hash"] == digest
+
     def test_back_translation_cache_miss_exit_2(self, tmp_path, monkeypatch, capsys):
         path, cache, caption, prepared = write_one_entry_cache_config(
             tmp_path, monkeypatch, text_aug={"p_bt": 0.5})
@@ -310,6 +350,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert "mAP@10" in out and "test" in out
         assert (tmp_path / "out" / "eval_test.json").exists()
+
+    def test_config_hash_of_the_config_that_ran(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        digest, score_split = canonical_hash(cfg), cli.trainer.score_split
+        monkeypatch.setattr(cli.trainer, "score_split",
+                            lambda *a: cfg.unlink() or score_split(*a))
+        ckpt = tmp_path / "out" / "checkpoint.json"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads((tmp_path / "out" / "eval_test.json").read_text())["config_hash"] \
+            == digest
 
     def test_empty_split_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -745,16 +796,16 @@ class TestFramesKept:
         return seen
 
     @staticmethod
-    def _store_dirs(monkeypatch):
-        """The directory of each FrameStore made from here on."""
-        dirs = []
+    def _stores(monkeypatch):
+        """The directory and the store of each FrameStore made from here on."""
+        made = []
 
         class Recorded(cli.trainer.FrameStore):
             def __init__(self, directory, n_mels):
-                dirs.append(Path(directory))
                 super().__init__(directory, n_mels)
+                made.append((Path(directory), self))
         monkeypatch.setattr(cli.trainer, "FrameStore", Recorded)
-        return dirs
+        return made
 
     @pytest.mark.parametrize("audio_aug,kept", [
         (None, False),
@@ -764,27 +815,44 @@ class TestFramesKept:
         ({"n_t": 2, "w_t": 4}, True),
     ])
     def test_train(self, tmp_path, monkeypatch, audio_aug, kept):
-        seen, dirs = self._splits_trained_on(monkeypatch), self._store_dirs(monkeypatch)
+        seen, stores = self._splits_trained_on(monkeypatch), self._stores(monkeypatch)
         extra = {} if audio_aug is None else {"audio_aug": audio_aug}
         assert main(["train", "--config", str(write_config(tmp_path, **extra))]) == 0
         [(train, val)] = seen
         assert (train.mels is not None) == kept
         assert val.mels is None
         out = tmp_path / "out"
-        assert dirs == ([out] if kept else [])
+        assert stores == ([(out, train.mels)] if kept else [])
         if kept:  # and closed once training is done
             assert train.mels._file.closed
         assert sorted(os.listdir(out)) == ["checkpoint.json", "metrics.csv", "run_result.json"]
 
     def test_smbo_space_reads_frames(self, tmp_path, monkeypatch):
         """The search samples time stripes, so smbo keeps the training frames."""
-        seen, dirs = self._splits_trained_on(monkeypatch), self._store_dirs(monkeypatch)
+        seen, stores = self._splits_trained_on(monkeypatch), self._stores(monkeypatch)
         cfg = write_config_with_bt_cache(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "2"]) == 0
         assert len(seen) == 2
         assert all(train.mels is not None and val.mels is None for train, val in seen)
-        assert dirs == [tmp_path / "out"] and seen[0][0].mels._file.closed
+        assert stores == [(tmp_path / "out", seen[0][0].mels)] and seen[0][0].mels._file.closed
         assert os.listdir(tmp_path / "out") == ["trials.jsonl"]
+
+    def test_closed_when_preparation_fails(self, tmp_path, monkeypatch, capsys):
+        """A time-striped train whose third clip cannot be read stops at that record; the
+        store it opened is closed, and out_dir holds nothing."""
+        cfg = write_manifest_config(tmp_path, audio_aug={"n_t": 2, "w_t": 4})
+        manifest = tmp_path / "ds" / "train.jsonl"
+        audio = json.loads(manifest.read_text().splitlines()[2])["audio"]
+        (tmp_path / "ds" / audio).unlink()
+        stores = self._stores(monkeypatch)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: line 3: cannot read {audio!r}: ")
+        assert len(err.splitlines()) == 1
+        [(directory, store)] = stores
+        assert directory == tmp_path / "out" and len(store) == 2 and store._file.closed
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestManifestSplits:
@@ -818,6 +886,19 @@ class TestManifestSplits:
         assert main([command, "--config", str(cfg), *argv]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {manifest}: line 2: item '{split}/x.wav' has no captions\n"
+
+    @pytest.mark.parametrize("dataset", ["", "ds"])
+    def test_manifest_that_cannot_be_opened_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                   dataset):
+        """An empty path reads as the current directory; a directory is no manifest."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ds").mkdir()
+        cfg = write_config(tmp_path, data=None, paths={"out_dir": str(tmp_path / "out"),
+                                                       "dataset": dataset})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {Path(dataset)}: cannot open the manifest: Is a directory\n"
+        assert os.listdir(tmp_path / "out") == []
 
     def test_unreadable_wav_exit_2(self, tmp_path, capsys):
         cfg = write_manifest_config(tmp_path)
@@ -1084,10 +1165,11 @@ class TestBtCache:
 
 
 class TestSynthData:
-    def test_writes_manifests_and_wavs(self, tmp_path):
+    def test_writes_manifests_and_wavs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "dataset"
         assert main(["synth-data", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "train: 18 items\nval: 9 items\ntest: 9 items\n"
         for split, n in (("train", 18), ("val", 9), ("test", 9)):
             manifest = out / f"{split}.jsonl"
             assert manifest.exists()
