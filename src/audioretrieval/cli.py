@@ -175,19 +175,13 @@ def cmd_smbo(args) -> int:
     cfg = load_config(args.config)
     out_dir = _out_dir(cfg)
     log_path = out_dir / "trials.jsonl"
-    if args.resume and log_path.exists():
-        torn = smbo.drop_torn_tail(log_path)
-        if torn is not None:
-            print(f"warning: dropped the torn last line of {log_path}: {torn!r}", file=sys.stderr)
-        try:
-            logged = len(smbo.load_trials(log_path))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CommandError(f"corrupt trials log {log_path}: {exc}", EXIT_CORRUPT) from exc
-        if logged > args.n_trials:
-            raise CommandError(f"{log_path} holds {logged} trials, more than --n-trials "
-                               f"{args.n_trials}")
-    elif log_path.exists() and log_path.stat().st_size:
-        raise CommandError(f"trials log {log_path} exists; pass --resume to continue")
+    try:  # the log's errors come before any clip is featurized
+        _, torn = smbo.open_log(log_path, args.n_trials, args.resume)
+    except ValueError as exc:
+        code = EXIT_CORRUPT if isinstance(exc, smbo.CorruptLog) else EXIT_USAGE
+        raise CommandError(str(exc), code) from exc
+    if torn is not None:
+        print(f"warning: dropped the torn last line of {log_path}: {torn!r}", file=sys.stderr)
 
     with _training_objective(cfg, out_dir) as objective:
         trials, best = smbo.run_search(

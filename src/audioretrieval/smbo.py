@@ -2,6 +2,7 @@
 Estimator suggestions, early-stopped trials, JSONL persistence."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -207,23 +208,39 @@ def tpe_suggest(
     return candidates[int(np.argmax(scores))]
 
 
-def drop_torn_tail(log_path) -> str | None:
-    """Truncate the log to its last newline if what follows is the unparseable
-    fragment of a write cut off, and return that fragment; a bad complete line
-    is left for ``load_trials`` to reject."""
-    raw = Path(log_path).read_bytes()
+class CorruptLog(ValueError):
+    """A complete line of the trials log that is not a trial record."""
+
+
+def open_log(log_path, n_trials: int, resume: bool) -> tuple[list[TrialRecord], str | None]:
+    """The trials logged at ``log_path`` and the torn last line dropped from it (or None).
+    Without ``resume`` the log must be absent or empty; with it, an unterminated last line
+    that does not parse is truncated away, and one that does gets its newline back."""
+    path = Path(log_path)
+    raw = path.read_bytes() if path.exists() else b""
+    if raw and not resume:
+        raise ValueError(f"trials log {path} exists; pass --resume to continue")
     cut = raw.rfind(b"\n") + 1
-    if cut == len(raw):
-        return None
     tail = raw[cut:].decode("utf-8", errors="replace")
     try:
-        TrialRecord.from_json(tail)
-    except (ValueError, KeyError, TypeError):
-        os.truncate(log_path, cut)
-        return tail
-    with open(log_path, "ab") as fh:
-        fh.write(b"\n")  # a whole record that lost only its newline
-    return None
+        trials = [TrialRecord.from_json(line) for line in raw[:cut].decode().splitlines()
+                  if line.strip()]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptLog(f"corrupt trials log {path}: {exc}") from exc
+    torn = None
+    if tail:
+        try:
+            trials.append(TrialRecord.from_json(tail))
+        except (ValueError, KeyError, TypeError):
+            torn = tail
+    if len(trials) > n_trials:
+        raise ValueError(f"{path} holds {len(trials)} trials, more than --n-trials {n_trials}")
+    if torn is not None:
+        os.truncate(path, cut)
+    elif tail:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+    return trials, torn
 
 
 def load_trials(log_path) -> list[TrialRecord]:
@@ -253,13 +270,8 @@ def run_search(
     is derived from (seed, trial_id), so resuming from the JSONL log yields
     the same sequence as an uninterrupted run.
     """
-    trials = load_trials(log_path) if (resume and log_path) else []
-    if len(trials) > n_trials:
-        raise ValueError("trials log already exceeds n_trials")
-    log_fh = open(log_path, "a") if log_path else None
-    try:
-        if log_fh and not resume and log_fh.tell() > 0:
-            raise ValueError(f"trials log {log_path} exists; pass resume to continue")
+    trials = open_log(log_path, n_trials, resume)[0] if log_path else []
+    with open(log_path, "a") if log_path else contextlib.nullcontext() as log_fh:
         for trial_id in range(len(trials), n_trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial_id]))
             if trial_id < n_init:
@@ -276,9 +288,6 @@ def run_search(
             if log_fh:
                 log_fh.write(record.to_json() + "\n")
                 log_fh.flush()
-    finally:
-        if log_fh:
-            log_fh.close()
     scored = [t for t in trials if t.objective is not None]
     best = max(scored, key=lambda t: t.objective).config if scored else None
     return trials, best

@@ -319,10 +319,6 @@ def train_run(
     state = AdamState()
     best = None  # (params, stats) at the best validation epoch
 
-    # without text augmentation a clip's caption j is row first[i] + j of one matrix
-    if text_cfg is None:
-        caption_rows = tokenize([c for caps in caps_pre for c in caps], vocab)
-        first = np.cumsum([0] + [len(caps) for caps in caps_pre])
     val_tokens, val_targets = caption_queries(val, vocab)
 
     result = RunResult(checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
@@ -338,14 +334,12 @@ def train_run(
             idx = order[start : start + optim.batch_size]
             if len(idx) < 2:
                 continue  # nt_xent needs N >= 2
-            if text_cfg is None:
-                tokens = caption_rows[[first[i] + cap_choice[int(i)] for i in idx]]
-            else:
-                tokens = tokenize([
-                    text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
-                                             provider, lexicon, vocab, rng_aug)
-                    for i in idx
-                ], vocab)
+            tokens = tokenize([
+                caps_pre[i][cap_choice[int(i)]] if text_cfg is None
+                else text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
+                                              provider, lexicon, vocab, rng_aug)
+                for i in idx
+            ], vocab)
             pooled = pooled_audio(train, idx, stats, True, audio_cfg, rng_aug)
             loss, grads = backward(pooled, tokens, params)
             adam_step(params, grads, state, lr)

@@ -595,6 +595,33 @@ class TestSmbo:
             f"error: {log} holds 5 trials, more than --n-trials 3\n"
         assert log.read_bytes() == before
 
+    def test_log_errors_before_any_clip_is_decoded(self, tmp_path, monkeypatch, capsys):
+        manifest_paths = json.loads(write_manifest_config(tmp_path).read_text())["paths"]
+        cfg = write_config_with_bt_cache(tmp_path, data=None, paths=manifest_paths)
+        log = tmp_path / "out" / "trials.jsonl"
+        log.parent.mkdir()
+        log.write_text("".join(smbo.TrialRecord(i, {"p_eda": 0.5}, 0.1, "completed", 1)
+                               .to_json() + "\n" for i in range(5)))
+        before = log.read_bytes()
+        decoded = []
+
+        def load_wav(path):
+            decoded.append(path)
+            raise OSError("decoded")
+        monkeypatch.setattr(cli.data, "load_wav", load_wav)
+        argv = ["smbo", "--config", str(cfg), "--n-init", "2"]
+        capsys.readouterr()
+        assert main(argv + ["--n-trials", "8"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: trials log {log} exists; pass --resume to continue\n"
+        assert main(argv + ["--n-trials", "3", "--resume"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {log} holds 5 trials, more than --n-trials 3\n"
+        assert decoded == [] and log.read_bytes() == before
+        # a log that passes every rule: the first clip is decoded next
+        assert main(argv + ["--n-trials", "8", "--resume"]) == 2
+        assert "cannot read" in capsys.readouterr().err and len(decoded) == 1
+
     def test_corrupt_log_on_resume_exit_3(self, tmp_path, toy_objective):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

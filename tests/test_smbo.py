@@ -1,15 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from audioretrieval.smbo import (
     PRIOR_WEIGHT,
+    CorruptLog,
     ParamSpec,
     SearchSpace,
     TrialRecord,
     default_search_space,
     load_trials,
+    open_log,
     run_search,
     sample_random,
     tpe_suggest,
@@ -215,6 +218,44 @@ class TestRunSearch:
         run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=2, seed=5, log_path=log)
         with pytest.raises(ValueError):
             run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=4, seed=5, log_path=log)
+
+    @pytest.mark.parametrize("tear", [lambda rec: rec[: len(rec) // 2], lambda rec: rec[:-1]],
+                             ids=["half of the last record", "last record without its newline"])
+    def test_resume_after_torn_last_line(self, tmp_path, tear):
+        full_log, log = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
+        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7, log_path=full_log)
+        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=7, seed=7, log_path=log)
+        with open(log, "ab") as fh:
+            fh.write(tear(full_log.read_bytes().splitlines(keepends=True)[7]))
+        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7, log_path=log,
+                   resume=True)
+        assert log.read_bytes() == full_log.read_bytes()
+
+    def test_open_log_changes_nothing_it_rejects(self, tmp_path):
+        log = tmp_path / "t.jsonl"
+        run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8, log_path=log)
+        with open(log, "ab") as fh:
+            fh.write(b'{"trial_id": 3, "con')  # a torn tail the rejected opens must keep
+        before, name = log.read_bytes(), re.escape(str(log))
+        with pytest.raises(ValueError, match=f"^trials log {name} exists; pass --resume"):
+            open_log(log, 5, resume=False)
+        with pytest.raises(ValueError, match=f"^{name} holds 3 trials, more than --n-trials 2$"):
+            open_log(log, 2, resume=True)
+        assert log.read_bytes() == before
+        log.write_bytes(b'{"schema": 7}\n' + before)
+        with pytest.raises(CorruptLog, match=f"^corrupt trials log {name}: "):
+            open_log(log, 5, resume=True)
+        assert log.read_bytes() == b'{"schema": 7}\n' + before
+
+    def test_open_log_returns_the_dropped_fragment(self, tmp_path):
+        log = tmp_path / "t.jsonl"
+        trials, _ = run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8,
+                               log_path=log)
+        whole = log.read_bytes()
+        log.write_bytes(whole + b'{"trial_id": 3, "con')
+        assert open_log(log, 3, resume=True) == (trials, '{"trial_id": 3, "con')
+        assert log.read_bytes() == whole
+        assert open_log(tmp_path / "absent.jsonl", 3, resume=True) == ([], None)
 
     def test_record_roundtrip(self):
         rec = TrialRecord(3, {"x": 0.25, "n_f": 1}, 0.9, "completed", 20)

@@ -24,6 +24,7 @@ from audioretrieval.data import (
     load_manifest,
     logmel,
     mel_stats,
+    preprocess_caption,
     resample_linear,
     save_wav,
     synth_dataset,
@@ -239,12 +240,16 @@ class TestTrainRun:
         assert first == second == run(*fresh)
         assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
-    def test_untouched_captions_tokenized_once(self):
-        calls = []
+    def test_untouched_batch_tokenizes_its_preprocessed_captions(self):
+        texts = []
         tokenize = trainer.tokenize
-        with mock.patch.object(trainer, "tokenize", lambda *a: calls.append(1) or tokenize(*a)):
+        with mock.patch.object(trainer, "tokenize",
+                               lambda t, vocab: texts.append(t) or tokenize(t, vocab)):
             _tiny_run(seed=10, epochs=3)
-        assert len(calls) == 2  # the training captions, then the validation queries
+        captions = {preprocess_caption(c) for caps in _tiny_splits()[0].captions for c in caps}
+        # the validation queries, then one call per batch of six clips: 3 epochs of 3 batches
+        assert [len(t) for t in texts[1:]] == [6] * 9
+        assert all(c in captions for batch in texts[1:] for c in batch)
 
     def test_checkpoint_written_once_with_best_epoch_state(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
