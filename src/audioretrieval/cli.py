@@ -176,17 +176,18 @@ def cmd_smbo(args) -> int:
     out_dir = _out_dir(cfg)
     log_path = out_dir / "trials.jsonl"
     try:  # the log's errors come before any clip is featurized
-        _, torn = smbo.open_log(log_path, args.n_trials, args.resume)
+        logged, torn = smbo.open_log(log_path, args.n_trials, args.resume)
     except ValueError as exc:
         code = EXIT_CORRUPT if isinstance(exc, smbo.CorruptLog) else EXIT_USAGE
         raise CommandError(str(exc), code) from exc
     if torn is not None:
         print(f"warning: dropped the torn last line of {log_path}: {torn!r}", file=sys.stderr)
 
-    with _training_objective(cfg, out_dir) as objective:
-        trials, best = smbo.run_search(
+    # the log is opened once the splits are prepared: a failed preparation makes no log
+    with _training_objective(cfg, out_dir) as objective, open(log_path, "a") as log:
+        _, best = smbo.run_search(
             objective, smbo.default_search_space(), n_init=args.n_init,
-            n_trials=args.n_trials, seed=cfg.seed, log_path=log_path, resume=args.resume,
+            n_trials=args.n_trials, seed=cfg.seed, trials=logged, log=log,
         )
     if best is None:
         raise CommandError("all trials failed", EXIT_FAILED)

@@ -323,7 +323,7 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
     return MelSpectrogram(np.log(mel_power + LOG_FLOOR), n_frames)
 
 
-def mel_stats(mels: list[MelSpectrogram]) -> MelStats:
+def mel_stats(mels: Iterable[MelSpectrogram]) -> MelStats:
     """Count, mean, population variance and max of each clip's valid frames, per bin.
 
     One sum gives the mean, and the variance reuses it: the same operations as

@@ -2,7 +2,6 @@
 Estimator suggestions, early-stopped trials, JSONL persistence."""
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -89,6 +88,8 @@ class TrialRecord:
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError(f"not a trial record: {line.strip()!r}")
         if rec.pop("schema", 1) != 1:
             raise ValueError("unsupported trial record schema")
         return cls(**rec)
@@ -215,7 +216,9 @@ class CorruptLog(ValueError):
 def open_log(log_path, n_trials: int, resume: bool) -> tuple[list[TrialRecord], str | None]:
     """The trials logged at ``log_path`` and the torn last line dropped from it (or None).
     Without ``resume`` the log must be absent or empty; with it, an unterminated last line
-    that does not parse is truncated away, and one that does gets its newline back."""
+    that does not parse is truncated away, and one that does gets its newline back. A
+    complete line that is not a trial record, or a record whose trial_id is not its
+    position in the log, raises CorruptLog; a rejected log is left as it was."""
     path = Path(log_path)
     raw = path.read_bytes() if path.exists() else b""
     if raw and not resume:
@@ -223,16 +226,22 @@ def open_log(log_path, n_trials: int, resume: bool) -> tuple[list[TrialRecord], 
     cut = raw.rfind(b"\n") + 1
     tail = raw[cut:].decode("utf-8", errors="replace")
     try:
-        trials = [TrialRecord.from_json(line) for line in raw[:cut].decode().splitlines()
-                  if line.strip()]
+        lines = raw[:cut].decode().splitlines()
+        numbered = [(n, TrialRecord.from_json(line)) for n, line in enumerate(lines, 1)
+                    if line.strip()]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptLog(f"corrupt trials log {path}: {exc}") from exc
     torn = None
     if tail:
         try:
-            trials.append(TrialRecord.from_json(tail))
+            numbered.append((len(lines) + 1, TrialRecord.from_json(tail)))
         except (ValueError, KeyError, TypeError):
             torn = tail
+    for position, (n, trial) in enumerate(numbered):
+        if trial.trial_id != position:
+            raise CorruptLog(f"corrupt trials log {path}: line {n} holds trial "
+                             f"{trial.trial_id!r} where trial {position} belongs")
+    trials = [trial for _, trial in numbered]
     if len(trials) > n_trials:
         raise ValueError(f"{path} holds {len(trials)} trials, more than --n-trials {n_trials}")
     if torn is not None:
@@ -243,51 +252,40 @@ def open_log(log_path, n_trials: int, resume: bool) -> tuple[list[TrialRecord], 
     return trials, torn
 
 
-def load_trials(log_path) -> list[TrialRecord]:
-    log_path = Path(log_path)
-    if not log_path.exists():
-        return []
-    trials = []
-    for line in log_path.read_text().splitlines():
-        if line.strip():
-            trials.append(TrialRecord.from_json(line))
-    return trials
-
-
 def run_search(
     objective,
     space: SearchSpace,
     n_init: int = 10,
     n_trials: int = 100,
     seed: int = 0,
-    log_path=None,
-    resume: bool = False,
+    trials: list[TrialRecord] | None = None,
+    log=None,
 ) -> tuple[list[TrialRecord], dict | None]:
     """Random-then-TPE search over ``space``, maximizing ``objective``.
 
     ``objective(config, trial_id, seed) -> (value, status, epochs_run)``;
     pruned trials report their best value before pruning. Each trial's RNG
-    is derived from (seed, trial_id), so resuming from the JSONL log yields
-    the same sequence as an uninterrupted run.
+    is derived from (seed, trial_id), so continuing the history ``trials`` (as
+    ``open_log`` returns it) yields the same sequence as an uninterrupted run.
+    Each new record is written to ``log``, an open text file, as one line and flushed.
     """
-    trials = open_log(log_path, n_trials, resume)[0] if log_path else []
-    with open(log_path, "a") if log_path else contextlib.nullcontext() as log_fh:
-        for trial_id in range(len(trials), n_trials):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, trial_id]))
-            if trial_id < n_init:
-                cfg = sample_random(space, rng)
-            else:
-                cfg = tpe_suggest(trials, space, rng, n_init=n_init)
-            try:
-                value, status, epochs_run = objective(cfg, trial_id, seed)
-                record = TrialRecord(trial_id, cfg, float(value), status, epochs_run)
-            except Exception as exc:
-                record = TrialRecord(trial_id, cfg, None, "failed", 0,
-                                     f"{type(exc).__name__}: {exc}")
-            trials.append(record)
-            if log_fh:
-                log_fh.write(record.to_json() + "\n")
-                log_fh.flush()
+    trials = list(trials or [])
+    for trial_id in range(len(trials), n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial_id]))
+        if trial_id < n_init:
+            cfg = sample_random(space, rng)
+        else:
+            cfg = tpe_suggest(trials, space, rng, n_init=n_init)
+        try:
+            value, status, epochs_run = objective(cfg, trial_id, seed)
+            record = TrialRecord(trial_id, cfg, float(value), status, epochs_run)
+        except Exception as exc:
+            record = TrialRecord(trial_id, cfg, None, "failed", 0,
+                                 f"{type(exc).__name__}: {exc}")
+        trials.append(record)
+        if log is not None:
+            log.write(record.to_json() + "\n")
+            log.flush()
     scored = [t for t in trials if t.objective is not None]
     best = max(scored, key=lambda t: t.objective).config if scored else None
     return trials, best

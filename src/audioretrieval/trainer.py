@@ -199,19 +199,19 @@ def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
     when given (see ``reads_frames``): a FrameStore its caller opens and closes, or a
     list. A clip shorter than one hop raises ManifestError naming it.
     """
-    per_clip, captions = [], []
-    for audio_id, w, caps in items:
-        try:
-            m = logmel(resample_linear(w, feat.target_sr), feat)
-        except ValueError as exc:
-            raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
-        per_clip.append(mel_stats([m]))
-        if frames is not None:
-            frames.append(m.values)
-        captions.append(caps)
-    columns = zip(*((s.count, s.mean, s.var, s.max) for s in per_clip))
-    stats = MelStats(*map(np.concatenate, columns)) if per_clip else mel_stats([])
-    return PreparedSplit(feat, frames, stats, captions)
+    captions = []
+
+    def clips():
+        for audio_id, w, caps in items:
+            try:
+                m = logmel(resample_linear(w, feat.target_sr), feat)
+            except ValueError as exc:
+                raise ManifestError(f"clip {audio_id!r}: {exc}") from exc
+            if frames is not None:
+                frames.append(m.values)
+            captions.append(caps)
+            yield m
+    return PreparedSplit(feat, frames, mel_stats(clips()), captions)
 
 
 def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:

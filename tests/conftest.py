@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from audioretrieval.data import MelSpectrogram
 from audioretrieval.model import ModelDims, init_params
+from audioretrieval.smbo import open_log, run_search
 
 # CI's tier-1 step sets HYPOTHESIS_PROFILE=ci: every property test derandomized, so that
 # a failure there reproduces locally under the same variable, and with four times the
@@ -44,3 +45,12 @@ def random_token_batch(rng, n, vocab_size=10, max_len=8):
         length = int(rng.integers(2, max_len))
         row[:length] = rng.integers(1, vocab_size, size=length)
     return out
+
+
+def logged_search(log_path, objective, space, n_init: int, n_trials: int, seed: int,
+                  resume: bool = False):
+    """``run_search`` continuing the trials log at ``log_path`` and appending to it, as the
+    ``smbo`` command does."""
+    trials = open_log(log_path, n_trials, resume)[0]
+    with open(log_path, "a") as log:
+        return run_search(objective, space, n_init, n_trials, seed, trials=trials, log=log)

@@ -42,12 +42,12 @@ from audioretrieval.model import (
 from audioretrieval.smbo import (
     ParamSpec,
     SearchSpace,
-    load_trials,
     run_search,
 )
 from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import EarlyStopping, OptimConfig, lr_at, prepare_split, train_run
 
+from conftest import logged_search
 from test_model import finite_difference_check
 
 H10 = sum(1.0 / r for r in range(1, 11))
@@ -279,12 +279,11 @@ def test_criterion_11_determinism(tmp_path):
         return -((cfg["x"] - 0.7) ** 2), "completed", 1
 
     full_log = tmp_path / "full.jsonl"
-    run_search(quadratic, space, n_init=5, n_trials=18, seed=4, log_path=full_log)
+    logged_search(full_log, quadratic, space, n_init=5, n_trials=18, seed=4)
     split_log = tmp_path / "split.jsonl"
-    run_search(quadratic, space, n_init=5, n_trials=7, seed=4, log_path=split_log)
-    run_search(quadratic, space, n_init=5, n_trials=18, seed=4,
-               log_path=split_log, resume=True)
-    resume_identical = load_trials(full_log) == load_trials(split_log)
+    logged_search(split_log, quadratic, space, n_init=5, n_trials=7, seed=4)
+    logged_search(split_log, quadratic, space, n_init=5, n_trials=18, seed=4, resume=True)
+    resume_identical = full_log.read_bytes() == split_log.read_bytes()
     ok = csv_identical and resume_identical
     report(11, "determinism", ok,
            f"train metrics CSVs byte-identical: {csv_identical}; "

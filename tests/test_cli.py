@@ -630,6 +630,37 @@ class TestSmbo:
         assert main(["smbo", "--config", str(cfg),
                      "--n-trials", "5", "--resume"]) == 3
 
+    @pytest.mark.parametrize("second,reason", [
+        ("5", "not a trial record: '5'"),
+        (smbo.TrialRecord(2, {"x": 0.5}, 0.1, "completed", 1).to_json(),
+         "line 2 holds trial 2 where trial 1 belongs")], ids=["not an object", "gap"])
+    def test_log_that_is_not_trials_in_order_exit_3(self, tmp_path, capsys, toy_objective,
+                                                   second, reason):
+        """A line that is JSON but no record, or a record out of its place, is corrupt; the
+        log keeps its bytes."""
+        cfg = write_config(tmp_path)
+        log = tmp_path / "out" / "trials.jsonl"
+        log.parent.mkdir()
+        first = smbo.TrialRecord(0, {"x": 0.5}, 0.1, "completed", 1).to_json()
+        log.write_text(f"{first}\n{second}\n")
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(["smbo", "--config", str(cfg), "--n-trials", "5", "--resume"]) == 3
+        assert capsys.readouterr().err == f"error: corrupt trials log {log}: {reason}\n"
+        assert log.read_bytes() == before
+
+    def test_resume_parses_each_logged_record_once(self, tmp_path, monkeypatch,
+                                                     toy_objective):
+        cfg = write_config(tmp_path)
+        argv = ["smbo", "--config", str(cfg), "--n-init", "2"]
+        assert main(argv + ["--n-trials", "3"]) == 0
+        parsed, from_json = [], smbo.TrialRecord.from_json
+        monkeypatch.setattr(smbo.TrialRecord, "from_json",
+                            staticmethod(lambda line: parsed.append(line) or from_json(line)))
+        assert main(argv + ["--n-trials", "5", "--resume"]) == 0
+        assert len(parsed) == 3
+        assert len((tmp_path / "out" / "trials.jsonl").read_text().splitlines()) == 5
+
     def test_objective_option_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exit_:
@@ -652,7 +683,7 @@ class TestSmbo:
         cfg = write_config(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 1
         assert capsys.readouterr().err == "error: all trials failed\n"
-        trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        trials = smbo.open_log(tmp_path / "out" / "trials.jsonl", 3, resume=True)[0]
         assert [(t.status, t.error) for t in trials] == [("failed", "RuntimeError: diverged")] * 3
 
     def test_trial_is_a_train_run(self, tmp_path):
@@ -660,7 +691,7 @@ class TestSmbo:
         ``seed * 100003 + trial_id``, here 0 * 100003 + 0."""
         cfg = write_config_with_bt_cache(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "1", "--n-trials", "1"]) == 0
-        [trial] = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        [trial] = smbo.open_log(tmp_path / "out" / "trials.jsonl", 1, resume=True)[0]
         assert trial.status != "failed"
         doc = json.loads(cfg.read_text())
         assert doc["seed"] == 0 * 100003 + 0
@@ -686,7 +717,7 @@ class TestSmbo:
         monkeypatch.setattr(cli.trainer, "train_run", capture)
         cfg = write_config_with_bt_cache(tmp_path)
         assert main(["smbo", "--config", str(cfg), "--n-init", "2", "--n-trials", "3"]) == 0
-        trials = smbo.load_trials(tmp_path / "out" / "trials.jsonl")
+        trials = smbo.open_log(tmp_path / "out" / "trials.jsonl", 3, resume=True)[0]
         assert built == [t.config for t in trials]
         for values in built:
             assert all(type(values[k]) is int for k in ("g_max", "n_f", "w_f", "n_t", "w_t"))

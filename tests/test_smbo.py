@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import re
 
 import numpy as np
@@ -11,7 +13,6 @@ from audioretrieval.smbo import (
     SearchSpace,
     TrialRecord,
     default_search_space,
-    load_trials,
     open_log,
     run_search,
     sample_random,
@@ -20,6 +21,8 @@ from audioretrieval.smbo import (
     _kde_density,
     ndtr,
 )
+
+from conftest import logged_search
 
 
 def quadratic_1d(cfg, trial_id, seed):
@@ -182,14 +185,24 @@ class TestRunSearch:
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         log_a = tmp_path / "a.jsonl"
-        full, _ = run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=20, seed=2,
-                             log_path=log_a)
+        full, _ = logged_search(log_a, quadratic_1d, SPACE_1D, n_init=5, n_trials=20, seed=2)
         log_b = tmp_path / "b.jsonl"
-        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=8, seed=2, log_path=log_b)
-        resumed, _ = run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=20, seed=2,
-                                log_path=log_b, resume=True)
+        logged_search(log_b, quadratic_1d, SPACE_1D, n_init=5, n_trials=8, seed=2)
+        resumed, _ = logged_search(log_b, quadratic_1d, SPACE_1D, n_init=5, n_trials=20,
+                                   seed=2, resume=True)
         assert [t.config for t in resumed] == [t.config for t in full]
-        assert load_trials(log_a) == load_trials(log_b)
+        assert log_a.read_bytes() == log_b.read_bytes()
+
+    def test_continues_history_into_an_open_log(self, tmp_path, monkeypatch):
+        """run_search opens no file: it writes each new record to the log it is given."""
+        monkeypatch.chdir(tmp_path)
+        history, _ = run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=9)
+        log = io.StringIO()
+        trials, _ = run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=6, seed=9,
+                               trials=history, log=log)
+        assert trials[:3] == history and len(history) == 3
+        assert log.getvalue().splitlines() == [t.to_json() for t in trials[3:]]
+        assert os.listdir(tmp_path) == []
 
     def test_failed_trials_recorded_and_skipped(self):
         def flaky(cfg, trial_id, seed):
@@ -213,27 +226,20 @@ class TestRunSearch:
         assert all(t.status == "pruned" and t.objective == 0.4 for t in trials)
         assert all(t.epochs_run == 11 for t in trials)
 
-    def test_existing_log_without_resume_rejected(self, tmp_path):
-        log = tmp_path / "t.jsonl"
-        run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=2, seed=5, log_path=log)
-        with pytest.raises(ValueError):
-            run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=4, seed=5, log_path=log)
-
     @pytest.mark.parametrize("tear", [lambda rec: rec[: len(rec) // 2], lambda rec: rec[:-1]],
                              ids=["half of the last record", "last record without its newline"])
     def test_resume_after_torn_last_line(self, tmp_path, tear):
         full_log, log = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
-        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7, log_path=full_log)
-        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=7, seed=7, log_path=log)
+        logged_search(full_log, quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7)
+        logged_search(log, quadratic_1d, SPACE_1D, n_init=5, n_trials=7, seed=7)
         with open(log, "ab") as fh:
             fh.write(tear(full_log.read_bytes().splitlines(keepends=True)[7]))
-        run_search(quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7, log_path=log,
-                   resume=True)
+        logged_search(log, quadratic_1d, SPACE_1D, n_init=5, n_trials=12, seed=7, resume=True)
         assert log.read_bytes() == full_log.read_bytes()
 
     def test_open_log_changes_nothing_it_rejects(self, tmp_path):
         log = tmp_path / "t.jsonl"
-        run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8, log_path=log)
+        logged_search(log, quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8)
         with open(log, "ab") as fh:
             fh.write(b'{"trial_id": 3, "con')  # a torn tail the rejected opens must keep
         before, name = log.read_bytes(), re.escape(str(log))
@@ -249,13 +255,42 @@ class TestRunSearch:
 
     def test_open_log_returns_the_dropped_fragment(self, tmp_path):
         log = tmp_path / "t.jsonl"
-        trials, _ = run_search(quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8,
-                               log_path=log)
+        trials, _ = logged_search(log, quadratic_1d, SPACE_1D, n_init=2, n_trials=3, seed=8)
         whole = log.read_bytes()
         log.write_bytes(whole + b'{"trial_id": 3, "con')
         assert open_log(log, 3, resume=True) == (trials, '{"trial_id": 3, "con')
         assert log.read_bytes() == whole
         assert open_log(tmp_path / "absent.jsonl", 3, resume=True) == ([], None)
+
+    @pytest.mark.parametrize("line", ["5", "[0]", '"trial"', "null"])
+    def test_line_that_is_not_an_object_is_corrupt(self, tmp_path, line):
+        with pytest.raises(ValueError, match="^not a trial record: "):
+            TrialRecord.from_json(line)
+        log = tmp_path / "t.jsonl"
+        first = TrialRecord(0, {"x": 0.5}, 0.1, "completed", 1).to_json() + "\n"
+        log.write_text(first + line + "\n")
+        with pytest.raises(CorruptLog, match="^corrupt trials log .*: not a trial record: "):
+            open_log(log, 5, resume=True)
+        assert log.read_text() == first + line + "\n"
+        log.write_text(first + line)  # unterminated, it is a torn tail
+        assert open_log(log, 5, resume=True) == ([TrialRecord.from_json(first)], line)
+        assert log.read_text() == first
+
+    @pytest.mark.parametrize("ids,sep,where", [
+        ((0, 2), "\n", "line 2 holds trial 2 where trial 1"),
+        ((0, 0), "\n", "line 2 holds trial 0 where trial 1"),
+        ((1,), "\n", "line 1 holds trial 1 where trial 0"),
+        ((0, 1, 3), "\n\n", "line 5 holds trial 3 where trial 2")],
+        ids=["gap", "repeat", "first missing", "gap past blank lines"])
+    @pytest.mark.parametrize("terminated", [True, False], ids=["terminated", "unterminated"])
+    def test_trial_out_of_place_is_corrupt(self, tmp_path, ids, sep, where, terminated):
+        log = tmp_path / "t.jsonl"
+        text = sep.join(TrialRecord(i, {"x": 0.5}, 0.1, "completed", 1).to_json()
+                        for i in ids) + ("\n" if terminated else "")
+        log.write_text(text)
+        with pytest.raises(CorruptLog, match=f"^corrupt trials log .*: {where} belongs$"):
+            open_log(log, 5, resume=True)
+        assert log.read_text() == text
 
     def test_record_roundtrip(self):
         rec = TrialRecord(3, {"x": 0.25, "n_f": 1}, 0.9, "completed", 20)
@@ -268,11 +303,11 @@ class TestRunSearch:
             return quadratic_1d(cfg, trial_id, seed)
 
         log = tmp_path / "t.jsonl"
-        run_search(flaky, SPACE_1D, n_init=2, n_trials=3, seed=6, log_path=log)
+        logged_search(log, flaky, SPACE_1D, n_init=2, n_trials=3, seed=6)
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert [("error" in rec) for rec in lines] == [False, True, False]
         assert lines[1]["error"] == "ValueError: split too small"
-        assert load_trials(log)[1].error == "ValueError: split too small"
+        assert open_log(log, 3, resume=True)[0][1].error == "ValueError: split too small"
 
 
 class TestTpeEfficacy1D:
