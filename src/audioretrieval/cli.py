@@ -41,22 +41,18 @@ def _load_split(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform
     """The split's items, generated (synthetic) or read from the manifest one record at a
     time; no clip is made or decoded before the first item is drawn."""
     if cfg.data is not None:
-        return _synthetic_items(cfg, split)
+        spec = cfg.data
+        # split-specific seed offsets keep the three sets disjoint
+        return data.synth_dataset(
+            spec.n_classes, getattr(spec, f"n_{split}"),
+            cfg.seed * 3 + ("train", "val", "test").index(split), split=split,
+            sample_rate=spec.sample_rate, duration=spec.duration,
+            captions_per_item=spec.captions_per_item,
+        )
     path = {"train": cfg.paths.dataset, "val": cfg.paths.val_dataset, "test": cfg.paths.test_dataset}[split]
     if path is None:
         raise ConfigError(f"paths.{'dataset' if split == 'train' else split + '_dataset'}: required")
     return data.iter_manifest(path, cfg.paths.audio_root)
-
-
-def _synthetic_items(cfg: RunConfig, split: str) -> Iterable[tuple[str, data.Waveform, list[str]]]:
-    spec = cfg.data
-    # split-specific seed offsets keep the three sets disjoint
-    yield from data.synth_dataset(
-        spec.n_classes, getattr(spec, f"n_{split}"),
-        cfg.seed * 3 + ("train", "val", "test").index(split), split=split,
-        sample_rate=spec.sample_rate, duration=spec.duration,
-        captions_per_item=spec.captions_per_item,
-    )
 
 
 def _provider_and_lexicon(cfg: RunConfig):

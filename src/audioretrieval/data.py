@@ -148,11 +148,6 @@ class NormStats:
 class PairedDataset:
     items: list[tuple[str, Waveform, list[str]]]
 
-    def __post_init__(self):
-        for audio_id, _, captions in self.items:
-            if not captions:
-                raise ValueError(f"item {audio_id!r} has no captions")
-
     def __len__(self):
         return len(self.items)
 
@@ -161,7 +156,8 @@ class PairedDataset:
 
 
 def load_wav(path) -> Waveform:
-    """Read a RIFF WAV file (PCM 16/24/32-bit or IEEE float 32/64-bit) as mono float."""
+    """Read a RIFF WAV file (PCM 16/24/32-bit or IEEE float 32/64-bit) as mono float; a
+    float sample that is NaN or infinite raises ValueError naming the file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(path)
@@ -169,9 +165,11 @@ def load_wav(path) -> Waveform:
         sr, raw = _read_wav(path.read_bytes())
     except ValueError as exc:
         raise ValueError(f"unsupported WAV format in {path}: {exc}") from exc
-    samples = raw.astype(np.float64)
-    if raw.dtype.kind == "i":  # int16 or (left-justified) int32 to [-1, 1)
-        samples /= 2 ** (8 * raw.dtype.itemsize - 1)
+    if raw.dtype.kind == "f" and not np.isfinite(raw).all():
+        raise ValueError(f"non-finite sample (NaN or infinity) in {path}")
+    # int16 or (left-justified) int32 scaled to [-1, 1) exactly, in one pass; float as it is
+    scale = 2.0 ** (1 - 8 * raw.dtype.itemsize) if raw.dtype.kind == "i" else 1.0
+    samples = np.multiply(raw, scale, dtype=np.float64)
     if samples.ndim == 2:  # downmix by channel mean
         samples = samples.mean(axis=1)
     return Waveform(samples, int(sr))
@@ -247,9 +245,20 @@ def resample_linear(w: Waveform, target_sr: int) -> Waveform:
         raise ValueError("target_sr must be positive")
     if target_sr == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
-    n_out = int(len(w.samples) * target_sr // w.sample_rate)
-    src_pos = np.arange(n_out) * (w.sample_rate / target_sr)
-    out = np.interp(src_pos, np.arange(len(w.samples)), w.samples)
+    x = w.samples
+    n_out = int(len(x) * target_sr // w.sample_rate)
+    # output sample i lies at p = i * rate / target_sr; with j = floor(p) it is
+    # x[j] + (x[j + 1] - x[j]) * (p - j), the last sample standing for its own right
+    # neighbour: np.interp over the positions 0..len-1 without building them, in place
+    frac = np.arange(n_out) * (w.sample_rate / target_sr)
+    j = frac.astype(np.intp)
+    frac -= j
+    out = x[j]
+    j += 1
+    step = x[np.minimum(j, len(x) - 1, out=j)]
+    step -= out
+    step *= frac
+    out += step
     return Waveform(out, target_sr)
 
 
@@ -311,13 +320,13 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
     padded = np.pad(w.samples, half, mode="reflect")
     # periodic Hann
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft))
-    starts = np.arange(n_frames) * cfg.hop
-    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
+    # frame t is padded[t * hop : t * hop + n_fft], a strided view
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop]
     # window, transform and square STFT_BLOCK frames at a time: the complex spectrum of
     # a whole clip never exists at once, and every row comes out as it would unblocked
     power = np.empty((n_frames, half + 1))  # [T, n_bins]
     for s in range(0, n_frames, STFT_BLOCK):
-        spec = np.fft.rfft(windows[starts[s : s + STFT_BLOCK]] * window, axis=1)
+        spec = np.fft.rfft(windows[s : s + STFT_BLOCK] * window, axis=1)
         np.add(spec.real**2, spec.imag**2, out=power[s : s + STFT_BLOCK])
     mel_power = mel_filterbank(cfg) @ power.T
     return MelSpectrogram(np.log(mel_power + LOG_FLOOR), n_frames)
@@ -447,8 +456,9 @@ def synth_dataset(
     sample_rate: int = 32000,
     duration: float = 1.0,
     captions_per_item: int = 3,
-) -> PairedDataset:
-    """Paired sine-mixture recordings and templated captions.
+) -> Iterator[tuple[str, Waveform, list[str]]]:
+    """Yield ``(id, Waveform, captions)`` of paired sine-mixture recordings and templated
+    captions, each made when it is reached; a bad setting raises at the first record.
 
     Each item draws a latent class; the class fixes both the component
     frequencies of the audio and a word set shared by all its captions.
@@ -457,12 +467,13 @@ def synth_dataset(
         raise ValueError("n_classes must be >= 2")
     if n_classes > len(CLASS_WORDS):
         raise ValueError(f"at most {len(CLASS_WORDS)} classes supported")
+    if captions_per_item < 1:
+        raise ValueError("captions_per_item must be >= 1")
     rng = np.random.default_rng(seed)
     n_samp = int(sample_rate * duration)
     t = np.arange(n_samp) / sample_rate
     # class frequencies spread across distinct mel regions
     base_freqs = np.geomspace(200.0, sample_rate / 2 * 0.6, n_classes * 3).reshape(n_classes, 3)
-    items = []
     for i in range(n_items):
         k = int(rng.integers(n_classes))
         phases = rng.uniform(0, 2 * np.pi, size=3)
@@ -479,8 +490,7 @@ def synth_dataset(
             words = list(CLASS_WORDS[k]) + list(extra)
             rng.shuffle(words)
             captions.append(" ".join(words))
-        items.append((f"{split}_{i:05d}_c{k}", Waveform(sig, sample_rate), captions))
-    return PairedDataset(items)
+        yield f"{split}_{i:05d}_c{k}", Waveform(sig, sample_rate), captions
 
 
 class ManifestError(ValueError):

@@ -156,6 +156,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """A zero [n, width] table with each row ``rows[k]`` added to its row ``ids[k]`` in
+    order of k: the sums of ``np.add.at``, bit for bit, from one bincount over the table's
+    flattened (id, column) cells."""
+    width = rows.shape[1]
+    cells = ids[:, None] * width + np.arange(width)
+    return np.bincount(cells.ravel(), rows.ravel(), n * width).reshape(n, width)
+
+
 def backward(
     pooled_a: np.ndarray,
     text_ids: np.ndarray,
@@ -205,8 +214,7 @@ def backward(
     # token table: each valid position gets its row's share, scattered in row order
     valid = text_ids != TokenVocab.PAD
     dpool_t = (dh3 @ params.w3.T) / np.maximum(valid.sum(axis=1, keepdims=True), 1)
-    embed = np.zeros_like(params.embed)
-    np.add.at(embed, text_ids[valid], dpool_t[np.nonzero(valid)[0]])
+    embed = scatter_rows(text_ids[valid], dpool_t[np.nonzero(valid)[0]], len(params.embed))
     return loss, ModelParams(w1, b1, w2, b2, embed, w3, b3, w4, b4)
 
 

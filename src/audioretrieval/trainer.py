@@ -193,8 +193,8 @@ def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
                   feat: FeatureConfig, frames=None) -> PreparedSplit:
     """Resample every clip and compute its log-mel statistics, once.
 
-    ``items`` (a PairedDataset, or ``data.iter_manifest`` to decode one clip at a
-    time) is read once, and no clip's audio is kept. Each clip's statistics are
+    ``items`` (``data.synth_dataset`` or ``data.iter_manifest``, which make or decode
+    one clip at a time) is read once, and no clip's audio is kept. Each clip's statistics are
     taken as soon as its log-mel exists; the log-mel itself is appended to ``frames``
     when given (see ``reads_frames``): a FrameStore its caller opens and closes, or a
     list. A clip shorter than one hop raises ManifestError naming it.

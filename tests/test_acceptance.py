@@ -114,16 +114,16 @@ def test_criterion_03_metric_oracle_equivalence():
 
 
 def test_criterion_04_random_baseline_calibration():
-    ds = synth_dataset(8, 100, 123, split="test")
+    ds = list(synth_dataset(8, 100, 123, split="test"))
     feat = FeatureConfig()
-    mels = [logmel(w, feat) for _, w, _ in ds.items]
+    mels = [logmel(w, feat) for _, w, _ in ds]
     stats = mel_stats(mels)
     pooled = pool_audio(stats.mapped(*freq_normalize(stats, NormStats.fresh(feat.n_mels),
                                                      update=True)))
-    captions = [preprocess_caption(c) for _, _, caps in ds.items for c in caps]
+    captions = [preprocess_caption(c) for _, _, caps in ds for c in caps]
     vocab = build_vocab(captions)
     tokens = tokenize(captions, vocab)
-    targets = np.array([i for i, (_, _, caps) in enumerate(ds.items) for _ in caps])
+    targets = np.array([i for i, (_, _, caps) in enumerate(ds) for _ in caps])
     dims = ModelDims(vocab_size=len(vocab))
     maps = []
     for seed in range(20):

@@ -231,8 +231,13 @@ class TestTrain:
     ])
     def test_back_translation_without_cache_generates_no_clip(self, tmp_path, monkeypatch,
                                                               capsys, command, message):
-        generated = []
-        monkeypatch.setattr(cli.data, "synth_dataset", lambda *a, **kw: generated.append(a))
+        generated, synth = [], cli.data.synth_dataset
+
+        def recording(*args, **kwargs):  # records each clip as it is made
+            for record in synth(*args, **kwargs):
+                generated.append(record[0])
+                yield record
+        monkeypatch.setattr(cli.data, "synth_dataset", recording)
         path = write_config(tmp_path, text_aug={"p_bt": 0.5})  # synthetic, no paths.bt_cache
         argv = ["--n-init", "2", "--n-trials", "3"] if command == "smbo" else []
         assert main([command, "--config", str(path), *argv]) == 2
@@ -338,6 +343,25 @@ class TestTrain:
         first = (tmp_path / "out" / "metrics.csv").read_bytes()
         main(["train", "--config", str(path)])
         assert (tmp_path / "out" / "metrics.csv").read_bytes() == first
+
+    def test_peak_memory_grows_by_no_clip_audio(self, tmp_path):
+        """A synthetic split streams through preparation as a manifest does: each extra
+        clip adds its statistics and captions to the peak (about 2 KB), not its 128 KB
+        of float64 audio (0.5 s at 32 kHz)."""
+        def traced_peak(n_train):
+            path = write_config(tmp_path, data={"synthetic": {
+                "n_classes": 3, "n_train": n_train, "n_val": 9, "n_test": 9, "duration": 0.5}},
+                optim={"epochs": 1, "batch_size": 6})
+            tracemalloc.start()
+            try:
+                assert main(["train", "--config", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(6)  # what the first run allocates once (caches, lazy imports) is not per clip
+        per_clip = (traced_peak(72) - traced_peak(24)) / 48
+        assert per_clip < 16 * 1024, f"the peak grows by {per_clip / 1024:.1f} KB per clip"
 
 
 class TestEval:
@@ -968,6 +992,28 @@ class TestManifestSplits:
         assert capsys.readouterr().err.startswith(
             f"error: {manifest}: line 2: cannot read {rec['audio']!r}: ")
 
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "test")])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, command, split):
+        """One NaN sample stops the command at its record. Let through, it ranked its
+        clip first for every query in eval (NaN compares false), and ended train in a
+        non-finite loss."""
+        cfg = write_manifest_config(tmp_path)
+        if command == "eval":  # eval reads the checkpoint before the split
+            assert main(["train", "--config", str(cfg)]) == 0
+        manifest = tmp_path / "ds" / f"{split}.jsonl"
+        audio = json.loads(manifest.read_text().splitlines()[1])["audio"]
+        wav = data.load_wav(tmp_path / "ds" / audio)
+        wav.samples[100] = np.nan
+        save_wav(tmp_path / "ds" / audio, wav)
+        checkpoint = tmp_path / "out" / "checkpoint.json"
+        argv = ["--checkpoint", str(checkpoint)] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2: cannot read {audio!r}: non-finite sample (NaN or "
+            f"infinity) in {tmp_path / 'ds' / audio}\n")
+        assert not (tmp_path / "out" / "eval_test.json").exists()
+
     def test_wav_shorter_than_a_hop_exit_2(self, tmp_path, capsys):
         cfg = write_manifest_config(tmp_path)
         rec = json.loads((tmp_path / "ds" / "val.jsonl").read_text().splitlines()[1])
@@ -978,16 +1024,15 @@ class TestManifestSplits:
                                            "samples shorter than one hop (320)\n")
 
     def test_split_is_prepared_one_clip_at_a_time(self, tmp_path):
-        ds = synth_dataset(3, 40, 0, split="train", sample_rate=44100, duration=1.0)
         (tmp_path / "train").mkdir()
         with open(tmp_path / "train.jsonl", "w") as fh:
-            for audio_id, w, caps in ds.items:
+            for audio_id, w, caps in synth_dataset(3, 40, 0, sample_rate=44100, duration=1.0):
                 save_wav(tmp_path / "train" / f"{audio_id}.wav", w)
                 fh.write(json.dumps({"audio": f"train/{audio_id}.wav", "captions": caps}) + "\n")
         cfg = load_config(write_config(tmp_path, data=None, paths={
             "dataset": str(tmp_path / "train.jsonl")}))
-        clip = ds.items[0][1].samples.nbytes  # decoded float64 bytes of one clip
-        del ds
+        clip = w.samples.nbytes  # decoded float64 bytes of one clip
+        del w
         tracemalloc.start()
         try:
             split = cli._prepared(cfg, "train")
@@ -1104,7 +1149,7 @@ class TestAugmentPreview:
         """With gain alone, every value of the preview moves by one g ln(10) / 10; frequency
         stripes then zero whole bins of that same gained log-mel."""
         wav = tmp_path / "clip.wav"
-        save_wav(wav, synth_dataset(2, 1, 0, duration=0.2).items[0][1])
+        save_wav(wav, next(synth_dataset(2, 1, 0, duration=0.2))[1])
 
         def preview(audio_aug):
             cfg = write_config(tmp_path, audio_aug=audio_aug)

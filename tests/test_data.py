@@ -8,7 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
 from audioretrieval.data import (
@@ -77,6 +78,23 @@ class TestLoadWav:
         path.write_bytes(b"not a riff file at all")
         with pytest.raises(ValueError):
             load_wav(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_rejected(self, tmp_path, dtype, value):
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, 8000, np.array([[0.1, 0.2], [0.3, value]], dtype=dtype))
+        with pytest.raises(ValueError, match=rf"non-finite sample .* in {path}$"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("dtype,bits", [(np.int16, 16), (np.int32, 32)])
+    def test_pcm_scaled_exactly(self, tmp_path, dtype, bits):
+        path = tmp_path / "pcm.wav"
+        info = np.iinfo(dtype)
+        raw = np.random.default_rng(bits).integers(info.min, info.max, 1000, endpoint=True,
+                                                   dtype=dtype)
+        wavfile.write(path, 8000, raw)
+        assert np.array_equal(load_wav(path).samples, raw.astype(np.float64) / 2.0 ** (bits - 1))
 
 
 def _scipy_load_wav(buf: bytes) -> Waveform:
@@ -251,6 +269,20 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             resample_linear(Waveform(np.ones(4), 8000), 0)
+
+    @given(arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e300, 1e300)),
+           st.integers(1, 48000), st.integers(1, 48000))
+    @example(np.array([0.5]), 8000, 44100)
+    @example(np.array([1.0, -2.0, 3.0]), 3, 7)
+    @settings(max_examples=examples(100), deadline=None)
+    def test_equals_interp(self, samples, rate, target):
+        """Linear interpolation between neighbours equals ``np.interp`` over the sample
+        positions (compared as numbers: a -0.0 on a whole position may read +0.0)."""
+        n_out = len(samples) * target // rate
+        assume(n_out > 0)  # an empty result is no Waveform
+        out = resample_linear(Waveform(samples, rate), target).samples
+        expected = np.interp(np.arange(n_out) * (rate / target), np.arange(len(samples)), samples)
+        assert out.shape == expected.shape and np.array_equal(out, expected)
 
 
 class TestLogmel:
@@ -493,20 +525,38 @@ class TestCaptions:
 
 class TestSynthDataset:
     def test_deterministic(self):
-        d1 = synth_dataset(4, 10, 7)
-        d2 = synth_dataset(4, 10, 7)
-        for (i1, w1, c1), (i2, w2, c2) in zip(d1.items, d2.items):
+        d1 = list(synth_dataset(4, 10, 7))
+        d2 = list(synth_dataset(4, 10, 7))
+        assert len(d1) == len(d2) == 10
+        for (i1, w1, c1), (i2, w2, c2) in zip(d1, d2):
             assert i1 == i2 and c1 == c2
             assert np.array_equal(w1.samples, w2.samples)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            synth_dataset(1, 10, 0)
+            next(synth_dataset(1, 10, 0))
+
+    def test_no_captions_rejected(self):
+        with pytest.raises(ValueError, match="captions_per_item must be >= 1"):
+            next(synth_dataset(2, 10, 0, captions_per_item=0))
+
+    def test_each_record_made_when_reached(self, monkeypatch):
+        """No clip is made before its record is drawn, and a split's first record is the
+        same whatever the split's size."""
+        made = []
+        monkeypatch.setattr("audioretrieval.data.Waveform",
+                            lambda *a: made.append(a) or Waveform(*a))
+        items = synth_dataset(3, 40, 5)
+        assert made == []
+        first_id, first_w, first_caps = next(items)
+        assert len(made) == 1
+        (one_id, one_w, one_caps), = synth_dataset(3, 1, 5)
+        assert (one_id, one_caps) == (first_id, first_caps)
+        assert np.array_equal(one_w.samples, first_w.samples)
 
     def test_same_class_shares_words(self):
-        ds = synth_dataset(2, 40, 0)
         by_class = {}
-        for audio_id, _, caps in ds.items:
+        for audio_id, _, caps in synth_dataset(2, 40, 0):
             k = audio_id.rsplit("_c", 1)[1]
             words = set(caps[0].split())
             by_class.setdefault(k, []).append(words)
@@ -515,13 +565,13 @@ class TestSynthDataset:
             assert len(common) >= 4  # the class word set survives distractors
 
     def test_every_item_has_captions(self):
-        assert all(caps for _, _, caps in synth_dataset(3, 5, 1).items)
+        assert all(caps for _, _, caps in synth_dataset(3, 5, 1))
 
 
 class TestManifest:
     def _write_dataset(self, tmp_path):
-        ds = synth_dataset(2, 4, 0, duration=0.05, sample_rate=8000)
-        for audio_id, w, _ in ds.items:
+        ds = list(synth_dataset(2, 4, 0, duration=0.05, sample_rate=8000))
+        for audio_id, w, _ in ds:
             save_wav(tmp_path / f"{audio_id}.wav", w)
         return ds
 
@@ -530,7 +580,7 @@ class TestManifest:
 
         manifest = tmp_path / "data.jsonl"
         with open(manifest, "w") as fh:
-            for audio_id, _, caps in ds.items:
+            for audio_id, _, caps in ds:
                 fh.write(json.dumps({"audio": f"{audio_id}.wav", "captions": caps}) + "\n")
         return manifest
 
@@ -538,7 +588,7 @@ class TestManifest:
         manifest = tmp_path / "data.csv"
         with open(manifest, "w") as fh:
             fh.write("file_name,caption_1,caption_2\n")
-            for audio_id, _, caps in ds.items:
+            for audio_id, _, caps in ds:
                 fh.write(f"{audio_id}.wav,{caps[0]},{caps[1]}\n")
         return manifest
 
@@ -546,13 +596,13 @@ class TestManifest:
         ds = self._write_dataset(tmp_path)
         loaded = load_manifest(self._write_jsonl(tmp_path, ds))
         assert len(loaded) == 4
-        assert loaded.items[0][2] == ds.items[0][2]
+        assert loaded.items[0][2] == ds[0][2]
 
     def test_csv_roundtrip(self, tmp_path):
         ds = self._write_dataset(tmp_path)
         loaded = load_manifest(self._write_csv(tmp_path, ds))
         assert len(loaded) == 4
-        assert loaded.items[1][2][0] == ds.items[1][2][0]
+        assert loaded.items[1][2][0] == ds[1][2][0]
 
     @pytest.mark.parametrize("kind", ["jsonl", "csv"])
     def test_iter_yields_the_loaded_items(self, tmp_path, kind):
@@ -567,9 +617,9 @@ class TestManifest:
     def test_iter_decodes_a_record_only_when_reached(self, tmp_path):
         ds = self._write_dataset(tmp_path)
         manifest = self._write_jsonl(tmp_path, ds)
-        (tmp_path / f"{ds.items[1][0]}.wav").unlink()
+        (tmp_path / f"{ds[1][0]}.wav").unlink()
         items = iter_manifest(manifest)
-        assert next(items)[0] == f"{ds.items[0][0]}.wav"
+        assert next(items)[0] == f"{ds[0][0]}.wav"
         with pytest.raises(ManifestError, match=r"data\.jsonl: line 2: cannot read"):
             next(items)
 
@@ -590,7 +640,7 @@ class TestManifest:
     def test_unreadable_wav_names_its_line(self, tmp_path):
         ds = self._write_dataset(tmp_path)
         manifest = self._write_csv(tmp_path, ds)
-        (tmp_path / f"{ds.items[2][0]}.wav").write_bytes(b"not a wav file")
+        (tmp_path / f"{ds[2][0]}.wav").write_bytes(b"not a wav file")
         with pytest.raises(ManifestError, match=r"data\.csv: line 4: cannot read"):
             load_manifest(manifest)
 

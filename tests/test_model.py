@@ -23,6 +23,7 @@ from audioretrieval.model import (
     pool_audio,
     pool_text,
     save_checkpoint,
+    scatter_rows,
     similarity_matrix,
 )
 
@@ -239,6 +240,21 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(pool_frames(random_mel_batch(rng, 3)), random_token_batch(rng, 2),
                      params, 1.0)
+
+
+class TestScatterRows:
+    @given(n=st.integers(1, 12), width=st.integers(1, 16), k=st.integers(0, 60),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=examples(100), deadline=None)
+    def test_equals_add_at_bit_for_bit(self, n, width, k, seed):
+        """Repeated ids and values of either sign and of magnitude 1e-5 to 1e5, some zero."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n, size=k)
+        rows = (rng.choice([-1.0, 1.0], size=(k, width)) * rng.uniform(1.0, 10.0, (k, width))
+                * 10.0 ** rng.integers(-5, 5, (k, width)) * (rng.random((k, width)) > 0.1))
+        expected = np.zeros((n, width))
+        np.add.at(expected, ids, rows)
+        assert scatter_rows(ids, rows, n).tobytes() == expected.tobytes()
 
 
 def _pool_text_per_caption(rows, embed):

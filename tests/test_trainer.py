@@ -312,7 +312,7 @@ class TestPrepareSplit:
     def test_streamed_manifest_prepares_as_loaded(self, tmp_path):
         import json
 
-        ds = synth_dataset(3, 7, 8, sample_rate=44100, duration=0.3)
+        ds = list(synth_dataset(3, 7, 8, sample_rate=44100, duration=0.3))
         with open(tmp_path / "m.jsonl", "w") as fh:
             for audio_id, w, caps in ds:
                 save_wav(tmp_path / f"{audio_id}.wav", w)
