@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MelSpectrogram, MelStats, Waveform, check_int, check_range
+from .data import MelStats, check_int, check_range
 
 # a gain of g dB scales the mel power by 10^(g/10): on the log-mel, a shift by g times this
 LOG_MEL_PER_DB = np.log(10.0) / 10.0
@@ -38,38 +38,22 @@ def sample_gain(rng: np.random.Generator, g_max: int) -> float:
     return float(rng.uniform(-g_max, g_max))
 
 
-def apply_gain(w: Waveform, g: float) -> Waveform:
-    """Scale the waveform by 10^(g/20); no clipping."""
-    return Waveform(w.samples * 10.0 ** (g / 20.0), w.sample_rate)
-
-
-def stripe_masks(n_mels: int, t_valid: int, n_f: int, w_f: int, n_t: int, w_t: int,
+def stripe_masks(n_mels: int, n_frames: int, n_f: int, w_f: int, n_t: int, w_t: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One clip's SpecAugment stripes, as the kept mel bins [n_mels] and the kept
-    valid frames [t_valid] (boolean masks).
+    frames [n_frames] (boolean masks).
 
     Stripe width ~ Uniform{1..w_max} (clamped to the dimension), offset
     uniform over valid placements; n_f frequency stripes are drawn, then n_t
     time stripes.
     """
-    bins, frames = np.ones(n_mels, dtype=bool), np.ones(t_valid, dtype=bool)
+    bins, frames = np.ones(n_mels, dtype=bool), np.ones(n_frames, dtype=bool)
     for mask, n, w_max in ((bins, n_f, w_f), (frames, n_t, w_t)):
         for _ in range(n):
             width = int(rng.integers(1, min(w_max, len(mask)) + 1))
             offset = int(rng.integers(0, len(mask) - width + 1))
             mask[offset : offset + width] = False
     return bins, frames
-
-
-def spec_augment(
-    m: MelSpectrogram, n_f: int, w_f: int, n_t: int, w_t: int, rng: np.random.Generator
-) -> MelSpectrogram:
-    """Zero the stripes (``stripe_masks``) within the valid frames; padding stays."""
-    t_valid = m.n_frames_valid
-    bins, frames = stripe_masks(len(m.values), t_valid, n_f, w_f, n_t, w_t, rng)
-    values = m.values.copy()
-    values[:, :t_valid][~np.outer(bins, frames)] = 0.0
-    return MelSpectrogram(values, t_valid)
 
 
 def sample_mix_lambdas(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:

@@ -102,6 +102,8 @@ def cmd_train(args) -> int:
             result = run(cfg.audio_aug, cfg.text_aug, cfg.seed, out_dir / "checkpoint.json")
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
+        except FloatingPointError as exc:
+            raise CommandError(str(exc), EXIT_FAILED) from exc
     doc = result.as_dict()
     doc["config_hash"] = digest
     data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
@@ -237,15 +239,17 @@ def cmd_augment_preview(args) -> int:
     out_dir = _out_dir(cfg)
     try:
         w = data.resample_linear(data.load_wav(args.input), cfg.features.target_sr)
-        mel_before = data.logmel(w, cfg.features)
+        before = data.logmel(w, cfg.features).values
     except ValueError as exc:
         raise CommandError(f"cannot use {args.input}: {exc}") from exc
+    # the draws training makes for one clip, in its order: the gain, then the stripes
     acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
     shift = audio_aug.LOG_MEL_PER_DB * audio_aug.sample_gain(rng, acfg.g_max)
-    mel_after = data.MelSpectrogram(mel_before.values + shift, mel_before.n_frames_valid)
-    mel_after = audio_aug.spec_augment(mel_after, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t, rng)
-    np.savetxt(out_dir / "preview_before.csv", mel_before.values, delimiter=",")
-    np.savetxt(out_dir / "preview_after.csv", mel_after.values, delimiter=",")
+    bins, frames = audio_aug.stripe_masks(*before.shape, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t,
+                                          rng)
+    np.savetxt(out_dir / "preview_before.csv", before, delimiter=",")
+    np.savetxt(out_dir / "preview_after.csv", np.where(np.outer(bins, frames), before + shift, 0.0),
+               delimiter=",")
     print(f"wrote {out_dir}/preview_before.csv and preview_after.csv")
     return EXIT_OK
 

@@ -79,20 +79,9 @@ class FeatureConfig:
 
 @dataclass
 class MelSpectrogram:
-    """Natural-log mel power matrix, shape [n_mels, T].
-
-    Columns beyond ``n_frames_valid`` are batch zero-padding, not audio.
-    """
+    """Natural-log mel power matrix of one clip, shape [n_mels, T]."""
 
     values: np.ndarray
-    n_frames_valid: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("values must be 2-D [n_mels, T]")
-        if self.n_frames_valid > self.values.shape[1]:
-            raise ValueError("n_frames_valid exceeds frame count")
 
 
 @dataclass
@@ -329,17 +318,16 @@ def logmel(w: Waveform, cfg: FeatureConfig) -> MelSpectrogram:
         spec = np.fft.rfft(windows[s : s + STFT_BLOCK] * window, axis=1)
         np.add(spec.real**2, spec.imag**2, out=power[s : s + STFT_BLOCK])
     mel_power = mel_filterbank(cfg) @ power.T
-    return MelSpectrogram(np.log(mel_power + LOG_FLOOR), n_frames)
+    return MelSpectrogram(np.log(mel_power + LOG_FLOOR))
 
 
-def mel_stats(mels: Iterable[MelSpectrogram]) -> MelStats:
-    """Count, mean, population variance and max of each clip's valid frames, per bin.
+def mel_stats(mels: Iterable[np.ndarray]) -> MelStats:
+    """Count, mean, population variance and max of each clip's frames [n_mels, T], per bin.
 
     One sum gives the mean, and the variance reuses it: the same operations as
     ``np.mean``, ``np.var`` and ``np.max`` over the frames, so the same bits."""
     count, mean, var, top = [], [], [], []
-    for m in mels:
-        v = m.values[:, : m.n_frames_valid]
+    for v in mels:
         n = v.shape[1]
         mu = np.add.reduce(v, axis=1) / n
         dev = v - mu[:, None]
@@ -356,7 +344,7 @@ def freq_normalize(
     """Standardization of each mel bin, as the per-bin map x -> (x - center) * scale.
 
     With ``update`` set (training), the batch's own per-bin statistics over
-    valid frames are used, combined from the clips' statistics as within-clip
+    its frames are used, combined from the clips' statistics as within-clip
     plus between-clip variance, and folded into the running stats ``norm``
     with momentum 0.1; otherwise the running stats apply. The statistics are
     constants for gradient purposes.

@@ -62,10 +62,6 @@ def from_ranks(ranks: np.ndarray) -> RetrievalResult:
     )
 
 
-def evaluate(scores: np.ndarray, targets: np.ndarray) -> RetrievalResult:
-    return from_ranks(rank_targets(scores, targets))
-
-
 def metrics_table(rows: dict[str, RetrievalResult]) -> str:
     """Aligned plain-text table with R@1, R@5, R@10, mAP@10 columns."""
     name_w = max(len(n) for n in rows) if rows else 4

@@ -191,6 +191,8 @@ def backward(
     loss = nt_xent(C, tau)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
+    if not (np.isfinite(a_raw).all() and np.isfinite(t_raw).all()):  # rows then divide to 0
+        raise FloatingPointError("non-finite embedding norm")
 
     logits = C / tau
     eye = np.eye(n)

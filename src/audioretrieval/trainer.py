@@ -13,7 +13,6 @@ from . import audio_aug, text_aug
 from .data import (
     FeatureConfig,
     ManifestError,
-    MelSpectrogram,
     MelStats,
     NormStats,
     TokenVocab,
@@ -176,7 +175,7 @@ class PreparedSplit:
 
     feat: FeatureConfig
     mels: FrameStore | None    # un-augmented log-mel frames, None when not kept
-    stats: MelStats            # their per-clip statistics over valid frames
+    stats: MelStats            # their per-clip statistics
     captions: list[list[str]]  # raw captions of each clip
 
     def __len__(self):
@@ -210,7 +209,7 @@ def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
             if frames is not None:
                 frames.append(m.values)
             captions.append(caps)
-            yield m
+            yield m.values
     return PreparedSplit(feat, frames, mel_stats(clips()), captions)
 
 
@@ -224,7 +223,7 @@ def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray
 def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update: bool,
                  cfg: audio_aug.AudioAugConfig | None = None, rng=None) -> np.ndarray:
     """The model input [B, n_mels] of the clips ``idx``: each bin's (mean + max) / 2
-    over valid frames after gain, frequency normalization (with ``update``, by the
+    over its frames after gain, frequency normalization (with ``update``, by the
     batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
 
     ``cfg`` None skips the augmentations. Gain is a per-clip shift of the log-mel
@@ -255,8 +254,7 @@ def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update:
             bins[:], frames[:] = False, True
         slope[k, ~bins] = offset[k, ~bins] = 0.0
         if cfg.n_t:  # every clip has time stripes: pool its unstriped frames
-            values = split.mels[idx[k]][:, frames]
-            unstriped.append(MelSpectrogram(values, int(frames.sum())))
+            unstriped.append(split.mels[idx[k]][:, frames])
     if unstriped:  # the gain's shift is folded into the center
         normed = mel_stats(unstriped).mapped(center - shift, scale)
     return pool_audio(normed.mapped(mix_center, slope, offset), stats.count)
@@ -278,6 +276,7 @@ def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, p
     return from_ranks(np.concatenate(ranks))
 
 
+@np.errstate(all="ignore")  # a diverging run ends in the FloatingPointError below, not in warnings
 def train_run(
     train: PreparedSplit,
     val: PreparedSplit,
@@ -297,7 +296,8 @@ def train_run(
     streams: one for batch order and caption sampling, one for augmentation;
     per batch the augmentation draws happen in the fixed order caption text
     (BT then EDA, per item) -> gain (per item) -> Freq-MixStyle ->
-    SpecAugment (per item).
+    SpecAugment (per item). A non-finite loss, embedding norm or gradient raises
+    FloatingPointError naming the epoch.
     """
     if len(train) < 2:
         raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
@@ -341,8 +341,11 @@ def train_run(
                 for i in idx
             ], vocab)
             pooled = pooled_audio(train, idx, stats, True, audio_cfg, rng_aug)
-            loss, grads = backward(pooled, tokens, params)
-            adam_step(params, grads, state, lr)
+            try:
+                loss, grads = backward(pooled, tokens, params)
+                adam_step(params, grads, state, lr)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from exc
             batch_losses.append(loss)
 
         result.train_losses.append(float(np.mean(batch_losses)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from audioretrieval.data import MelSpectrogram
 from audioretrieval.model import ModelDims, init_params
 from audioretrieval.smbo import open_log, run_search
 
@@ -34,8 +33,9 @@ def small_params(small_dims):
     return init_params(small_dims, 1)
 
 
-def random_mel_batch(rng, n, n_mels=8, t=12, t_valid=10):
-    return [MelSpectrogram(rng.normal(size=(n_mels, t)), t_valid) for _ in range(n)]
+def random_mel_batch(rng, n, n_mels=8, t=10):
+    """``n`` clips' log-mel frames [n_mels, t]."""
+    return [rng.normal(size=(n_mels, t)) for _ in range(n)]
 
 
 def random_token_batch(rng, n, vocab_size=10, max_len=8):

@@ -1,19 +1,21 @@
 """Reference for the pooled audio path: the frame chain it replaced.
 
 Gain (a shift of the frames), frequency normalization, Freq-MixStyle,
-SpecAugment (the program's own, which still acts on frames) and (mean + max) / 2
-pooling, each over every clip's [n_mels, T] frames, with the same random draws
-in the same order as ``trainer.pooled_audio``.
+SpecAugment (``aug_reference.spec_augment``) and (mean + max) / 2 pooling, each
+over every clip's [n_mels, T] frames, with the same random draws in the same
+order as ``trainer.pooled_audio``.
 """
 import numpy as np
 
 from audioretrieval import audio_aug
-from audioretrieval.data import MelSpectrogram, NormStats
+from audioretrieval.data import NormStats
+
+from aug_reference import spec_augment
 
 
-def freq_normalize(batch: list[MelSpectrogram], stats: NormStats, update: bool = False):
+def freq_normalize(batch: list[np.ndarray], stats: NormStats, update: bool = False):
     if update:
-        cols = np.concatenate([m.values[:, : m.n_frames_valid] for m in batch], axis=1)
+        cols = np.concatenate(batch, axis=1)
         mean = cols.mean(axis=1)
         var = cols.var(axis=1)
         stats.mean = 0.9 * stats.mean + 0.1 * mean
@@ -22,15 +24,11 @@ def freq_normalize(batch: list[MelSpectrogram], stats: NormStats, update: bool =
     else:
         mean, var = stats.mean, stats.var
     scale = 1.0 / np.sqrt(var + 1e-5)
-    return [
-        MelSpectrogram((m.values - mean[:, None]) * scale[:, None], m.n_frames_valid)
-        for m in batch
-    ]
+    return [(m - mean[:, None]) * scale[:, None] for m in batch]
 
 
-def _bin_stats(m: MelSpectrogram):
-    valid = m.values[:, : m.n_frames_valid]
-    return valid.mean(axis=1), valid.std(axis=1)  # population std
+def _bin_stats(m: np.ndarray):
+    return m.mean(axis=1), m.std(axis=1)  # population std
 
 
 def freq_mixstyle(batch, alpha, p_ms, rng, forced_lambda=None):
@@ -44,31 +42,27 @@ def freq_mixstyle(batch, alpha, p_ms, rng, forced_lambda=None):
     for i, m in enumerate(batch):
         j = int(partners[i])
         if not fire[i] or j == i:
-            out.append(MelSpectrogram(m.values.copy(), m.n_frames_valid))
+            out.append(m.copy())
             continue
         lam = float(lambdas[i])
         mu_i, sd_i = _bin_stats(m)
         mu_j, sd_j = _bin_stats(batch[j])
         mu_new = lam * mu_i + (1.0 - lam) * mu_j
         sd_new = lam * sd_i + (1.0 - lam) * sd_j
-        norm = (m.values - mu_i[:, None]) / np.maximum(sd_i[:, None], 1e-5)
-        out.append(MelSpectrogram(norm * sd_new[:, None] + mu_new[:, None], m.n_frames_valid))
+        norm = (m - mu_i[:, None]) / np.maximum(sd_i[:, None], 1e-5)
+        out.append(norm * sd_new[:, None] + mu_new[:, None])
     return out
 
 
-def pool_audio(batch: list[MelSpectrogram]) -> np.ndarray:
-    """Per-bin (mean + max) / 2 over valid frames, one clip at a time, [N, n_mels]."""
-    rows = []
-    for m in batch:
-        valid = m.values[:, : m.n_frames_valid]
-        rows.append(0.5 * (valid.mean(axis=1) + valid.max(axis=1)))
-    return np.stack(rows)
+def pool_audio(batch: list[np.ndarray]) -> np.ndarray:
+    """Per-bin (mean + max) / 2 over each clip's frames, one clip at a time, [N, n_mels]."""
+    return np.stack([0.5 * (m.mean(axis=1) + m.max(axis=1)) for m in batch])
 
 
-def gain(m: MelSpectrogram, g: float) -> MelSpectrogram:
+def gain(m: np.ndarray, g: float) -> np.ndarray:
     """A gain of g dB on the frames: the mel power scales by 10^(g/10), so without the
     log floor every log-mel value moves by g ln(10) / 10."""
-    return MelSpectrogram(m.values + g * np.log(10.0) / 10.0, m.n_frames_valid)
+    return m + g * np.log(10.0) / 10.0
 
 
 def pooled_batch(mels, norm, update, cfg=None, rng=None, forced_lambda=None):
@@ -78,12 +72,11 @@ def pooled_batch(mels, norm, update, cfg=None, rng=None, forced_lambda=None):
     mels = freq_normalize(mels, norm, update)
     if cfg is not None:
         mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng, forced_lambda)
-        mels = [audio_aug.spec_augment(m, cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng)
-                for m in mels]
+        mels = [spec_augment(m, cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng) for m in mels]
     return pool_audio(mels)
 
 
-def apply_map(m: MelSpectrogram, center, scale, offset=0.0) -> MelSpectrogram:
-    """Frames of ``m`` under the per-bin map x -> (x - center) * scale + offset."""
-    values = (m.values - np.asarray(center)[..., None]) * np.asarray(scale)[..., None]
-    return MelSpectrogram(values + np.asarray(offset)[..., None], m.n_frames_valid)
+def apply_map(m: np.ndarray, center, scale, offset=0.0) -> np.ndarray:
+    """Frames ``m`` under the per-bin map x -> (x - center) * scale + offset."""
+    values = (m - np.asarray(center)[..., None]) * np.asarray(scale)[..., None]
+    return values + np.asarray(offset)[..., None]

@@ -2,7 +2,7 @@
 block, then ranked, as before the queries were blocked."""
 import numpy as np
 
-from audioretrieval.metrics import RetrievalResult, evaluate
+from audioretrieval.metrics import RetrievalResult, from_ranks, rank_targets
 from audioretrieval.model import embed_audio, embed_text, similarity_matrix
 from audioretrieval.trainer import pooled_audio
 
@@ -14,4 +14,4 @@ def scores(split, tokens, params, stats) -> np.ndarray:
 
 
 def score_split(split, tokens, targets, params, stats) -> RetrievalResult:
-    return evaluate(scores(split, tokens, params, stats), targets)
+    return from_ranks(rank_targets(scores(split, tokens, params, stats), targets))

@@ -1,25 +1,29 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from audioretrieval import audio_aug
 from audioretrieval.audio_aug import (
     LOG_MEL_PER_DB,
     AudioAugConfig,
-    apply_gain,
     freq_mixstyle,
     sample_gain,
-    spec_augment,
     stripe_masks,
 )
 from audioretrieval.data import (
     LOG_FLOOR,
     FeatureConfig,
-    MelSpectrogram,
+    NormStats,
     Waveform,
+    freq_normalize,
     logmel,
     mel_stats,
 )
+from audioretrieval.trainer import PreparedSplit, pooled_audio
 
+from aug_reference import apply_gain, spec_augment
 from conftest import examples, random_mel_batch
 from frame_reference import apply_map
 
@@ -27,6 +31,24 @@ from frame_reference import apply_map
 def mixed(batch, maps):
     """The frames of ``batch`` under each clip's Freq-MixStyle map."""
     return [apply_map(m, *(a[i] for a in maps)) for i, m in enumerate(batch)]
+
+
+def pooled_gain_shift(g: float, frames=None) -> np.ndarray:
+    """The per-bin shift of the log-mel [n_mels] that ``trainer.pooled_audio`` applies to
+    a clip for a drawn gain of g dB: its pooled input with that gain minus without, under
+    the running statistics' scale."""
+    if frames is None:
+        frames = np.random.default_rng(0).uniform(-20.0, 5.0, size=(4, 7))
+    split = PreparedSplit(FeatureConfig(n_mels=len(frames)), None, mel_stats([frames]),
+                          [["a clip"]])
+    norm = NormStats.fresh(len(frames))
+    _, scale = freq_normalize(split.stats, norm)
+
+    def pooled(gain):
+        with mock.patch.object(audio_aug, "sample_gain", lambda rng, g_max: gain):
+            return pooled_audio(split, np.array([0]), norm, False, AudioAugConfig(g_max=6),
+                                np.random.default_rng(0))[0]
+    return (pooled(g) - pooled(0.0)) / scale
 
 
 class TestGainShift:
@@ -42,7 +64,7 @@ class TestGainShift:
         w = Waveform(np.random.default_rng(seed).uniform(-amplitude, amplitude, n), 8000)
         m = logmel(w, self.FEAT)
         ref = logmel(apply_gain(w, g), self.FEAT)
-        assert m.n_frames_valid == ref.n_frames_valid
+        assert m.values.shape == ref.values.shape
         shifted = m.values + LOG_MEL_PER_DB * g
         power = np.exp(m.values) - LOG_FLOOR
         with np.errstate(divide="ignore"):  # a mel bin that no FFT bin reaches has power 0
@@ -61,6 +83,9 @@ class TestGainShift:
 
 
 class TestGain:
+    """The draws of gain, and the shift that ``pooled_audio`` makes of a drawn gain; its
+    amplitude factor exp(shift / 2) is the 10^(g/20) of a gained waveform."""
+
     def test_zero_gmax_degenerate(self):
         rng = np.random.default_rng(0)
         assert all(sample_gain(rng, 0) == 0.0 for _ in range(10))
@@ -80,102 +105,68 @@ class TestGain:
             sample_gain(np.random.default_rng(0), -1)
 
     def test_zero_db_identity(self):
-        w = Waveform(np.array([0.1, -0.3, 0.7]), 8000)
-        assert np.array_equal(apply_gain(w, 0.0).samples, w.samples)
+        assert np.all(pooled_gain_shift(0.0) == 0.0)
 
     def test_twenty_db_is_factor_ten(self):
-        w = Waveform(np.array([0.05]), 8000)
-        assert apply_gain(w, 20.0).samples[0] == pytest.approx(0.5)
+        assert np.exp(pooled_gain_shift(20.0) / 2) == pytest.approx(np.full(4, 10.0))
 
     def test_six_db_factor(self):
-        w = Waveform(np.array([1.0]), 8000)
-        assert apply_gain(w, 6.0).samples[0] == pytest.approx(1.995262, abs=1e-6)
+        assert np.exp(pooled_gain_shift(6.0) / 2) == pytest.approx(np.full(4, 1.995262),
+                                                                   abs=1e-6)
 
     def test_gain_composition(self):
-        w = Waveform(np.random.default_rng(3).normal(size=50), 8000)
-        once = apply_gain(w, 2.5 + 1.75)
-        twice = apply_gain(apply_gain(w, 2.5), 1.75)
-        assert np.allclose(once.samples, twice.samples, atol=1e-12)
+        once = pooled_gain_shift(2.5 + 1.75)
+        assert np.allclose(once, pooled_gain_shift(2.5) + pooled_gain_shift(1.75), atol=1e-12)
 
     def test_no_clipping(self):
-        w = Waveform(np.array([0.9]), 8000)
-        assert apply_gain(w, 6.0).samples[0] > 1.0
-
-
-def spec_augment_by_stripes(m, n_f, w_f, n_t, w_t, rng):
-    """SpecAugment zeroing each stripe as it is drawn, as the program did before it
-    drew masks."""
-    values = m.values.copy()
-    n_mels, t_valid = len(values), m.n_frames_valid
-    for _ in range(n_f):
-        width = int(rng.integers(1, min(w_f, n_mels) + 1))
-        offset = int(rng.integers(0, n_mels - width + 1))
-        values[offset : offset + width, :t_valid] = 0.0
-    for _ in range(n_t):
-        width = int(rng.integers(1, min(w_t, t_valid) + 1))
-        offset = int(rng.integers(0, t_valid - width + 1))
-        values[:, offset : offset + width] = 0.0
-    return values
+        """A clip at the top of the log-mel range moves by the whole shift, as a gained
+        waveform is not clipped to [-1, 1]."""
+        loud = np.full((4, 7), np.log(1e3))
+        assert np.allclose(pooled_gain_shift(6.0, loud), 6.0 * LOG_MEL_PER_DB, atol=1e-12)
 
 
 class TestSpecAugment:
+    """``stripe_masks`` against the stripes zeroed one by one (``aug_reference``)."""
+
     @given(seed=st.integers(0, 2**32 - 1), n_mels=st.integers(1, 12), t=st.integers(1, 40),
-           pad=st.integers(0, 5), n_f=st.integers(0, 1), w_f=st.integers(1, 32),
-           n_t=st.integers(0, 8), w_t=st.integers(1, 64))
+           n_f=st.integers(0, 1), w_f=st.integers(1, 32), n_t=st.integers(0, 8),
+           w_t=st.integers(1, 64))
     @settings(max_examples=examples(100), deadline=None)
-    def test_masks_match_stripes_drawn_one_by_one(self, seed, n_mels, t, pad, n_f, w_f, n_t,
-                                                   w_t):
-        m = MelSpectrogram(np.random.default_rng(seed).uniform(1.0, 2.0, (n_mels, t + pad)), t)
-        rngs = [np.random.default_rng(seed + 1) for _ in range(3)]
-        out = spec_augment(m, n_f, w_f, n_t, w_t, rngs[0])
-        assert np.array_equal(out.values, spec_augment_by_stripes(m, n_f, w_f, n_t, w_t, rngs[1]))
-        bins, frames = stripe_masks(n_mels, t, n_f, w_f, n_t, w_t, rngs[2])
+    def test_masks_match_stripes_drawn_one_by_one(self, seed, n_mels, t, n_f, w_f, n_t, w_t):
+        values = np.random.default_rng(seed).uniform(1.0, 2.0, (n_mels, t))
+        rngs = [np.random.default_rng(seed + 1) for _ in range(2)]
+        bins, frames = stripe_masks(n_mels, t, n_f, w_f, n_t, w_t, rngs[0])
         assert bins.shape == (n_mels,) and frames.shape == (t,)
-        assert np.array_equal(out.values[:, :t] != 0.0, np.outer(bins, frames))
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
-            == rngs[2].bit_generator.state
+        striped = spec_augment(values, n_f, w_f, n_t, w_t, rngs[1])
+        assert np.array_equal(striped != 0.0, np.outer(bins, frames))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_identity_when_no_stripes(self):
         rng = np.random.default_rng(0)
-        m = MelSpectrogram(np.random.default_rng(1).normal(size=(64, 30)), 30)
-        out = spec_augment(m, 0, 1, 0, 1, rng)
-        assert np.array_equal(out.values, m.values)
+        bins, frames = stripe_masks(64, 30, 0, 1, 0, 1, rng)
+        assert bins.all() and frames.all()
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_single_freq_stripe_structure(self):
-        base = np.random.default_rng(2).uniform(1.0, 2.0, size=(64, 20))
         for seed in range(50):
-            rng = np.random.default_rng(seed)
-            out = spec_augment(MelSpectrogram(base, 20), 1, 4, 0, 1, rng)
-            zero_rows = np.where((out.values == 0.0).all(axis=1))[0]
-            assert 1 <= len(zero_rows) <= 4
+            bins, frames = stripe_masks(64, 20, 1, 4, 0, 1, np.random.default_rng(seed))
+            zero_rows = np.flatnonzero(~bins)
+            assert 1 <= len(zero_rows) <= 4 and frames.all()
             assert np.array_equal(zero_rows, np.arange(zero_rows[0], zero_rows[-1] + 1))
-            untouched = np.setdiff1d(np.arange(64), zero_rows)
-            assert np.array_equal(out.values[untouched], base[untouched])
 
     def test_masked_fraction_union_bound(self):
-        base = np.random.default_rng(3).uniform(1.0, 2.0, size=(64, 50))
         for seed in range(100):
             rng = np.random.default_rng(seed)
             n_f, w_f = rng.integers(0, 2), rng.integers(1, 33)
             n_t, w_t = rng.integers(0, 9), rng.integers(1, 51)
-            out = spec_augment(MelSpectrogram(base, 50), n_f, w_f, n_t, w_t,
-                               np.random.default_rng(seed + 1))
-            frac = (out.values == 0.0).mean()
+            bins, frames = stripe_masks(64, 50, n_f, w_f, n_t, w_t,
+                                        np.random.default_rng(seed + 1))
+            frac = 1.0 - np.outer(bins, frames).mean()
             assert frac <= n_f * w_f / 64 + n_t * w_t / 50 + 1e-12
 
-    def test_padding_untouched(self):
-        base = np.random.default_rng(4).uniform(1.0, 2.0, size=(16, 30))
-        m = MelSpectrogram(base, 20)
-        for seed in range(30):
-            out = spec_augment(m, 1, 8, 4, 10, np.random.default_rng(seed))
-            assert np.array_equal(out.values[:, 20:], base[:, 20:])
-            changed = out.values != base
-            assert np.all(out.values[changed] == 0.0)
-
     def test_width_clamped_to_dim(self):
-        m = MelSpectrogram(np.ones((4, 6)), 6)
-        out = spec_augment(m, 1, 32, 1, 64, np.random.default_rng(0))
-        assert out.values.shape == (4, 6)
+        bins, frames = stripe_masks(4, 6, 1, 32, 1, 64, np.random.default_rng(0))
+        assert bins.shape == (4,) and frames.shape == (6,)
 
 
 class TestFreqMixStyle:
@@ -184,19 +175,19 @@ class TestFreqMixStyle:
         batch = random_mel_batch(np.random.default_rng(1), 4)
         out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 0.0, rng))
         for a, b in zip(out, batch):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
     def test_lambda_one_identity(self):
-        batch = random_mel_batch(np.random.default_rng(2), 4, t=10, t_valid=10)
+        batch = random_mel_batch(np.random.default_rng(2), 4)
         out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 1.0, np.random.default_rng(3),
                                          forced_lambda=1.0))
         for a, b in zip(out, batch):
-            assert np.allclose(a.values, b.values, atol=1e-6)
+            assert np.allclose(a, b, atol=1e-6)
 
     def test_mixed_statistics(self):
         rng = np.random.default_rng(4)
-        a = MelSpectrogram(rng.normal(2.0, 1.0, size=(8, 200)), 200)
-        b = MelSpectrogram(rng.normal(4.0, 3.0, size=(8, 200)), 200)
+        a = rng.normal(2.0, 1.0, size=(8, 200))
+        b = rng.normal(4.0, 3.0, size=(8, 200))
         # find a seed where example 0 fires with partner 1
         for seed in range(100):
             r = np.random.default_rng(seed)
@@ -209,12 +200,12 @@ class TestFreqMixStyle:
                 break
         else:
             pytest.fail("no suitable seed found")
-        mu_a, sd_a = a.values.mean(axis=1), a.values.std(axis=1)
-        mu_b, sd_b = b.values.mean(axis=1), b.values.std(axis=1)
+        mu_a, sd_a = a.mean(axis=1), a.std(axis=1)
+        mu_b, sd_b = b.mean(axis=1), b.std(axis=1)
         mu_new = 0.5 * mu_a + 0.5 * mu_b
         sd_new = 0.5 * sd_a + 0.5 * sd_b
-        assert np.allclose(out.values.mean(axis=1), mu_new, atol=1e-5)
-        assert np.allclose(out.values.std(axis=1), sd_new, atol=1e-5)
+        assert np.allclose(out.mean(axis=1), mu_new, atol=1e-5)
+        assert np.allclose(out.std(axis=1), sd_new, atol=1e-5)
 
     def test_lambda_fold_at_least_half(self):
         rng = np.random.default_rng(5)

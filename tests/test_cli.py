@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import urllib.request
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +22,8 @@ from audioretrieval import audio_aug, cli, data, smbo, text_aug
 from audioretrieval.cli import main
 from audioretrieval.config import ConfigError, load_config, parse_config
 from audioretrieval.data import Waveform, save_wav, synth_dataset
+
+from aug_reference import spec_augment
 
 
 def write_config(tmp_path, **overrides):
@@ -362,6 +365,84 @@ class TestTrain:
         traced_peak(6)  # what the first run allocates once (caches, lazy imports) is not per clip
         per_clip = (traced_peak(72) - traced_peak(24)) / 48
         assert per_clip < 16 * 1024, f"the peak grows by {per_clip / 1024:.1f} KB per clip"
+
+    @pytest.mark.parametrize("lr0,what", [(1e300, "non-finite loss"),
+                                          (1e100, "non-finite embedding norm")])
+    def test_diverged_run_fails_in_one_line(self, tmp_path, capsys, lr0, what):
+        """At 1e100 the loss stays finite: the embeddings' norms overflow, so every row
+        divides to 0 and the run would go on training nothing."""
+        path = write_config(tmp_path, optim={"epochs": 2, "batch_size": 6, "lr0": lr0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: training diverged at epoch 0: {what}\n"
+        assert not (tmp_path / "out" / "run_result.json").exists()
+
+
+def write_manifest(path: Path, items) -> Path:
+    """A JSONL manifest at ``path`` of ``items``' clips, each saved as a WAV beside it."""
+    with open(path, "w") as fh:
+        for audio_id, w, caps in items:
+            save_wav(path.parent / f"{audio_id}.wav", w)
+            fh.write(json.dumps({"audio": f"{audio_id}.wav", "captions": caps}) + "\n")
+    return path
+
+
+def traced_peak(argv: list[str]) -> int:
+    """The tracemalloc peak, in bytes, of one successful command."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """eval and smbo keep per clip its statistics (3 x 64 float64 and a count, 1.5 KB) and its
+    captions, whatever the split's size; each extra clip of a manifest adds about that to the
+    peak. The first run of each test is not measured: what it allocates once (caches, lazy
+    imports) is not per clip."""
+
+    def test_eval_grows_by_statistics_and_captions(self, tmp_path):
+        """Queries are scored TEXT_BLOCK at a time: 1.9 KB per clip of five captions, where a
+        [queries, clips] score matrix grew the peak by 21 KB per clip at 100 to 200 clips."""
+        assert main(["train", "--config", str(write_config(tmp_path))]) == 0
+        checkpoint = str(tmp_path / "out" / "checkpoint.json")
+        clips = list(synth_dataset(3, 200, 7, split="test", duration=0.05, captions_per_item=5))
+
+        def peak(n):
+            manifest = write_manifest(tmp_path / f"test_{n}.jsonl", clips[:n])
+            cfg = write_config(tmp_path, data=None, paths={"out_dir": str(tmp_path / "out"),
+                                                           "test_dataset": str(manifest)})
+            return traced_peak(["eval", "--config", str(cfg), "--checkpoint", checkpoint])
+
+        peak(20)
+        per_clip = (peak(200) - peak(100)) / 100
+        assert per_clip < 8 * 1024, f"the peak grows by {per_clip / 1024:.1f} KB per clip"
+
+    def test_smbo_grows_by_statistics_and_captions(self, tmp_path):
+        """A search keeps the training frames in a file: 3.1 KB per 0.5 s clip with its
+        back-translation cache entries, where frames in RAM grew the peak by 29 KB."""
+        clips = list(synth_dataset(3, 72, 7, duration=0.5, captions_per_item=1))
+        val = write_manifest(tmp_path / "val.jsonl", synth_dataset(3, 9, 8, split="val",
+                                                                   duration=0.2))
+
+        def peak(n):
+            captions = tmp_path / "captions.txt"
+            captions.write_text("".join(c + "\n" for _, _, caps in clips[:n] for c in caps))
+            cache = tmp_path / f"bt_{n}.jsonl"
+            assert main(["bt-cache", "--captions", str(captions), "--out", str(cache),
+                         "--mock"]) == 0
+            cfg = write_config(tmp_path, data=None, optim={"epochs": 1, "batch_size": 6}, paths={
+                "out_dir": str(tmp_path / f"out_{n}"), "val_dataset": str(val),
+                "dataset": str(write_manifest(tmp_path / f"train_{n}.jsonl", clips[:n])),
+                "bt_cache": str(cache)})
+            return traced_peak(["smbo", "--config", str(cfg), "--n-init", "1", "--n-trials", "1"])
+
+        peak(12)
+        per_clip = (peak(72) - peak(36)) / 36
+        assert per_clip < 8 * 1024, f"the peak grows by {per_clip / 1024:.1f} KB per clip"
 
 
 class TestEval:
@@ -1166,6 +1247,27 @@ class TestAugmentPreview:
         zeroed = np.all(striped == 0.0, axis=1)
         assert 1 <= zeroed.sum() <= 4
         assert np.array_equal(striped[~zeroed], gained[~zeroed])
+
+    def test_audio_mode_draws_as_training_does(self, tmp_path):
+        """The preview draws a clip's gain and then its stripes from its seed, as training
+        does: its CSVs are the log-mel, and that log-mel shifted by the gain with each stripe
+        zeroed as it is drawn, byte for byte."""
+        wav = tmp_path / "clip.wav"
+        save_wav(wav, next(synth_dataset(2, 1, 0, duration=0.3))[1])
+        cfg = write_config(tmp_path, audio_aug={"g_max": 6, "n_f": 1, "w_f": 8, "n_t": 3,
+                                                "w_t": 10})
+        assert main(["augment-preview", "--config", str(cfg), "--mode", "audio",
+                     "--input", str(wav), "--seed", "5"]) == 0
+        feat = load_config(cfg).features
+        before = data.logmel(data.resample_linear(data.load_wav(wav), feat.target_sr), feat).values
+        rng = np.random.default_rng(5)
+        gained = before + audio_aug.LOG_MEL_PER_DB * audio_aug.sample_gain(rng, 6)
+        after = spec_augment(gained, 1, 8, 3, 10, rng)
+        assert np.any(after == 0.0) and np.any(after != gained)
+        for name, values in (("before", before), ("after", after)):
+            expected = io.StringIO()
+            np.savetxt(expected, values, delimiter=",")
+            assert (tmp_path / "out" / f"preview_{name}.csv").read_text() == expected.getvalue()
 
     def test_missing_audio_input_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -16,7 +16,6 @@ from audioretrieval.data import (
     STFT_BLOCK,
     FeatureConfig,
     ManifestError,
-    MelSpectrogram,
     NormStats,
     Waveform,
     build_vocab,
@@ -290,7 +289,6 @@ class TestLogmel:
         w = Waveform(np.random.default_rng(0).normal(0, 0.1, 32000), 32000)
         m = logmel(w, FeatureConfig())
         assert m.values.shape == (64, 101)
-        assert m.n_frames_valid == 101
 
     def test_silence_hits_floor(self):
         w = Waveform(np.zeros(3200), 32000)
@@ -357,60 +355,48 @@ class TestLogmel:
         n = (n_frames - 1) * cfg.hop + extra % cfg.hop
         w = Waveform(np.random.default_rng(seed).normal(0, 0.3, size=n), cfg.target_sr)
         m = logmel(w, cfg)
-        assert m.n_frames_valid == n_frames
+        assert m.values.shape[1] == n_frames
         assert np.array_equal(m.values, stft_reference.logmel_values(w, cfg))
 
 
 class TestFreqNormalize:
     def test_standard_stats_near_identity(self):
         rng = np.random.default_rng(0)
-        m = MelSpectrogram(rng.normal(size=(4, 10)), 10)
+        m = rng.normal(size=(4, 10))
         stats = NormStats(np.zeros(4), np.ones(4), 1)
         out = apply_map(m, *freq_normalize(mel_stats([m]), stats))
-        assert np.allclose(out.values, m.values, atol=5e-6)
+        assert np.allclose(out, m, atol=5e-6)
 
     def test_constant_bin_centered(self):
-        m = MelSpectrogram(np.full((3, 5), 2.5), 5)
+        m = np.full((3, 5), 2.5)
         stats = NormStats(np.full(3, 2.5), np.zeros(3), 1)
         out = apply_map(m, *freq_normalize(mel_stats([m]), stats))
-        assert np.allclose(out.values, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_update_zero_means_batch(self):
         rng = np.random.default_rng(1)
-        m = MelSpectrogram(rng.normal(3, 2, size=(4, 20)), 20)
+        m = rng.normal(3, 2, size=(4, 20))
         stats = NormStats.fresh(4)
         out = apply_map(m, *freq_normalize(mel_stats([m]), stats, update=True))
-        assert np.allclose(out.values.mean(axis=1), 0.0, atol=1e-6)
+        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-6)
         assert stats.count == 20
 
-    def test_update_ignores_padding(self):
-        rng = np.random.default_rng(2)
-        base = rng.normal(size=(4, 10))
-        padded = np.concatenate([base, np.zeros((4, 6))], axis=1)
-        s1, s2 = NormStats.fresh(4), NormStats.fresh(4)
-        freq_normalize(mel_stats([MelSpectrogram(base, 10)]), s1, update=True)
-        freq_normalize(mel_stats([MelSpectrogram(padded, 10)]), s2, update=True)
-        assert np.allclose(s1.mean, s2.mean)
-        assert np.allclose(s1.var, s2.var)
 
 
 def _mel_stats_reference(mels):
-    """Reference: mel_stats as np.mean, np.var and np.max over each clip's valid frames."""
-    valid = [m.values[:, : m.n_frames_valid] for m in mels]
-    return (np.array([v.shape[1] for v in valid], dtype=np.int64),
-            *(np.array([f(v, axis=1) for v in valid]) for f in (np.mean, np.var, np.max)))
+    """Reference: mel_stats as np.mean, np.var and np.max over each clip's frames."""
+    return (np.array([v.shape[1] for v in mels], dtype=np.int64),
+            *(np.array([f(v, axis=1) for v in mels]) for f in (np.mean, np.var, np.max)))
 
 
 class TestMelStats:
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 997, 4000]), min_size=1, max_size=4),
-           n_mels=st.integers(1, 64), pad=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+           n_mels=st.integers(1, 64), scale=st.sampled_from([1e-3, 1.0, 30.0]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=examples(60), deadline=None)
-    def test_matches_numpy_reductions(self, lengths, n_mels, pad, scale, seed):
+    def test_matches_numpy_reductions(self, lengths, n_mels, scale, seed):
         rng = np.random.default_rng(seed)
-        mels = [MelSpectrogram(np.concatenate([rng.normal(-5.0, scale, size=(n_mels, t)),
-                                               np.zeros((n_mels, pad))], axis=1), t)
-                for t in lengths]
+        mels = [rng.normal(-5.0, scale, size=(n_mels, t)) for t in lengths]
         got = mel_stats(mels)
         for column, want in zip((got.count, got.mean, got.var, got.max), _mel_stats_reference(mels)):
             assert column.dtype == want.dtype

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audioretrieval.metrics import (
-    evaluate,
+    from_ranks,
     map_at_10,
     metrics_table,
     rank_targets,
@@ -100,14 +100,14 @@ class TestInvariants:
         targets = rng.integers(0, 16, size=10)
         perm = rng.permutation(16)
         inv = np.argsort(perm)
-        r1 = evaluate(scores, targets)
-        r2 = evaluate(scores[:, perm], inv[targets])
+        r1 = from_ranks(rank_targets(scores, targets))
+        r2 = from_ranks(rank_targets(scores[:, perm], inv[targets]))
         assert r1.as_dict() == r2.as_dict()
 
 
 class TestTable:
     def test_layout(self):
-        r = evaluate(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0, 1]))
+        r = from_ranks(rank_targets(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0, 1])))
         text = metrics_table({"test": r})
         lines = text.splitlines()
         assert "R@1" in lines[0] and "mAP@10" in lines[0]

@@ -15,7 +15,6 @@ from audioretrieval.audio_aug import AudioAugConfig
 from audioretrieval.data import (
     LOG_FLOOR,
     FeatureConfig,
-    MelSpectrogram,
     MelStats,
     NormStats,
     Waveform,
@@ -29,7 +28,7 @@ from audioretrieval.data import (
     save_wav,
     synth_dataset,
 )
-from audioretrieval.metrics import evaluate
+from audioretrieval.metrics import from_ranks
 from audioretrieval.model import (TEXT_BLOCK, ModelDims, init_params, load_checkpoint,
                                   zeros_like_params)
 from audioretrieval.text_aug import TextAugConfig
@@ -329,17 +328,13 @@ class TestPrepareSplit:
 
 
 def _random_split(rng, n_clips, n_mels, short_first):
-    """A split that keeps its clips' valid frames, and its clips' log-mels >= log(LOG_FLOOR)
-    with padding after n_frames_valid; clip 0 has a single valid frame when ``short_first``."""
-    mels = []
-    for k in range(n_clips):
-        t = int(rng.integers(2, 40))
-        t_valid = 1 if short_first and k == 0 else int(rng.integers(1, t))
-        values = rng.uniform(math.log(LOG_FLOOR), 5.0, size=(n_mels, t))
-        mels.append(MelSpectrogram(values, t_valid))
-    frames = [m.values[:, :m.n_frames_valid] for m in mels]
+    """A split that keeps its clips' log-mel frames, all >= log(LOG_FLOOR), and those
+    frames; clip 0 has a single frame when ``short_first``."""
+    mels = [rng.uniform(math.log(LOG_FLOOR), 5.0,
+                        size=(n_mels, 1 if short_first and k == 0 else int(rng.integers(1, 39))))
+            for k in range(n_clips)]
     feat = FeatureConfig(n_mels=n_mels)
-    return PreparedSplit(feat, frames, mel_stats(mels), [["a clip"]] * n_clips), mels
+    return PreparedSplit(feat, mels, mel_stats(mels), [["a clip"]] * n_clips), mels
 
 
 def _norm_stats(rng, n_mels):
@@ -399,7 +394,7 @@ class TestPooledAudioAgainstFrames:
         assert norm.count == norm_ref.count
         assert np.max(np.abs(norm.mean - norm_ref.mean)) <= 1e-12
         assert np.max(np.abs(norm.var - norm_ref.var)) <= 1e-12
-        if short_first and n_t > 0:  # clip 0's only valid frame is striped
+        if short_first and n_t > 0:  # clip 0's only frame is striped
             assert np.all(pooled[0] == 0.0)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_mels=st.integers(1, 12))
@@ -470,7 +465,7 @@ class TestScoreSplitBlocks:
         # ranked in blocks as at once, with the same metrics
         scores = np.concatenate(blocks)
         assert np.array_equal(result.ranks, rank_targets(scores, targets))
-        assert result.as_dict() == evaluate(scores, targets).as_dict()
+        assert result.as_dict() == from_ranks(rank_targets(scores, targets)).as_dict()
         # the scores of the one-block product, to rounding
         ref_scores = score_reference.scores(split, tokens, params, norm)
         assert scores.shape == ref_scores.shape == (n_queries, n_clips)
@@ -555,7 +550,7 @@ class TestSplitWithoutFrames:
         assert bare.mels is None and len(bare) == len(framed) == n
         assert bare.captions == framed.captions
         # the statistics of all clips at once
-        whole = mel_stats([MelSpectrogram(v, v.shape[1]) for v in framed.mels])
+        whole = mel_stats(framed.mels)
         for name in ("count", "mean", "var", "max"):
             assert np.array_equal(getattr(bare.stats, name), getattr(framed.stats, name))
             assert np.array_equal(getattr(framed.stats, name), getattr(whole, name))
