@@ -64,13 +64,8 @@ def sample_mix_lambdas(rng: np.random.Generator, alpha: float, n: int) -> np.nda
     return np.maximum(lambdas, 1.0 - lambdas)
 
 
-def freq_mixstyle(
-    stats: MelStats,
-    alpha: float,
-    p_ms: float,
-    rng: np.random.Generator,
-    forced_lambda: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def freq_mixstyle(stats: MelStats, alpha: float, p_ms: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mix per-bin mean/std statistics between random batch partners.
 
     ``stats`` are the clips' statistics over valid frames. For each example
@@ -79,18 +74,13 @@ def freq_mixstyle(
     1 - lambda), so the example's own statistics always get the larger
     weight. Returns each clip's per-bin map x -> (x - center) * slope + offset
     as three [N, n_mels] arrays, with slope >= 0 and the exact identity
-    (0, 1, 0) where nothing fires. ``forced_lambda`` pins lambda for testing.
+    (0, 1, 0) where nothing fires.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     n = len(stats.count)
     fire = rng.uniform(size=n) < p_ms
     partners = rng.permutation(n)
-    lambdas = sample_mix_lambdas(rng, alpha, n)
-    if forced_lambda is not None:
-        lambdas = np.full(n, forced_lambda)
+    lam = sample_mix_lambdas(rng, alpha, n)[:, None]
     mix = (fire & (partners != np.arange(n)))[:, None]
-    lam = lambdas[:, None]
     sd = np.sqrt(stats.var)
     mu_new = lam * stats.mean + (1.0 - lam) * stats.mean[partners]
     sd_new = lam * sd + (1.0 - lam) * sd[partners]

@@ -81,20 +81,38 @@ def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
     return trainer.prepare_split(_load_split(cfg, split), cfg.features)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """``paths.out_dir``, made if missing; a path that cannot be a directory is a
-    ConfigError. Commands make it before decoding any clip."""
-    out_dir = Path(cfg.paths.out_dir)
+def _out_dir(path, name: str = "paths.out_dir") -> Path:
+    """The directory that the config key or flag ``name`` gives, made if missing; one that
+    cannot be a directory is a CommandError. Commands make it before decoding any clip."""
+    out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"paths.out_dir: {out_dir}: {exc.strerror}") from exc
+        raise CommandError(f"{name}: {out_dir}: {exc.strerror}") from exc
     return out_dir
+
+
+def _out_file(path, flag: str) -> Path:
+    """The output file ``path`` that ``flag`` gives; one that is a directory or whose
+    directory is missing is a CommandError. Commands check it before their work."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir():
+        reason = "Is a directory" if path.is_dir() else f"no directory {path.parent}"
+        raise CommandError(f"{flag}: {path}: {reason}")
+    return path
+
+
+def _read_text(path: Path, flag: str) -> str:
+    """The UTF-8 text of the file that ``flag`` names; one that is not is a CommandError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"{flag}: {path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def cmd_train(args) -> int:
     cfg, digest = read_config(args.config)
-    out_dir = _out_dir(cfg)
+    out_dir = _out_dir(cfg.paths.out_dir)
     back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
     with _training(cfg, out_dir, trainer.reads_frames(cfg.audio_aug),
                    "text_aug.p_bt > 0 needs paths.bt_cache" if back_translates else None) as run:
@@ -106,11 +124,24 @@ def cmd_train(args) -> int:
             raise CommandError(str(exc), EXIT_FAILED) from exc
     doc = result.as_dict()
     doc["config_hash"] = digest
+    doc["environment"] = _environment()
     data.write_atomic(out_dir / "run_result.json", json.dumps(doc, indent=1))
     _write_metrics_csv(out_dir / "metrics.csv", result)
     print(f"best val mAP@10 {result.best_val_map:.4f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs run)")
     return EXIT_OK
+
+
+def _environment() -> dict:
+    """What fixes a run's bytes besides its config: the numpy version, the name and version
+    of its BLAS (None where numpy cannot say) and each BLAS thread variable (None if unset)."""
+    try:  # numpy < 1.25 has no mode; a build may name no BLAS
+        blas = {key: np.show_config(mode="dicts")["Build Dependencies"]["blas"][key]
+                for key in ("name", "version")}
+    except (TypeError, KeyError):
+        blas = None
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "blas": blas, **{v: os.environ.get(v) for v in threads}}
 
 
 @contextlib.contextmanager
@@ -154,13 +185,14 @@ def cmd_eval(args) -> int:
         if mine != trained:
             raise CommandError(f"features.{f.name} is {mine!r} in the config but {trained!r} "
                                f"in the checkpoint")
+    sidecar = _out_file(args.out or Path(args.checkpoint).parent / f"eval_{args.split}.json",
+                        "--out")
     split = _prepared(cfg, args.split)
     if len(split) == 0:
         raise CommandError(f"split {args.split!r} is empty")
     tokens, targets = trainer.caption_queries(split, vocab)
     result = trainer.score_split(split, tokens, targets, params, stats)
     print(metrics.metrics_table({args.split: result}))
-    sidecar = Path(args.out or (Path(args.checkpoint).parent / f"eval_{args.split}.json"))
     doc = result.as_dict()
     doc["config_hash"] = digest
     data.write_atomic(sidecar, json.dumps(doc, indent=1))
@@ -171,7 +203,7 @@ def cmd_smbo(args) -> int:
     if args.n_trials <= 0 or args.n_init <= 0:
         raise CommandError("n-trials and n-init must be positive")
     cfg = load_config(args.config)
-    out_dir = _out_dir(cfg)
+    out_dir = _out_dir(cfg.paths.out_dir)
     log_path = out_dir / "trials.jsonl"
     try:  # the log's errors come before any clip is featurized
         logged, torn = smbo.open_log(log_path, args.n_trials, args.resume)
@@ -184,7 +216,7 @@ def cmd_smbo(args) -> int:
     # the log is opened once the splits are prepared: a failed preparation makes no log
     with _training_objective(cfg, out_dir) as objective, open(log_path, "a") as log:
         _, best = smbo.run_search(
-            objective, smbo.default_search_space(), n_init=args.n_init,
+            objective, smbo.SPACE, n_init=args.n_init,
             n_trials=args.n_trials, seed=cfg.seed, trials=logged, log=log,
         )
     if best is None:
@@ -214,17 +246,24 @@ def _training_objective(cfg: RunConfig, out_dir: Path):
 
 
 def cmd_augment_preview(args) -> int:
+    if args.seed < 0:
+        raise CommandError(f"--seed: must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     if args.mode == "text":
         raw = args.input
         if os.path.isfile(raw):
-            raw = Path(raw).read_text().strip()
+            raw = _read_text(Path(raw), "--input").strip()
         provider, lexicon = _provider_and_lexicon(cfg)
         if provider is None:
             provider = text_aug.mock_provider
         tcfg = cfg.text_aug or text_aug.TextAugConfig()
-        bt = provider(raw, text_aug.PIVOTS[int(rng.integers(3))]) if tcfg.p_bt > 0 else raw
+        pair = (raw, text_aug.PIVOTS[int(rng.integers(3))]) if tcfg.p_bt > 0 else None
+        try:
+            bt = provider(*pair) if pair else raw
+        except KeyError:  # a cache without the pair: the mock provider has every one
+            raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for {pair!r}") \
+                from None
         words = data.preprocess_caption(bt).split()
         vocab = data.build_vocab([" ".join(words)])
         print(f"{'Original':<16} {raw}")
@@ -236,7 +275,7 @@ def cmd_augment_preview(args) -> int:
     # --mode audio (argparse admits only the two modes)
     if not os.path.isfile(args.input):
         raise CommandError(f"input {args.input} not found")
-    out_dir = _out_dir(cfg)
+    out_dir = _out_dir(cfg.paths.out_dir)
     try:
         w = data.resample_linear(data.load_wav(args.input), cfg.features.target_sr)
         before = data.logmel(w, cfg.features).values
@@ -272,7 +311,9 @@ def cmd_bt_cache(args) -> int:
     captions_path = Path(args.captions)
     if not captions_path.is_file():
         raise CommandError(f"captions file {captions_path} not found")
-    captions = [line.strip() for line in captions_path.read_text().splitlines() if line.strip()]
+    captions = [line.strip() for line in _read_text(captions_path, "--captions").splitlines()
+                if line.strip()]
+    out = _out_file(args.out, "--out")
     if args.mock:
         provider = text_aug.mock_provider
     else:
@@ -282,7 +323,7 @@ def cmd_bt_cache(args) -> int:
             raise CommandError("set AUDIORETRIEVAL_BT_URL or pass --mock")
         provider = _http_provider(base_url, api_key)
     try:  # provider failures are collected; a ValueError is an existing cache that is malformed
-        new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, args.out)
+        new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, out)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     print(f"{new} new entries")
@@ -297,7 +338,7 @@ def cmd_synth_data(args) -> int:
     cfg = load_config(args.config)
     if cfg.data is None:
         raise CommandError("data.synthetic: required for synth-data")
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out, "--out")
     for split in ("train", "val", "test"):
         (out_dir / split).mkdir(parents=True, exist_ok=True)
         # the manifest appears only once every WAV it names is written

@@ -94,9 +94,6 @@ class TokenVocab:
     def __len__(self):
         return len(self.token_to_id) + 2
 
-    def id_for(self, word: str) -> int:
-        return self.token_to_id.get(word, self.UNK)
-
     def words(self) -> list[str]:
         return list(self.token_to_id)
 
@@ -408,7 +405,8 @@ def build_vocab(captions: list[str]) -> TokenVocab:
 def tokenize(texts: list[str], vocab: TokenVocab) -> np.ndarray:
     """Token ids of each text, truncated at MAX_TOKENS, as one int64 matrix
     [len(texts), width] whose rows are padded with PAD=0 to the longest."""
-    rows = [[vocab.id_for(w) for w in text.split()][:MAX_TOKENS] for text in texts]
+    id_for = vocab.token_to_id.get
+    rows = [[id_for(w, TokenVocab.UNK) for w in text.split()][:MAX_TOKENS] for text in texts]
     out = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.int64)
     for i, ids in enumerate(rows):
         out[i, : len(ids)] = ids

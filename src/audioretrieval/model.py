@@ -137,16 +137,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def nt_xent(C: np.ndarray, tau: float = 1.0) -> float:
-    """Average of row-wise and column-wise softmax CE against the identity."""
+def nt_xent(C: np.ndarray) -> float:
+    """Average of row-wise and column-wise softmax CE against the identity, at temperature 1."""
     n = C.shape[0]
     if C.shape != (n, n) or n < 2:
         raise ValueError("similarity matrix must be square with N >= 2")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    logits = C / tau
-    row_ce = -np.diag(_log_softmax(logits))
-    col_ce = -np.diag(_log_softmax(logits.T))
+    row_ce = -np.diag(_log_softmax(C))
+    col_ce = -np.diag(_log_softmax(C.T))
     return float((row_ce.sum() + col_ce.sum()) / (2.0 * n))
 
 
@@ -165,12 +162,8 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells.ravel(), rows.ravel(), n * width).reshape(n, width)
 
 
-def backward(
-    pooled_a: np.ndarray,
-    text_ids: np.ndarray,
-    params: ModelParams,
-    tau: float = 1.0,
-) -> tuple[float, ModelParams]:
+def backward(pooled_a: np.ndarray, text_ids: np.ndarray,
+             params: ModelParams) -> tuple[float, ModelParams]:
     """Loss and exact gradients of nt_xent(similarity(embeddings)) w.r.t. params.
 
     ``pooled_a`` is the pooled audio [N, n_mels] as ``pool_audio`` returns it and
@@ -188,15 +181,14 @@ def backward(
     a_raw, a_den, An = _unit_rows(A)
     t_raw, t_den, Tn = _unit_rows(T)
     C = An @ Tn.T
-    loss = nt_xent(C, tau)
+    loss = nt_xent(C)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     if not (np.isfinite(a_raw).all() and np.isfinite(t_raw).all()):  # rows then divide to 0
         raise FloatingPointError("non-finite embedding norm")
 
-    logits = C / tau
     eye = np.eye(n)
-    dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * n * tau)
+    dC = ((_softmax(C) - eye) + (_softmax(C.T) - eye).T) / (2.0 * n)
 
     # cosine backward: An = A / (|A| + eps)
     def through_norm(dXn, X, raw, den):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,53 +17,31 @@ MIN_BANDWIDTH = 0.1   # fraction of the parameter range; keeps exploration alive
 PRIOR_WEIGHT = 1.0    # uniform pseudo-observation mixed into each density
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamSpec:
     name: str
     kind: str  # "uniform_float" | "int_range" | "choice"
     lo: float | None = None
     hi: float | None = None
-    values: list | None = None
-
-    def __post_init__(self):
-        if self.kind in ("uniform_float", "int_range"):
-            bounds = (self.lo, self.hi)
-            if not all(isinstance(b, (int, float)) for b in bounds) or not self.lo < self.hi:
-                raise ValueError(f"{self.name}: need numbers lo < hi")
-        elif self.kind == "choice":
-            if not isinstance(self.values, list) or not self.values:
-                raise ValueError(f"{self.name}: choice values must be a non-empty list")
-        else:
-            raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
+    values: tuple | None = None
 
 
-@dataclass
-class SearchSpace:
-    params: list[ParamSpec]
-
-    def __post_init__(self):
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
-
-
-def default_search_space() -> SearchSpace:
-    """The full 13-parameter augmentation search space."""
-    return SearchSpace([
-        ParamSpec("p_eda", "uniform_float", 0.0, 1.0),
-        ParamSpec("p_syn", "uniform_float", 0.0, 0.3),
-        ParamSpec("p_swp", "uniform_float", 0.0, 0.3),
-        ParamSpec("p_ins", "uniform_float", 0.0, 0.3),
-        ParamSpec("p_del", "uniform_float", 0.0, 0.3),
-        ParamSpec("p_bt", "uniform_float", 0.0, 1.0),
-        ParamSpec("n_f", "choice", values=[0, 1]),
-        ParamSpec("w_f", "int_range", 1, 32),
-        ParamSpec("n_t", "int_range", 0, 8),
-        ParamSpec("w_t", "int_range", 1, 64),
-        ParamSpec("g_max", "int_range", 0, 6),
-        ParamSpec("p_ms", "uniform_float", 0.0, 1.0),
-        ParamSpec("alpha", "uniform_float", 1e-3, 1.0),  # a Beta shape: must be > 0
-    ])
+# the full 13-parameter augmentation search space
+SPACE = (
+    ParamSpec("p_eda", "uniform_float", 0.0, 1.0),
+    ParamSpec("p_syn", "uniform_float", 0.0, 0.3),
+    ParamSpec("p_swp", "uniform_float", 0.0, 0.3),
+    ParamSpec("p_ins", "uniform_float", 0.0, 0.3),
+    ParamSpec("p_del", "uniform_float", 0.0, 0.3),
+    ParamSpec("p_bt", "uniform_float", 0.0, 1.0),
+    ParamSpec("n_f", "choice", values=(0, 1)),
+    ParamSpec("w_f", "int_range", 1, 32),
+    ParamSpec("n_t", "int_range", 0, 8),
+    ParamSpec("w_t", "int_range", 1, 64),
+    ParamSpec("g_max", "int_range", 0, 6),
+    ParamSpec("p_ms", "uniform_float", 0.0, 1.0),
+    ParamSpec("alpha", "uniform_float", 1e-3, 1.0),  # a Beta shape: must be > 0
+)
 
 
 @dataclass
@@ -95,10 +74,10 @@ class TrialRecord:
         return cls(**rec)
 
 
-def sample_random(space: SearchSpace, rng: np.random.Generator) -> dict:
+def sample_random(space: Sequence[ParamSpec], rng: np.random.Generator) -> dict:
     """One configuration with every parameter drawn independently."""
     cfg = {}
-    for p in space.params:
+    for p in space:
         if p.kind == "uniform_float":
             cfg[p.name] = float(rng.uniform(p.lo, p.hi))
         elif p.kind == "int_range":
@@ -147,9 +126,8 @@ def _sample_kde(mus: np.ndarray, bw: float, lo: float, hi: float, rng) -> float:
     return float(np.clip(rng.normal(mu, bw), lo, hi))
 
 
-def tpe_suggest(
-    history: list[TrialRecord], space: SearchSpace, rng: np.random.Generator, n_init: int = 10
-) -> dict:
+def tpe_suggest(history: list[TrialRecord], space: Sequence[ParamSpec], rng: np.random.Generator,
+                n_init: int = 10) -> dict:
     """Suggest a configuration maximizing the good/bad density ratio.
 
     History is split at the GAMMA quantile of the objective (higher is
@@ -170,7 +148,7 @@ def tpe_suggest(
     # what depends only on the history, fitted once per parameter: the good and
     # bad choice probabilities or densities
     fitted = {}
-    for p in space.params:
+    for p in space:
         groups = [[t.config[p.name] for t in good], [t.config[p.name] for t in bad]]
         if p.kind == "choice":
             fitted[p.name] = []
@@ -188,7 +166,7 @@ def tpe_suggest(
     for _ in range(N_CANDIDATES):
         cfg = {}
         log_ratio = 0.0
-        for p in space.params:
+        for p in space:
             if p.kind == "choice":
                 g_prob, b_prob = fitted[p.name]
                 k = int(rng.choice(len(p.values), p=g_prob))
@@ -254,7 +232,7 @@ def open_log(log_path, n_trials: int, resume: bool) -> tuple[list[TrialRecord], 
 
 def run_search(
     objective,
-    space: SearchSpace,
+    space: Sequence[ParamSpec],
     n_init: int = 10,
     n_trials: int = 100,
     seed: int = 0,

@@ -1,9 +1,11 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from audioretrieval import audio_aug
 from audioretrieval.model import ModelDims, init_params
 from audioretrieval.smbo import open_log, run_search
 
@@ -54,3 +56,14 @@ def logged_search(log_path, objective, space, n_init: int, n_trials: int, seed: 
     trials = open_log(log_path, n_trials, resume)[0]
     with open(log_path, "a") as log:
         return run_search(objective, space, n_init, n_trials, seed, trials=trials, log=log)
+
+
+def forced_mix_lambdas(value: float | None):
+    """A patch of ``audio_aug.sample_mix_lambdas`` that makes the generator's draws and
+    then gives every clip the mixing coefficient ``value`` (None: the drawn ones)."""
+    real = audio_aug.sample_mix_lambdas
+
+    def sample_mix_lambdas(rng, alpha, n):
+        lambdas = real(rng, alpha, n)
+        return lambdas if value is None else np.full(n, value)
+    return mock.patch.object(audio_aug, "sample_mix_lambdas", sample_mix_lambdas)

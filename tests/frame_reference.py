@@ -31,13 +31,11 @@ def _bin_stats(m: np.ndarray):
     return m.mean(axis=1), m.std(axis=1)  # population std
 
 
-def freq_mixstyle(batch, alpha, p_ms, rng, forced_lambda=None):
+def freq_mixstyle(batch, alpha, p_ms, rng):
     n = len(batch)
     fire = rng.uniform(size=n) < p_ms
     partners = rng.permutation(n)
     lambdas = audio_aug.sample_mix_lambdas(rng, alpha, n)
-    if forced_lambda is not None:
-        lambdas = np.full(n, forced_lambda)
     out = []
     for i, m in enumerate(batch):
         j = int(partners[i])
@@ -65,13 +63,13 @@ def gain(m: np.ndarray, g: float) -> np.ndarray:
     return m + g * np.log(10.0) / 10.0
 
 
-def pooled_batch(mels, norm, update, cfg=None, rng=None, forced_lambda=None):
+def pooled_batch(mels, norm, update, cfg=None, rng=None):
     """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool."""
     if cfg is not None:
         mels = [gain(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
     mels = freq_normalize(mels, norm, update)
     if cfg is not None:
-        mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng, forced_lambda)
+        mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng)
         mels = [spec_augment(m, cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng) for m in mels]
     return pool_audio(mels)
 

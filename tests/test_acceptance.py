@@ -32,11 +32,7 @@ from audioretrieval.model import (
     pool_audio,
     similarity_matrix,
 )
-from audioretrieval.smbo import (
-    ParamSpec,
-    SearchSpace,
-    run_search,
-)
+from audioretrieval.smbo import ParamSpec, run_search
 from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import EarlyStopping, OptimConfig, lr_at, prepare_split, train_run
 
@@ -69,9 +65,9 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_loss_value_oracles():
-    err_id = abs(nt_xent(np.eye(2), tau=1.0) - math.log(1.0 + math.exp(-1.0)))
+    err_id = abs(nt_xent(np.eye(2)) - math.log(1.0 + math.exp(-1.0)))
     err_uniform = max(
-        abs(nt_xent(np.full((n, n), 0.37), tau=1.0) - math.log(n))
+        abs(nt_xent(np.full((n, n), 0.37)) - math.log(n))
         for n in (2, 8, 30)
     )
     ok = err_id <= 1e-6 and err_uniform <= 1e-9
@@ -196,10 +192,10 @@ def test_criterion_07_augmentation_distribution_checks():
 
 
 def test_criterion_08_tpe_efficacy():
-    space = SearchSpace([
+    space = (
         ParamSpec("x", "uniform_float", 0.0, 1.0),
         ParamSpec("y", "uniform_float", 0.0, 1.0),
-    ])
+    )
 
     def quadratic(cfg, trial_id, seed):
         return -((cfg["x"] - 0.7) ** 2 + (cfg["y"] - 0.7) ** 2), "completed", 1
@@ -231,7 +227,7 @@ def test_criterion_09_early_stopping():
     def pruned_objective(cfg, trial_id, seed):
         return 0.42, "pruned", 7  # best value observed before pruning
 
-    space = SearchSpace([ParamSpec("x", "uniform_float", 0.0, 1.0)])
+    space = (ParamSpec("x", "uniform_float", 0.0, 1.0),)
     trials, _ = run_search(pruned_objective, space, n_init=3, n_trials=3, seed=0)
     carries = all(t.status == "pruned" and t.objective == 0.42 for t in trials)
     ok = stops_exact and carries
@@ -264,7 +260,7 @@ def test_criterion_11_determinism(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     csv_identical = (tmp_path / "out" / "metrics.csv").read_bytes() == first
 
-    space = SearchSpace([ParamSpec("x", "uniform_float", 0.0, 1.0)])
+    space = (ParamSpec("x", "uniform_float", 0.0, 1.0),)
 
     def quadratic(cfg, trial_id, seed):
         return -((cfg["x"] - 0.7) ** 2), "completed", 1

@@ -24,7 +24,7 @@ from audioretrieval.data import (
 from audioretrieval.trainer import PreparedSplit, pooled_audio
 
 from aug_reference import apply_gain, spec_augment
-from conftest import examples, random_mel_batch
+from conftest import examples, forced_mix_lambdas, random_mel_batch
 from frame_reference import apply_map
 
 
@@ -179,8 +179,8 @@ class TestFreqMixStyle:
 
     def test_lambda_one_identity(self):
         batch = random_mel_batch(np.random.default_rng(2), 4)
-        out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 1.0, np.random.default_rng(3),
-                                         forced_lambda=1.0))
+        with forced_mix_lambdas(1.0):
+            out = mixed(batch, freq_mixstyle(mel_stats(batch), 0.4, 1.0, np.random.default_rng(3)))
         for a, b in zip(out, batch):
             assert np.allclose(a, b, atol=1e-6)
 
@@ -194,9 +194,9 @@ class TestFreqMixStyle:
             fire = r.uniform(size=2) < 1.0
             partners = r.permutation(2)
             if fire[0] and partners[0] == 1:
-                out = mixed([a, b], freq_mixstyle(mel_stats([a, b]), 0.4, 1.0,
-                                                  np.random.default_rng(seed),
-                                                  forced_lambda=0.5))[0]
+                with forced_mix_lambdas(0.5):
+                    out = mixed([a, b], freq_mixstyle(mel_stats([a, b]), 0.4, 1.0,
+                                                      np.random.default_rng(seed)))[0]
                 break
         else:
             pytest.fail("no suitable seed found")

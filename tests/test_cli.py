@@ -604,8 +604,8 @@ class TestSmbo:
         assert len(trials) == 40
 
     def test_toy_objective_near_optimum(self, tmp_path, monkeypatch, toy_objective):
-        monkeypatch.setattr(smbo, "default_search_space", lambda: smbo.SearchSpace(
-            [smbo.ParamSpec(n, "uniform_float", 0.0, 1.0) for n in ("x", "y")]))
+        monkeypatch.setattr(smbo, "SPACE", tuple(smbo.ParamSpec(n, "uniform_float", 0.0, 1.0)
+                                                 for n in ("x", "y")))
         cfg = write_config(tmp_path)
         main(["smbo", "--config", str(cfg), "--n-init", "10", "--n-trials", "60"])
         best = None
@@ -842,6 +842,28 @@ def _run_cli(argv: list[str]) -> int:
 
 def _start_cli(argv: list[str]) -> subprocess.Popen:
     return subprocess.Popen(**_cli_command(argv))
+
+
+def test_run_result_records_the_environment(tmp_path):
+    """run_result.json names what the bytes depend on besides (config, seed): two trains
+    that differ only in the BLAS thread count record just that difference."""
+    records = []
+    for threads in ("1", "2"):
+        cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / threads)})
+        run = subprocess.run(**_cli_command(["train", "--config", str(cfg)],
+                                            OPENBLAS_NUM_THREADS=threads), timeout=300)
+        assert run.returncode == 0
+        records.append(json.loads((tmp_path / threads / "run_result.json").read_text())
+                       ["environment"])
+    one, two = records
+    assert {k for k in one if one[k] != two[k]} == {"OPENBLAS_NUM_THREADS"}
+    assert (one["OPENBLAS_NUM_THREADS"], two["OPENBLAS_NUM_THREADS"]) == ("1", "2")
+    assert one.keys() == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS"}
+    assert one["numpy"] == np.__version__
+    assert one["blas"] is None or set(one["blas"]) == {"name", "version"}
+    assert all(one[name] == os.environ.get(name) for name in ("OMP_NUM_THREADS",
+                                                              "MKL_NUM_THREADS"))
 
 
 # Runs the CLI with sys.argv[4:] after replacing trainer.<sys.argv[1]> by a wrapper that
@@ -1195,6 +1217,77 @@ class TestUnusableOutDir:
         assert capsys.readouterr().err == f"error: paths.out_dir: {out}: {reason}\n"
         assert decoded == []
         assert blocker.read_text() == "not a directory"
+
+
+def one_error_line(capsys) -> str:
+    """The one line that a failed command wrote to stderr, which starts with ``error: ``."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err.rstrip("\n")
+
+
+class TestUsageErrors:
+    """Input that a command cannot take ends it with exit 2 and one ``error:`` line naming
+    the path or flag, not with a traceback."""
+
+    def test_preview_caption_missing_from_cache(self, tmp_path, capsys):
+        cache = tmp_path / "bt.jsonl"
+        cache.write_text(json.dumps({"source": "x", "pivot": "es", "result": "y"}) + "\n")
+        cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                            "bt_cache": str(cache)}, text_aug={"p_bt": 1.0})
+        assert main(["augment-preview", "--config", str(cfg), "--mode", "text",
+                     "--input", "rain falls"]) == 2
+        assert one_error_line(capsys) == \
+            f"error: paths.bt_cache: {cache}: no entry for ('rain falls', 'es')"
+
+    @pytest.mark.parametrize("command", ["augment-preview", "bt-cache"])
+    def test_text_input_not_utf8(self, tmp_path, capsys, command):
+        bad = tmp_path / "captions.txt"
+        bad.write_bytes(b"\xff\xfe")
+        cfg = str(write_config(tmp_path))
+        argv, flag = {
+            "augment-preview": (["--config", cfg, "--mode", "text", "--input", str(bad)],
+                                "--input"),
+            "bt-cache": (["--captions", str(bad), "--out", str(tmp_path / "c.jsonl"), "--mock"],
+                         "--captions")}[command]
+        assert main([command, *argv]) == 2
+        assert one_error_line(capsys).startswith(f"error: {flag}: {bad}: not UTF-8 text: ")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_bt_cache_out_unusable(self, tmp_path, capsys, where):
+        captions = tmp_path / "captions.txt"
+        captions.write_text("rain falls\n")
+        out = tmp_path / "adir" if where == "directory" else tmp_path / "nodir" / "c.jsonl"
+        (tmp_path / "adir").mkdir()
+        assert main(["bt-cache", "--captions", str(captions), "--out", str(out), "--mock"]) == 2
+        reason = "Is a directory" if where == "directory" else f"no directory {out.parent}"
+        assert one_error_line(capsys) == f"error: --out: {out}: {reason}"
+        assert os.listdir(tmp_path / "adir") == [] and not (tmp_path / "nodir").exists()
+
+    def test_eval_out_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        monkeypatch.setattr(cli, "_load_split", lambda *a: pytest.fail("split decoded"))
+        capsys.readouterr()
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "out" / "checkpoint.json"), "--out", str(adir)]) == 2
+        assert one_error_line(capsys) == f"error: --out: {adir}: Is a directory"
+
+    def test_synth_data_out_is_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert main(["synth-data", "--config", str(write_config(tmp_path)),
+                     "--out", str(afile)]) == 2
+        assert one_error_line(capsys) == f"error: --out: {afile}: File exists"
+        assert afile.read_text() == "kept"
+
+    def test_preview_negative_seed(self, tmp_path, capsys):
+        assert main(["augment-preview", "--config", str(write_config(tmp_path)), "--mode", "text",
+                     "--input", "rain", "--seed", "-1"]) == 2
+        assert one_error_line(capsys) == "error: --seed: must be >= 0, got -1"
 
 
 class TestAugmentPreview:

@@ -116,43 +116,40 @@ class TestSimilarity:
 
 class TestNtXent:
     def test_identity_n2(self):
-        loss = nt_xent(np.eye(2), tau=1.0)
+        loss = nt_xent(np.eye(2))
         assert loss == pytest.approx(np.log(1 + np.exp(-1)), abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, 8, 30])
     def test_uniform_matrix(self, n):
-        loss = nt_xent(np.full((n, n), 0.37), tau=1.0)
+        loss = nt_xent(np.full((n, n), 0.37))
         assert loss == pytest.approx(np.log(n), abs=1e-9)
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(0)
         C = rng.normal(size=(6, 6))
-        assert nt_xent(C, 0.8) == pytest.approx(nt_xent(C.T, 0.8), abs=1e-12)
+        assert nt_xent(C) == pytest.approx(nt_xent(C.T), abs=1e-12)
 
     def test_lower_bound(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = int(rng.integers(2, 12))
-            tau = float(rng.uniform(0.3, 2.0))
             C = rng.uniform(-1, 1, size=(n, n))
-            assert nt_xent(C, tau) >= np.log(n) - (C.max() - C.min()) / tau - 1e-12
+            assert nt_xent(C) >= np.log(n) - (C.max() - C.min()) - 1e-12
 
     def test_diagonal_monotonicity(self):
         rng = np.random.default_rng(2)
         C = rng.uniform(-0.5, 0.5, size=(5, 5))
         bumped = C + 0.2 * np.eye(5)
-        assert nt_xent(bumped, 1.0) < nt_xent(C, 1.0)
+        assert nt_xent(bumped) < nt_xent(C)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            nt_xent(np.ones((1, 1)), 1.0)
+            nt_xent(np.ones((1, 1)))
         with pytest.raises(ValueError):
-            nt_xent(np.eye(3), 0.0)
-        with pytest.raises(ValueError):
-            nt_xent(np.ones((2, 3)), 1.0)
+            nt_xent(np.ones((2, 3)))
 
 
-def finite_difference_check(dims, seed, tau=0.7, step=1e-5):
+def finite_difference_check(dims, seed, step=1e-5):
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed + 1000)
     # scale up the token table so ReLU preactivations sit far from the kink
@@ -160,12 +157,12 @@ def finite_difference_check(dims, seed, tau=0.7, step=1e-5):
     params.embed *= 50.0
     pooled = pool_frames(random_mel_batch(rng, 4, n_mels=dims.n_mels))
     toks = random_token_batch(rng, 4, vocab_size=dims.vocab_size)
-    loss, grads = backward(pooled, toks, params, tau)
+    loss, grads = backward(pooled, toks, params)
 
     def loss_at():
         A = embed_audio(pooled, params)
         T = embed_text(toks, params)
-        return nt_xent(similarity_matrix(A, T), tau)
+        return nt_xent(similarity_matrix(A, T))
 
     max_rel = 0.0
     for name, arr in params.arrays():
@@ -196,16 +193,16 @@ class TestBackward:
         params = init_params(small_dims, 3)
         mels = random_mel_batch(rng, 2)
         toks = random_token_batch(rng, 2)
-        loss, grads = backward(pool_frames(mels * 2), np.concatenate([toks, toks]), params, 1.0)
+        loss, grads = backward(pool_frames(mels * 2), np.concatenate([toks, toks]), params)
         assert np.isfinite(loss)
         for _, g in grads.arrays():
             assert np.all(np.isfinite(g))
 
     @given(n=st.integers(2, 9), n_mels=st.integers(1, 10), embed_dim=st.integers(1, 10),
            hidden=st.integers(1, 12), vocab_size=st.integers(2, 12),
-           tau=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=examples(60), deadline=None)
-    def test_loss_is_the_forward_pass(self, n, n_mels, embed_dim, hidden, vocab_size, tau, seed):
+    def test_loss_is_the_forward_pass(self, n, n_mels, embed_dim, hidden, vocab_size, seed):
         rng = np.random.default_rng(seed)
         dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
                          text_hidden=hidden + 1, token_embed_dim=embed_dim + 1,
@@ -214,22 +211,20 @@ class TestBackward:
         pooled = rng.normal(size=(n, n_mels))
         toks = random_token_batch(rng, n, vocab_size=vocab_size)
         forward = nt_xent(similarity_matrix(embed_audio(pooled, params),
-                                            embed_text(toks, params)), tau)
-        assert backward(pooled, toks, params, tau)[0] == forward
+                                            embed_text(toks, params)))
+        assert backward(pooled, toks, params)[0] == forward
 
     def test_single_pair_rejected(self, small_dims):
         rng = np.random.default_rng(4)
         params = init_params(small_dims, 4)
         with pytest.raises(ValueError):
-            backward(pool_frames(random_mel_batch(rng, 1)), random_token_batch(rng, 1),
-                     params, 1.0)
+            backward(pool_frames(random_mel_batch(rng, 1)), random_token_batch(rng, 1), params)
 
     def test_mismatched_batches_rejected(self, small_dims):
         rng = np.random.default_rng(5)
         params = init_params(small_dims, 5)
         with pytest.raises(ValueError):
-            backward(pool_frames(random_mel_batch(rng, 3)), random_token_batch(rng, 2),
-                     params, 1.0)
+            backward(pool_frames(random_mel_batch(rng, 3)), random_token_batch(rng, 2), params)
 
 
 class TestScatterRows:
@@ -256,7 +251,7 @@ def _pool_text_per_caption(rows, embed):
     return np.stack(out)
 
 
-def _embed_grad_per_caption(pooled, rows, params, tau):
+def _embed_grad_per_caption(pooled, rows, params):
     """Reference: backward's token-table gradient, scattered one caption at a time."""
     A = embed_audio(pooled, params)
     pre3 = _pool_text_per_caption(rows, params.embed) @ params.w3 + params.b3
@@ -265,9 +260,9 @@ def _embed_grad_per_caption(pooled, rows, params, tau):
     t_raw = np.linalg.norm(T, axis=1, keepdims=True)
     t_den = t_raw + NORM_EPS
     An, Tn = A / a_den, T / t_den
-    logits = (An @ Tn.T) / tau
+    logits = An @ Tn.T
     eye = np.eye(len(rows))
-    dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * len(rows) * tau)
+    dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * len(rows))
     dTn = dC.T @ An
     dT = dTn / t_den - T * ((dTn * T).sum(axis=1, keepdims=True)
                             / (np.maximum(t_raw, NORM_EPS) * t_den**2))
@@ -300,8 +295,8 @@ class TestTextMatrixAgainstPerCaption:
         assert np.array_equal(pool_text(ids, params.embed),
                               _pool_text_per_caption(rows, params.embed))
         pooled = pool_frames(random_mel_batch(rng, len(rows)))
-        _, grads = backward(pooled, ids, params, 0.7)
-        assert np.array_equal(grads.embed, _embed_grad_per_caption(pooled, rows, params, 0.7))
+        _, grads = backward(pooled, ids, params)
+        assert np.array_equal(grads.embed, _embed_grad_per_caption(pooled, rows, params))
 
 
 def _pool_text_one_shot(ids, embed):

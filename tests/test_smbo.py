@@ -2,17 +2,20 @@ import io
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from audioretrieval.smbo import (
     PRIOR_WEIGHT,
     CorruptLog,
+    SPACE,
     ParamSpec,
-    SearchSpace,
     TrialRecord,
-    default_search_space,
     open_log,
     run_search,
     sample_random,
@@ -22,58 +25,36 @@ from audioretrieval.smbo import (
     ndtr,
 )
 
-from conftest import logged_search
+from conftest import examples, logged_search
 
 
 def quadratic_1d(cfg, trial_id, seed):
     return -((cfg["x"] - 0.7) ** 2), "completed", 1
 
 
-SPACE_1D = SearchSpace([ParamSpec("x", "uniform_float", 0.0, 1.0)])
+SPACE_1D = (ParamSpec("x", "uniform_float", 0.0, 1.0),)
 
 
 class TestSpecs:
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            ParamSpec("x", "uniform_float", 1.0, 0.0)
-
-    def test_empty_choice(self):
-        with pytest.raises(ValueError):
-            ParamSpec("x", "choice", values=[])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ParamSpec("x", "gaussian", 0, 1)
-
-    def test_duplicate_names(self):
-        with pytest.raises(ValueError):
-            SearchSpace([ParamSpec("a", "choice", values=[1]),
-                         ParamSpec("a", "choice", values=[2])])
-
     def test_default_space_is_full_augmentation_set(self):
-        space = default_search_space()
-        names = {p.name for p in space.params}
-        assert names == {"p_eda", "p_syn", "p_swp", "p_ins", "p_del", "p_bt",
-                         "n_f", "w_f", "n_t", "w_t", "g_max", "p_ms", "alpha"}
-        assert len(space.params) == 13
+        assert [p.name for p in SPACE] == ["p_eda", "p_syn", "p_swp", "p_ins", "p_del", "p_bt",
+                                           "n_f", "w_f", "n_t", "w_t", "g_max", "p_ms", "alpha"]
 
 
 class TestSampleRandom:
     def test_degenerate_int(self):
-        space = SearchSpace([ParamSpec("k", "int_range", 3, 4)])
-        # int_range requires lo < hi; emulate degeneracy with choice
-        space2 = SearchSpace([ParamSpec("k", "choice", values=[3])])
+        space = (ParamSpec("k", "choice", values=(3,)),)
         rng = np.random.default_rng(0)
-        assert all(sample_random(space2, rng)["k"] == 3 for _ in range(10))
+        assert all(sample_random(space, rng)["k"] == 3 for _ in range(10))
 
     def test_uniform_mean(self):
-        space = SearchSpace([ParamSpec("p_eda", "uniform_float", 0.0, 1.0)])
+        space = (ParamSpec("p_eda", "uniform_float", 0.0, 1.0),)
         rng = np.random.default_rng(1)
         draws = [sample_random(space, rng)["p_eda"] for _ in range(100_000)]
         assert abs(np.mean(draws) - 0.5) < 0.01
 
     def test_within_ranges(self):
-        space = default_search_space()
+        space = SPACE
         rng = np.random.default_rng(2)
         for _ in range(200):
             cfg = sample_random(space, rng)
@@ -134,11 +115,11 @@ class TestTpeSuggest:
         assert tpe_suggest(history, SPACE_1D, rng1) == sample_random(SPACE_1D, rng2)
 
     def test_within_ranges(self):
-        space = default_search_space()
+        space = SPACE
         history = _history(space, list(np.linspace(0, 1, 20)))
         for seed in range(20):
             cfg = tpe_suggest(history, space, np.random.default_rng(seed))
-            for p in space.params:
+            for p in space:
                 if p.kind == "choice":
                     assert cfg[p.name] in p.values
                 else:
@@ -323,3 +304,103 @@ class TestTpeEfficacy1D:
             rand = [quadratic_1d(sample_random(SPACE_1D, rng), 0, 0)[0] for _ in range(60)]
             rand_best.append(max(rand))
         assert np.median(tpe_best) > np.median(rand_best)
+
+
+# the uninterrupted log that every resume of TrialsLogMachine must reproduce a prefix of
+LOG_TRIALS, LOG_INIT, LOG_SEED = 8, 3, 5
+_full = io.StringIO()
+run_search(quadratic_1d, SPACE_1D, LOG_INIT, LOG_TRIALS, LOG_SEED, log=_full)
+FULL_LINES = _full.getvalue().encode().splitlines(keepends=True)
+
+
+def expected_open(raw: bytes, n_trials: int) -> str:
+    """What open_log must do with the bytes ``raw``, all made from FULL_LINES by the machine's
+    rules: "ok", "corrupt" or "too many". A non-blank line is a trial record exactly when it
+    is one of FULL_LINES; glued, split or cut lines never parse."""
+    cut = raw.rfind(b"\n") + 1
+    records = [line + b"\n" for line in raw[:cut].split(b"\n")[:-1] if line]
+    if any(line not in FULL_LINES for line in records):
+        return "corrupt"
+    if raw[cut:] + b"\n" in FULL_LINES:  # a tail that parses is kept; any other is dropped
+        records.append(raw[cut:] + b"\n")
+    if records != FULL_LINES[:len(records)]:
+        return "corrupt"  # a trial out of its place
+    return "ok" if len(records) <= n_trials else "too many"
+
+
+class TrialsLogMachine(RuleBasedStateMachine):
+    """Appends records to a trials log, cuts it at any byte, glues lines or puts blank ones
+    between them, and resumes a search on it with any n_trials, as ``smbo --resume`` does.
+    A resume either leaves the uninterrupted log's first n_trials lines (blank lines kept),
+    or raises open_log's error for the log and leaves the file as it was."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.TemporaryDirectory()
+        self.path = Path(self.dir.name) / "trials.jsonl"
+        self.path.write_bytes(b"")
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    @property
+    def raw(self) -> bytes:
+        return self.path.read_bytes()
+
+    def _newlines(self) -> list[int]:
+        return [i for i, byte in enumerate(self.raw) if byte == ord("\n")]
+
+    @rule(shift=st.integers(-1, 1), k=st.integers(1, 3))
+    def append(self, shift, k):
+        """The next k records of the uninterrupted log, or ones out of their place."""
+        start = max(0, sum(line.strip() != b"" for line in self.raw.splitlines()) + shift)
+        with open(self.path, "ab") as fh:
+            fh.write(b"".join(FULL_LINES[start:start + k]))
+
+    @rule(data=st.data())
+    def cut(self, data):
+        raw = self.raw
+        self.path.write_bytes(raw[:data.draw(st.integers(0, len(raw)), label="at")])
+
+    @precondition(lambda self: b"\n" in self.raw)
+    @rule(data=st.data())
+    def glue(self, data):
+        raw, at = self.raw, data.draw(st.sampled_from(self._newlines()), label="newline")
+        self.path.write_bytes(raw[:at] + raw[at + 1:])
+
+    @rule(data=st.data())
+    def blank(self, data):
+        raw = self.raw
+        at = data.draw(st.sampled_from([0] + [i + 1 for i in self._newlines()]), label="at")
+        self.path.write_bytes(raw[:at] + b"\n" + raw[at:])
+
+    @rule(n_trials=st.integers(0, LOG_TRIALS))
+    def resume(self, n_trials):
+        before = self.raw
+        expected = expected_open(before, n_trials)
+        try:
+            logged_search(self.path, quadratic_1d, SPACE_1D, LOG_INIT, n_trials, LOG_SEED,
+                          resume=True)
+        except CorruptLog:
+            outcome = "corrupt"
+        except ValueError as exc:
+            assert str(exc).endswith(f"more than --n-trials {n_trials}")
+            outcome = "too many"
+        else:
+            outcome = "ok"
+        assert outcome == expected
+        after = self.raw
+        if outcome != "ok":
+            assert after == before
+            return
+        kept = before[:before.rfind(b"\n") + 1]
+        assert after.startswith(kept)
+        if before[len(kept):] + b"\n" in FULL_LINES:  # the tail that parses gets its newline
+            assert after.startswith(before)
+        assert [line for line in after.splitlines(keepends=True) if line.strip()] == \
+            FULL_LINES[:n_trials]
+
+
+TestTrialsLogMachine = TrialsLogMachine.TestCase
+TestTrialsLogMachine.settings = settings(max_examples=examples(100), stateful_step_count=20,
+                                         deadline=None)

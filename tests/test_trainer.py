@@ -52,7 +52,7 @@ from audioretrieval.trainer import (
 
 import frame_reference
 import score_reference
-from conftest import examples
+from conftest import examples, forced_mix_lambdas
 
 
 class TestLrSchedule:
@@ -378,13 +378,14 @@ class TestPooledAudioAgainstFrames:
         freq_mixstyle = audio_aug.freq_mixstyle
 
         def mixstyle(*args):
-            maps.append(freq_mixstyle(*args, forced_lambda=forced))
+            maps.append(freq_mixstyle(*args))
             return maps[-1]
-        with drawn_gains(), mock.patch.object(audio_aug, "freq_mixstyle", mixstyle):
+        with drawn_gains(), forced_mix_lambdas(forced), \
+                mock.patch.object(audio_aug, "freq_mixstyle", mixstyle):
             pooled = pooled_audio(split, idx, norm, True, cfg, rng_new)
-        with drawn_gains():
+        with drawn_gains(), forced_mix_lambdas(forced):
             ref = frame_reference.pooled_batch([mels[i] for i in idx], norm_ref, True, cfg,
-                                               rng_ref, forced)
+                                               rng_ref)
         assert pooled.shape == ref.shape == (n, n_mels)
         # Freq-MixStyle divides by a clip's bin std, so both paths' rounding grows
         # with its slope sd_new / sd; 1e-12 holds up to slopes of 500
