@@ -11,7 +11,7 @@ from .data import MelStats, check_int, check_range
 LOG_MEL_PER_DB = np.log(10.0) / 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AudioAugConfig:
     g_max: int = 0       # dB, {0..6}
     n_f: int = 0         # frequency stripes, {0, 1}
@@ -27,6 +27,11 @@ class AudioAugConfig:
             check_int(self, name, lo, hi)
         check_range(self, "p_ms", 0, 1)
         check_range(self, "alpha", 0, 1, open_below=True)
+
+    @property
+    def draws(self) -> bool:
+        """Whether any augmentation can fire; a config that cannot draws nothing."""
+        return bool(self.g_max or self.n_f or self.n_t or self.p_ms)
 
 
 def sample_gain(rng: np.random.Generator, g_max: int) -> float:

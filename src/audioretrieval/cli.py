@@ -113,8 +113,8 @@ def _read_text(path: Path, flag: str) -> str:
 def cmd_train(args) -> int:
     cfg, digest = read_config(args.config)
     out_dir = _out_dir(cfg.paths.out_dir)
-    back_translates = cfg.text_aug is not None and cfg.text_aug.p_bt > 0
-    with _training(cfg, out_dir, trainer.reads_frames(cfg.audio_aug),
+    back_translates = cfg.text_aug.p_bt > 0
+    with _training(cfg, out_dir, cfg.audio_aug.n_t > 0,
                    "text_aug.p_bt > 0 needs paths.bt_cache" if back_translates else None) as run:
         try:
             result = run(cfg.audio_aug, cfg.text_aug, cfg.seed, out_dir / "checkpoint.json")
@@ -165,6 +165,10 @@ def _training(cfg: RunConfig, out_dir: Path, keep_frames: bool, no_cache_error: 
                     raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for "
                                       f"{pair!r}; every training caption needs one per pivot")
         val = _prepared(cfg, "val")
+        try:  # before any run: a search on these splits would fail every trial
+            trainer.check_splits(train, val)
+        except ValueError as exc:
+            raise CommandError(str(exc)) from exc
 
         def run(audio_cfg, text_cfg, seed: int, checkpoint_path=None) -> trainer.RunResult:
             return trainer.train_run(train, val, cfg.model, audio_cfg, text_cfg,
@@ -200,8 +204,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_smbo(args) -> int:
-    if args.n_trials <= 0 or args.n_init <= 0:
-        raise CommandError("n-trials and n-init must be positive")
+    for flag, value in (("--n-trials", args.n_trials), ("--n-init", args.n_init)):
+        if value < 1:
+            raise CommandError(f"{flag}: must be >= 1, got {value}")
     cfg = load_config(args.config)
     out_dir = _out_dir(cfg.paths.out_dir)
     log_path = out_dir / "trials.jsonl"
@@ -257,8 +262,7 @@ def cmd_augment_preview(args) -> int:
         provider, lexicon = _provider_and_lexicon(cfg)
         if provider is None:
             provider = text_aug.mock_provider
-        tcfg = cfg.text_aug or text_aug.TextAugConfig()
-        pair = (raw, text_aug.PIVOTS[int(rng.integers(3))]) if tcfg.p_bt > 0 else None
+        pair = (raw, text_aug.PIVOTS[int(rng.integers(3))]) if cfg.text_aug.p_bt > 0 else None
         try:
             bt = provider(*pair) if pair else raw
         except KeyError:  # a cache without the pair: the mock provider has every one
@@ -269,7 +273,7 @@ def cmd_augment_preview(args) -> int:
         print(f"{'Original':<16} {raw}")
         print(f"{'Back Translation':<16} {bt}")
         for op in ("insert", "delete", "swap", "synonym"):
-            out = text_aug.apply_eda_op(words, op, tcfg, lexicon, vocab, rng)
+            out = text_aug.apply_eda_op(words, op, cfg.text_aug, lexicon, vocab, rng)
             print(f"{op.capitalize():<16} {' '.join(out)}")
         return EXIT_OK
     # --mode audio (argparse admits only the two modes)
@@ -282,7 +286,7 @@ def cmd_augment_preview(args) -> int:
     except ValueError as exc:
         raise CommandError(f"cannot use {args.input}: {exc}") from exc
     # the draws training makes for one clip, in its order: the gain, then the stripes
-    acfg = cfg.audio_aug or audio_aug.AudioAugConfig()
+    acfg = cfg.audio_aug
     shift = audio_aug.LOG_MEL_PER_DB * audio_aug.sample_gain(rng, acfg.g_max)
     bins, frames = audio_aug.stripe_masks(*before.shape, acfg.n_f, acfg.w_f, acfg.n_t, acfg.w_t,
                                           rng)

@@ -38,6 +38,9 @@ class SyntheticSpec:
         ):
             check_int(self, name, minimum, maximum)
         check_positive(self, "duration")
+        if int(self.sample_rate * self.duration) < 1:
+            raise ValueError(f"duration {self.duration!r} s at sample_rate {self.sample_rate} "
+                             f"gives a clip of no samples")
 
 
 @dataclass
@@ -63,8 +66,8 @@ class RunConfig:
     paths: PathsConfig = None
     data: SyntheticSpec | None = None  # None -> manifest paths must be set
     features: FeatureConfig = None
-    audio_aug: AudioAugConfig | None = None
-    text_aug: TextAugConfig | None = None
+    audio_aug: AudioAugConfig = None
+    text_aug: TextAugConfig = None
     model: ModelDims = None
     optim: OptimConfig = None
 
@@ -117,11 +120,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("data: expected {'synthetic': {...}} or null")
         cfg.data = _build(SyntheticSpec, data.get("synthetic", {}), "data.synthetic")
     for name, cls in _SECTION_TYPES.items():
-        section = doc.get(name)
-        if section is None and name in ("audio_aug", "text_aug"):
-            setattr(cfg, name, None)  # augmentation path disabled
-        else:
-            setattr(cfg, name, _build(cls, section or {}, name))
+        setattr(cfg, name, _build(cls, doc.get(name) or {}, name))
     for (name, key), source in _DERIVED.items():
         if key in (doc.get(name) or {}):
             raise ConfigError(f"{name}.{key}: derived from {source}, not configurable")

@@ -17,7 +17,7 @@ PIVOTS = ("de", "fr", "es")
 TranslateFn = Callable[[str, str], str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextAugConfig:
     p_eda: float = 0.0
     p_syn: float = 0.0
@@ -29,6 +29,11 @@ class TextAugConfig:
     def __post_init__(self):
         for f in fields(self):  # an EDA operation's probability is at most 0.3
             check_range(self, f.name, 0, 1 if f.name in ("p_eda", "p_bt") else 0.3)
+
+    @property
+    def draws(self) -> bool:
+        """Whether back translation or EDA can fire; a config that cannot draws nothing."""
+        return bool(self.p_eda or self.p_bt)
 
 
 @dataclass

@@ -119,22 +119,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
         p -= step
 
 
-class EarlyStopping:
-    """Stop when the monitored value has not strictly improved for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_epoch = -1
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record an epoch's value; returns True when training should stop."""
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-        return epoch - self.best_epoch >= self.patience
-
-
 class FrameStore:
     """The log-mel frames of a split's clips, float64 [n_mels, T] each, end to end in
     one unnamed temporary file: clip i is the bytes from ``offsets[i]`` to
@@ -182,10 +166,14 @@ class PreparedSplit:
         return len(self.captions)
 
 
-def reads_frames(cfg: audio_aug.AudioAugConfig | None) -> bool:
-    """Whether ``pooled_audio`` under ``cfg`` reads log-mel frames: only time stripes
-    do; gain, frequency stripes and Freq-MixStyle act on the statistics."""
-    return cfg is not None and cfg.n_t > 0
+def check_splits(train: PreparedSplit, val: PreparedSplit) -> None:
+    """Raise ValueError unless a run can train on ``train`` and validate on ``val``."""
+    if len(train) < 2:
+        raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
+    if len(val) == 0:
+        raise ValueError("val split is empty")
+    if train.feat != val.feat:
+        raise ValueError("train and val splits were featurized under different feature configs")
 
 
 def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
@@ -195,8 +183,8 @@ def prepare_split(items: Iterable[tuple[str, Waveform, list[str]]],
     ``items`` (``data.synth_dataset`` or ``data.iter_manifest``, which make or decode
     one clip at a time) is read once, and no clip's audio is kept. Each clip's statistics are
     taken as soon as its log-mel exists; the log-mel itself is appended to ``frames``
-    when given (see ``reads_frames``): a FrameStore its caller opens and closes, or a
-    list. A clip shorter than one hop raises ManifestError naming it.
+    when given (``pooled_audio`` reads it only for time stripes): a FrameStore its caller
+    opens and closes, or a list. A clip shorter than one hop raises ManifestError naming it.
     """
     captions = []
 
@@ -221,27 +209,28 @@ def caption_queries(split: PreparedSplit, vocab: TokenVocab) -> tuple[np.ndarray
 
 
 def pooled_audio(split: PreparedSplit, idx: np.ndarray, norm: NormStats, update: bool,
-                 cfg: audio_aug.AudioAugConfig | None = None, rng=None) -> np.ndarray:
+                 cfg: audio_aug.AudioAugConfig = audio_aug.AudioAugConfig(),
+                 rng=None) -> np.ndarray:
     """The model input [B, n_mels] of the clips ``idx``: each bin's (mean + max) / 2
     over its frames after gain, frequency normalization (with ``update``, by the
     batch's own statistics, folded into ``norm``), Freq-MixStyle and SpecAugment.
 
-    ``cfg`` None skips the augmentations. Gain is a per-clip shift of the log-mel
+    A ``cfg`` that cannot fire draws nothing. Gain is a per-clip shift of the log-mel
     (``audio_aug.LOG_MEL_PER_DB``), so frames are read, one read from the split's
     FrameStore per clip, only for the statistics of the unstriped frames of
     time-striped clips; a split prepared without frames raises ValueError for those.
     """
-    if reads_frames(cfg) and split.mels is None:
+    if cfg.n_t > 0 and split.mels is None:
         raise ValueError("cannot apply time stripes (n_t > 0): the split was prepared "
                          "without log-mel frames")
     stats, shift = split.stats.take(idx), 0.0
-    if cfg is not None and cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
+    if cfg.g_max:  # with g_max 0 every gain is 0 and draws nothing
         gains = np.array([[audio_aug.sample_gain(rng, cfg.g_max)] for _ in idx])
         shift = audio_aug.LOG_MEL_PER_DB * gains
         stats = stats.mapped(0.0, 1.0, shift)
     center, scale = freq_normalize(stats, norm, update)
     normed = stats.mapped(center, scale)
-    if cfg is None:
+    if not cfg.draws:
         return pool_audio(normed)
     mix_center, slope, offset = audio_aug.freq_mixstyle(normed, cfg.alpha, cfg.p_ms, rng)
     unstriped = []
@@ -281,8 +270,8 @@ def train_run(
     train: PreparedSplit,
     val: PreparedSplit,
     dims: ModelDims,
-    audio_cfg: audio_aug.AudioAugConfig | None,
-    text_cfg: text_aug.TextAugConfig | None,
+    audio_cfg: audio_aug.AudioAugConfig,
+    text_cfg: text_aug.TextAugConfig,
     optim: OptimConfig,
     provider=None,
     lexicon: text_aug.SynonymLexicon | None = None,
@@ -291,20 +280,16 @@ def train_run(
     """Full optimization run; returns per-epoch losses and validation mAP@10.
 
     ``dims.vocab_size`` and ``dims.n_mels`` are replaced by the training
-    vocabulary's size and the splits' ``feat.n_mels``. Pass ``audio_cfg`` /
-    ``text_cfg`` as None to disable that augmentation path entirely. RNG
+    vocabulary's size and the splits' ``feat.n_mels``. An ``audio_cfg`` /
+    ``text_cfg`` whose firing settings are all zero draws nothing. RNG
     streams: one for batch order and caption sampling, one for augmentation;
     per batch the augmentation draws happen in the fixed order caption text
     (BT then EDA, per item) -> gain (per item) -> Freq-MixStyle ->
-    SpecAugment (per item). A non-finite loss, embedding norm or gradient raises
-    FloatingPointError naming the epoch.
+    SpecAugment (per item). The run stops once ``optim.patience`` epochs have not
+    strictly improved on the best validation mAP@10. A non-finite loss, embedding
+    norm or gradient raises FloatingPointError naming the epoch.
     """
-    if len(train) < 2:
-        raise ValueError(f"train split has {len(train)} clip(s); contrastive training needs >= 2")
-    if len(val) == 0:
-        raise ValueError("val split is empty")
-    if train.feat != val.feat:
-        raise ValueError("train and val splits were featurized under different feature configs")
+    check_splits(train, val)
     feat = train.feat
     seeds = np.random.SeedSequence(optim.seed).spawn(3)
     rng_init, rng_order, rng_aug = (np.random.default_rng(s) for s in seeds)
@@ -317,13 +302,13 @@ def train_run(
     params = init_params(dims, int(rng_init.integers(2**31)))
     stats = NormStats.fresh(dims.n_mels)
     state = AdamState()
-    best = None  # (params, stats) at the best validation epoch
+    best = None  # (params, stats) at the best validation epoch; epoch 0 sets it
 
     val_tokens, val_targets = caption_queries(val, vocab)
 
     result = RunResult(checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
-    stopper = EarlyStopping(optim.patience)
     n = len(train)
+    augments_text = text_cfg.draws
 
     for epoch in range(optim.epochs):
         lr = lr_at(epoch, optim)
@@ -335,7 +320,7 @@ def train_run(
             if len(idx) < 2:
                 continue  # nt_xent needs N >= 2
             tokens = tokenize([
-                caps_pre[i][cap_choice[int(i)]] if text_cfg is None
+                caps_pre[i][cap_choice[int(i)]] if not augments_text
                 else text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
                                               provider, lexicon, vocab, rng_aug)
                 for i in idx
@@ -353,14 +338,13 @@ def train_run(
         result.val_maps.append(val_map)
         result.epochs_run = epoch + 1
 
-        if val_map > stopper.best:
+        if result.best_epoch < 0 or val_map > result.best_val_map:
+            result.best_val_map, result.best_epoch = val_map, epoch
             best = (params.copy(), NormStats(stats.mean.copy(), stats.var.copy(), stats.count))
-        if stopper.update(epoch, val_map):
+        if epoch - result.best_epoch >= optim.patience:
             result.stopped_early = True
             break
 
-    if checkpoint_path is not None and best is not None:
+    if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, best[0], dims, best[1], vocab, feat)
-    result.best_val_map = stopper.best if stopper.best_epoch >= 0 else 0.0
-    result.best_epoch = stopper.best_epoch
     return result

@@ -63,12 +63,13 @@ def gain(m: np.ndarray, g: float) -> np.ndarray:
     return m + g * np.log(10.0) / 10.0
 
 
-def pooled_batch(mels, norm, update, cfg=None, rng=None):
-    """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool."""
-    if cfg is not None:
+def pooled_batch(mels, norm, update, cfg=audio_aug.AudioAugConfig(), rng=None):
+    """The frame chain: gain -> normalize -> Freq-MixStyle -> SpecAugment -> pool; a
+    ``cfg`` that cannot fire draws nothing."""
+    if cfg.draws:
         mels = [gain(m, audio_aug.sample_gain(rng, cfg.g_max)) for m in mels]
     mels = freq_normalize(mels, norm, update)
-    if cfg is not None:
+    if cfg.draws:
         mels = freq_mixstyle(mels, cfg.alpha, cfg.p_ms, rng)
         mels = [spec_augment(m, cfg.n_f, cfg.w_f, cfg.n_t, cfg.w_t, rng) for m in mels]
     return pool_audio(mels)

@@ -3,13 +3,15 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines.
 """
+import itertools
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from audioretrieval import cli
+from audioretrieval import cli, trainer
 from audioretrieval.audio_aug import AudioAugConfig, sample_mix_lambdas, stripe_masks
 from audioretrieval.data import (
     FeatureConfig,
@@ -34,7 +36,7 @@ from audioretrieval.model import (
 )
 from audioretrieval.smbo import ParamSpec, run_search
 from audioretrieval.text_aug import TextAugConfig
-from audioretrieval.trainer import EarlyStopping, OptimConfig, lr_at, prepare_split, train_run
+from audioretrieval.trainer import OptimConfig, lr_at, prepare_split, train_run
 
 from conftest import logged_search
 from test_audio_aug import pooled_gain_shift
@@ -136,7 +138,7 @@ def test_criterion_05_end_to_end_learning_signal():
     best_maps = []
     for seed in range(10):
         optim = OptimConfig(epochs=20, seed=seed)
-        result = train_run(train, test, ModelDims(), None, None, optim)
+        result = train_run(train, test, ModelDims(), AudioAugConfig(), TextAugConfig(), optim)
         best_maps.append(result.best_val_map)
         if result.best_val_map >= threshold:
             successes += 1
@@ -155,11 +157,16 @@ def test_criterion_06_augmentation_identity_suite():
         optim = OptimConfig(epochs=3, batch_size=6, seed=13)
         return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim)
 
-    identity = run(AudioAugConfig(g_max=0, n_f=0, n_t=0, p_ms=0.0),
-                   TextAugConfig(p_eda=0.0, p_bt=0.0))
-    disabled = run(None, None)
-    ok = (identity.train_losses == disabled.train_losses
-          and identity.val_maps == disabled.val_maps)
+    # every firing setting 0, the others away from their defaults
+    identity_audio = AudioAugConfig(g_max=0, n_f=0, w_f=8, n_t=0, w_t=16, p_ms=0.0, alpha=0.3)
+    identity_text = TextAugConfig(p_eda=0.0, p_syn=0.3, p_bt=0.0)
+    active_text = TextAugConfig(p_eda=0.5, p_syn=0.2, p_swp=0.1, p_ins=0.1, p_del=0.1)
+    pairs = [  # (identity, unaugmented): both sections, then identity audio beside active text
+        (run(identity_audio, identity_text), run(AudioAugConfig(), TextAugConfig())),
+        (run(identity_audio, active_text), run(AudioAugConfig(), active_text)),
+    ]
+    ok = all(identity.train_losses == disabled.train_losses
+             and identity.val_maps == disabled.val_maps for identity, disabled in pairs)
     report(6, "augmentation identity suite", ok,
            "identity config reproduces the unaugmented trajectory bit-for-bit")
 
@@ -215,14 +222,16 @@ def test_criterion_08_tpe_efficacy():
            f"over 20 paired seeds in {elapsed:.0f}s")
 
 
-def test_criterion_09_early_stopping():
-    stopper = EarlyStopping(patience=10)
-    stopped_at = None
-    for epoch in range(100):
-        if stopper.update(epoch, 1.0 - 0.01 * epoch):  # monotone-decreasing mAP
-            stopped_at = epoch
-            break
-    stops_exact = stopper.best_epoch == 0 and stopped_at == stopper.best_epoch + 10
+def test_criterion_09_early_stopping(monkeypatch):
+    train = prepare_split(synth_dataset(3, 18, 50, split="train", duration=0.2), FeatureConfig())
+    val = prepare_split(synth_dataset(3, 9, 51, split="val", duration=0.2), FeatureConfig())
+    epochs = itertools.count()  # train_run scores the val split once per epoch
+    monkeypatch.setattr(trainer, "score_split",  # monotone-decreasing mAP
+                        lambda *a: SimpleNamespace(map10=1.0 - 0.01 * next(epochs)))
+    result = train_run(train, val, ModelDims(), AudioAugConfig(), TextAugConfig(),
+                       OptimConfig(epochs=100, batch_size=6, patience=10))
+    stopped_at = result.epochs_run - 1 if result.stopped_early else None
+    stops_exact = result.best_epoch == 0 and stopped_at == result.best_epoch + 10
 
     def pruned_objective(cfg, trial_id, seed):
         return 0.42, "pruned", 7  # best value observed before pruning

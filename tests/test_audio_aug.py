@@ -232,3 +232,8 @@ class TestConfig:
     def test_range_violations(self, kwargs):
         with pytest.raises(ValueError):
             AudioAugConfig(**kwargs)
+
+    def test_draws_only_when_a_firing_setting_is_set(self):
+        assert not AudioAugConfig(w_f=8, w_t=16, alpha=0.3).draws
+        for key, value in (("g_max", 1), ("n_f", 1), ("n_t", 1), ("p_ms", 0.01)):
+            assert AudioAugConfig(**{key: value}).draws

@@ -109,8 +109,12 @@ class TestConfigParsing:
             load_config(tmp_path / "none.json")
 
     def test_augmentation_sections_optional(self):
-        cfg = parse_config({})
-        assert cfg.audio_aug is None and cfg.text_aug is None
+        # absent, null and {} are one config: the defaults, which draw nothing
+        for doc in ({}, {"audio_aug": None, "text_aug": None}, {"audio_aug": {}, "text_aug": {}}):
+            cfg = parse_config(doc)
+            assert cfg.audio_aug == audio_aug.AudioAugConfig()
+            assert cfg.text_aug == text_aug.TextAugConfig()
+            assert not (cfg.audio_aug.draws or cfg.text_aug.draws)
 
     def test_defaults_fill_in(self):
         cfg = parse_config({})
@@ -339,6 +343,21 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 2
         assert "train split has 1 clip" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run_result.json").exists()
+
+    @pytest.mark.parametrize("off,active", [
+        ("audio_aug", {"text_aug": {"p_eda": 0.5, "p_syn": 0.2, "p_del": 0.2}}),
+        ("text_aug", {"audio_aug": {"g_max": 3, "n_f": 1, "w_f": 4, "p_ms": 0.5}}),
+    ])
+    def test_empty_augmentation_section_trains_as_an_absent_one(self, tmp_path, off, active):
+        """``{}`` draws nothing, so the other section's draws are unmoved: the checkpoint
+        and the metrics keep their bytes (run_result.json's config_hash differs)."""
+        artifacts = []
+        for name, section in (("absent", {}), ("null", {off: None}), ("empty", {off: {}})):
+            out = tmp_path / name
+            path = write_config(tmp_path, paths={"out_dir": str(out)}, **active, **section)
+            assert main(["train", "--config", str(path)]) == 0
+            artifacts.append([(out / f).read_bytes() for f in ("checkpoint.json", "metrics.csv")])
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_rerun_byte_identical_csv(self, tmp_path):
         path = write_config(tmp_path)
@@ -1288,6 +1307,40 @@ class TestUsageErrors:
         assert main(["augment-preview", "--config", str(write_config(tmp_path)), "--mode", "text",
                      "--input", "rain", "--seed", "-1"]) == 2
         assert one_error_line(capsys) == "error: --seed: must be >= 0, got -1"
+
+    @pytest.mark.parametrize("flag", ["--n-trials", "--n-init"])
+    def test_smbo_count_below_one(self, tmp_path, capsys, flag):
+        assert main(["smbo", "--config", str(write_config(tmp_path)), flag, "0"]) == 2
+        assert one_error_line(capsys) == f"error: {flag}: must be >= 1, got 0"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "synth-data"])
+    def test_synthetic_clip_of_no_samples(self, tmp_path, capsys, command):
+        assert main(["train", "--config", str(write_config(tmp_path))]) == 0  # eval's checkpoint
+        cfg = write_config(tmp_path, paths={"out_dir": str(tmp_path / "bad")}, data={
+            "synthetic": {"n_train": 4, "n_val": 2, "n_test": 2, "duration": 1e-9}})
+        argv = {"train": [], "synth-data": ["--out", str(tmp_path / "ds")],
+                "eval": ["--checkpoint", str(tmp_path / "out" / "checkpoint.json")]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        assert one_error_line(capsys) == ("error: data.synthetic: duration 1e-09 s at "
+                                          "sample_rate 32000 gives a clip of no samples")
+        assert not (tmp_path / "bad").exists() and not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command", ["train", "smbo"])
+    @pytest.mark.parametrize("sizes,message", [
+        ({"n_val": 0}, "val split is empty"),
+        ({"n_train": 1}, "train split has 1 clip(s); contrastive training needs >= 2"),
+    ], ids=["empty val", "one train clip"])
+    def test_splits_no_run_can_train_on(self, tmp_path, capsys, command, sizes, message):
+        """smbo stops before its first trial, as train does, and writes no trials log."""
+        synthetic = {"n_classes": 3, "n_train": 18, "n_val": 9, "n_test": 9, "duration": 0.2}
+        cfg = write_config_with_bt_cache(tmp_path, data={"synthetic": {**synthetic, **sizes}})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--n-init", "1", "--n-trials", "2"]
+                    if command == "smbo" else [command, "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == f"error: {message}"
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestAugmentPreview:

@@ -257,3 +257,7 @@ class TestLexiconAndConfig:
     def test_config_ranges(self, kwargs):
         with pytest.raises(ValueError):
             TextAugConfig(**kwargs)
+
+    def test_config_draws_only_when_eda_or_back_translation_can_fire(self):
+        assert not TextAugConfig(p_syn=0.3, p_swp=0.3, p_ins=0.3, p_del=0.3).draws
+        assert TextAugConfig(p_eda=0.01).draws and TextAugConfig(p_bt=0.01).draws

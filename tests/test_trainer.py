@@ -4,13 +4,14 @@ import os
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from audioretrieval import audio_aug, trainer
+from audioretrieval import audio_aug, text_aug, trainer
 from audioretrieval.audio_aug import AudioAugConfig
 from audioretrieval.data import (
     LOG_FLOOR,
@@ -37,7 +38,6 @@ from audioretrieval.trainer import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    EarlyStopping,
     FrameStore,
     OptimConfig,
     PreparedSplit,
@@ -130,38 +130,39 @@ class TestAdam:
             adam_step(params, grads, state, 1e-4)
 
 
+OFF_AUDIO, OFF_TEXT = AudioAugConfig(), TextAugConfig()
+
+
+def run_validated_as(val_maps, patience: int):
+    """``train_run`` on the tiny splits for up to ``len(val_maps)`` epochs, with epoch e's
+    validation mAP@10 read as ``val_maps[e]``."""
+    maps = iter(val_maps)
+    optim = OptimConfig(epochs=len(val_maps), batch_size=6, patience=patience)
+    with mock.patch.object(trainer, "score_split", lambda *a: SimpleNamespace(map10=next(maps))):
+        return train_run(*_tiny_splits(), ModelDims(), OFF_AUDIO, OFF_TEXT, optim)
+
+
 class TestEarlyStopping:
     def test_decreasing_curve_stops_at_best_plus_patience(self):
-        stopper = EarlyStopping(patience=10)
-        stopped_at = None
-        for epoch in range(100):
-            if stopper.update(epoch, 1.0 - 0.01 * epoch):
-                stopped_at = epoch
-                break
-        assert stopper.best_epoch == 0
-        assert stopped_at == 10  # best_epoch + patience
+        result = run_validated_as([1.0 - 0.01 * e for e in range(100)], patience=10)
+        assert (result.best_epoch, result.best_val_map) == (0, 1.0)
+        assert result.stopped_early and result.epochs_run == 11  # stopped at best + patience
 
     def test_never_fires_before_patience(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            stopper = EarlyStopping(patience=5)
-            for epoch in range(5):
-                assert not stopper.update(epoch, float(rng.uniform()))
+            result = run_validated_as(rng.uniform(size=8).tolist(), patience=5)
+            assert result.epochs_run >= 6  # the first epoch a stop can come at is 5
 
     def test_improvement_resets_counter(self):
-        stopper = EarlyStopping(patience=3)
-        values = [0.1, 0.05, 0.2, 0.1, 0.1, 0.1]
-        fired = [stopper.update(e, v) for e, v in enumerate(values)]
-        assert fired == [False] * 5 + [True]
-        assert stopper.best_epoch == 2
+        result = run_validated_as([0.1, 0.05, 0.2, 0.1, 0.1, 0.1, 0.9, 0.9], patience=3)
+        assert (result.best_epoch, result.best_val_map) == (2, 0.2)
+        assert result.stopped_early and result.epochs_run == 6
 
     def test_plateau_counts_as_no_improvement(self):
         # equal values never beat the best: strict improvement rule
-        stopper = EarlyStopping(patience=2)
-        assert not stopper.update(0, 0.5)
-        assert not stopper.update(1, 0.5)
-        assert stopper.update(2, 0.5)
-        assert stopper.best_epoch == 0
+        result = run_validated_as([0.5] * 6, patience=2)
+        assert (result.best_epoch, result.epochs_run, result.stopped_early) == (0, 3, True)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +173,7 @@ def frames_dir(tmp_path_factory):
     assert os.listdir(path) == []
 
 
-def _tiny_run(seed=0, epochs=3, audio_cfg=None, text_cfg=None, frames=None, **kwargs):
+def _tiny_run(seed=0, epochs=3, audio_cfg=OFF_AUDIO, text_cfg=OFF_TEXT, frames=None, **kwargs):
     optim = OptimConfig(epochs=epochs, batch_size=6, seed=seed, patience=10)
     train, val = _tiny_splits(frames)
     return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim, **kwargs)
@@ -197,12 +198,21 @@ class TestTrainRun:
         assert _tiny_run(seed=1).train_losses != _tiny_run(seed=2).train_losses
 
     def test_identity_augmentation_bit_equal_to_disabled(self):
-        identity_audio = AudioAugConfig()  # g_max=0, n_f=n_t=0, p_ms=0
-        identity_text = TextAugConfig()    # p_eda=0, p_bt=0
+        # g_max = n_f = n_t = 0, p_ms = 0 and p_eda = p_bt = 0, whatever the other settings
+        identity_audio = AudioAugConfig(w_f=8, w_t=16, alpha=0.3)
+        identity_text = TextAugConfig(p_syn=0.3, p_del=0.1)
         r_id = _tiny_run(seed=3, audio_cfg=identity_audio, text_cfg=identity_text)
         r_off = _tiny_run(seed=3)
         assert r_id.train_losses == r_off.train_losses
         assert r_id.val_maps == r_off.val_maps
+
+    def test_identity_augmentation_draws_nothing(self):
+        drew = mock.Mock(side_effect=AssertionError("an identity config drew"))
+        with mock.patch.multiple(audio_aug, sample_gain=drew, freq_mixstyle=drew,
+                                 stripe_masks=drew), \
+                mock.patch.object(text_aug, "augment_caption", drew):
+            _tiny_run(seed=3, audio_cfg=AudioAugConfig(w_f=8, w_t=16, alpha=0.3),
+                      text_cfg=TextAugConfig(p_syn=0.3, p_del=0.1))
 
     def test_active_augmentation_changes_losses(self):
         aug = AudioAugConfig(g_max=3, n_f=1, w_f=4, n_t=2, w_t=8, p_ms=0.5, alpha=0.5)
@@ -257,7 +267,8 @@ class TestTrainRun:
         saves = []
         save = trainer.save_checkpoint
         with mock.patch.object(trainer, "save_checkpoint", lambda *a: saves.append(1) or save(*a)):
-            result = train_run(train, val, ModelDims(), None, None, optim, checkpoint_path=ckpt)
+            result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, optim,
+                               checkpoint_path=ckpt)
         assert len(saves) == 1
         assert result.best_epoch < result.epochs_run - 1  # the best is not the last epoch
         params, _, stats, vocab, _ = load_checkpoint(ckpt)
@@ -269,7 +280,7 @@ class TestTrainRun:
         train = prepare_split(synth_dataset(3, 18, 50, duration=0.2), feat)
         val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), feat)
         ckpt = tmp_path / "ckpt.json"
-        result = train_run(train, val, ModelDims(), None, None,
+        result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT,
                            OptimConfig(epochs=2, batch_size=6), checkpoint_path=ckpt)
         assert result.epochs_run == 2
         _, dims, stats, _, _ = load_checkpoint(ckpt)
@@ -279,19 +290,19 @@ class TestTrainRun:
         one = prepare_split(synth_dataset(3, 1, 52, duration=0.2), FeatureConfig())
         _, val = _tiny_splits()
         with pytest.raises(ValueError, match="1 clip"):
-            train_run(one, val, ModelDims(), None, None, OptimConfig(epochs=2))
+            train_run(one, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=2))
 
     def test_empty_val_split_rejected(self):
         train, val = _tiny_splits()
         empty = PreparedSplit(val.feat, None, mel_stats([]), [])
         with pytest.raises(ValueError, match="val split is empty"):
-            train_run(train, empty, ModelDims(), None, None, OptimConfig(epochs=1))
+            train_run(train, empty, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1))
 
     def test_splits_featurized_differently_rejected(self):
         train, _ = _tiny_splits()
         val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), FeatureConfig(hop=160))
         with pytest.raises(ValueError, match="feature configs"):
-            train_run(train, val, ModelDims(), None, None, OptimConfig(epochs=1))
+            train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -388,8 +399,10 @@ class TestPooledAudioAgainstFrames:
                                                rng_ref)
         assert pooled.shape == ref.shape == (n, n_mels)
         # Freq-MixStyle divides by a clip's bin std, so both paths' rounding grows
-        # with its slope sd_new / sd; 1e-12 holds up to slopes of 500
-        amplification = max(1.0, float(maps[0][1].max()) / 500)
+        # with its slope sd_new / sd; 1e-12 holds up to slopes of 500. A config that cannot
+        # fire mixes nothing.
+        assert len(maps) == cfg.draws
+        amplification = max([1.0] + [float(m[1].max()) / 500 for m in maps])
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * amplification
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         assert norm.count == norm_ref.count
@@ -556,8 +569,8 @@ class TestSplitWithoutFrames:
             assert np.array_equal(getattr(bare.stats, name), getattr(framed.stats, name))
             assert np.array_equal(getattr(framed.stats, name), getattr(whole, name))
 
-        cfg = None if plain else AudioAugConfig(g_max=g_max, n_f=n_f, w_f=w_f, p_ms=p_ms,
-                                                alpha=alpha)
+        cfg = OFF_AUDIO if plain else AudioAugConfig(g_max=g_max, n_f=n_f, w_f=w_f, p_ms=p_ms,
+                                                     alpha=alpha)
         idx = rng.permutation(n)
         runs = []
         for split in (framed, bare):
@@ -582,4 +595,4 @@ class TestSplitWithoutFrames:
             pooled_audio(bare, np.arange(6), NormStats.fresh(bare.feat.n_mels), True, cfg,
                          np.random.default_rng(0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            train_run(bare, _tiny_splits()[1], ModelDims(), cfg, None, OptimConfig(epochs=1))
+            train_run(bare, _tiny_splits()[1], ModelDims(), cfg, OFF_TEXT, OptimConfig(epochs=1))
