@@ -8,7 +8,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +75,6 @@ def _write_metrics_csv(path, result: trainer.RunResult) -> None:
     for e, (loss, vmap) in enumerate(zip(result.train_losses, result.val_maps)):
         lines.append(f"{e},{loss:.17g},{vmap:.17g}")
     data.write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _prepared(cfg: RunConfig, split: str) -> trainer.PreparedSplit:
-    return trainer.prepare_split(_load_split(cfg, split), cfg.features)
 
 
 def _out_dir(path, name: str = "paths.out_dir") -> Path:
@@ -164,16 +160,16 @@ def _training(cfg: RunConfig, out_dir: Path, keep_frames: bool, no_cache_error: 
                 if pair not in provider.entries:
                     raise ConfigError(f"paths.bt_cache: {cfg.paths.bt_cache}: no entry for "
                                       f"{pair!r}; every training caption needs one per pivot")
-        val = _prepared(cfg, "val")
+        val = trainer.prepare_split(_load_split(cfg, "val"), cfg.features)
         try:  # before any run: a search on these splits would fail every trial
             trainer.check_splits(train, val)
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
 
         def run(audio_cfg, text_cfg, seed: int, checkpoint_path=None) -> trainer.RunResult:
-            return trainer.train_run(train, val, cfg.model, audio_cfg, text_cfg,
-                                     replace(cfg.optim, seed=seed), provider=provider,
-                                     lexicon=lexicon, checkpoint_path=checkpoint_path)
+            return trainer.train_run(train, val, cfg.model, audio_cfg, text_cfg, cfg.optim, seed,
+                                     provider=provider, lexicon=lexicon,
+                                     checkpoint_path=checkpoint_path)
         yield run
 
 
@@ -184,14 +180,9 @@ def cmd_eval(args) -> int:
         params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CommandError(f"cannot read checkpoint: {exc}") from exc
-    for f in fields(feat):
-        mine, trained = getattr(cfg.features, f.name), getattr(feat, f.name)
-        if mine != trained:
-            raise CommandError(f"features.{f.name} is {mine!r} in the config but {trained!r} "
-                               f"in the checkpoint")
     sidecar = _out_file(args.out or Path(args.checkpoint).parent / f"eval_{args.split}.json",
                         "--out")
-    split = _prepared(cfg, args.split)
+    split = trainer.prepare_split(_load_split(cfg, args.split), feat)  # as the model was trained
     if len(split) == 0:
         raise CommandError(f"split {args.split!r} is empty")
     tokens, targets = trainer.caption_queries(split, vocab)

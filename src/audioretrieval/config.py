@@ -81,14 +81,6 @@ _SECTION_TYPES = {
     "optim": OptimConfig,
 }
 
-# keys the program sets itself, and what from; a config that sets one is rejected
-_DERIVED = {
-    ("model", "vocab_size"): "the training captions",
-    ("model", "n_mels"): "features.n_mels",
-    ("optim", "seed"): "the top-level seed",
-}
-
-
 def _build(cls, doc: dict, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -119,11 +111,8 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(data, dict) or set(data) - {"synthetic"}:
             raise ConfigError("data: expected {'synthetic': {...}} or null")
         cfg.data = _build(SyntheticSpec, data.get("synthetic", {}), "data.synthetic")
-    for name, cls in _SECTION_TYPES.items():
-        setattr(cfg, name, _build(cls, doc.get(name) or {}, name))
-    for (name, key), source in _DERIVED.items():
-        if key in (doc.get(name) or {}):
-            raise ConfigError(f"{name}.{key}: derived from {source}, not configurable")
+    for name, cls in _SECTION_TYPES.items():  # an absent or null section is the defaults
+        setattr(cfg, name, _build(cls, {} if doc.get(name) is None else doc[name], name))
     return cfg
 
 

@@ -17,13 +17,11 @@ CHECKPOINT_SLICE = 1024  # values of an array that save_checkpoint turns into JS
 
 
 @dataclass
-class ModelDims:
-    n_mels: int = 64
+class ModelDims:  # the widths a config sets; init_params takes the input widths
     embed_dim: int = 64
     audio_hidden: int = 128
     text_hidden: int = 128
     token_embed_dim: int = 64
-    vocab_size: int = 2
 
     def __post_init__(self):
         for f in fields(self):
@@ -56,7 +54,7 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams(**{name: np.zeros_like(arr) for name, arr in params.arrays()})
 
 
-def init_params(dims: ModelDims, seed: int) -> ModelParams:
+def init_params(dims: ModelDims, n_mels: int, vocab_size: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, Normal(0, 0.02) token embeddings."""
     rng = np.random.default_rng(seed)
 
@@ -65,11 +63,11 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
         return rng.uniform(-s, s, size=(fan_in, fan_out))
 
     return ModelParams(
-        w1=glorot(dims.n_mels, dims.audio_hidden),
+        w1=glorot(n_mels, dims.audio_hidden),
         b1=np.zeros(dims.audio_hidden),
         w2=glorot(dims.audio_hidden, dims.embed_dim),
         b2=np.zeros(dims.embed_dim),
-        embed=rng.normal(0.0, 0.02, size=(dims.vocab_size, dims.token_embed_dim)),
+        embed=rng.normal(0.0, 0.02, size=(vocab_size, dims.token_embed_dim)),
         w3=glorot(dims.token_embed_dim, dims.text_hidden),
         b3=np.zeros(dims.text_hidden),
         w4=glorot(dims.text_hidden, dims.embed_dim),
@@ -220,9 +218,10 @@ def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats
     The file is ``json.dumps`` of the whole document, with the arrays written
     CHECKPOINT_SLICE values at a time, so one slice's JSON text is held at once."""
     arrays = [*params.arrays(), ("norm_mean", stats.mean), ("norm_var", stats.var)]
+    record = {"n_mels": len(params.w1), **asdict(dims), "vocab_size": len(params.embed)}
 
     def chunks():
-        yield f'{{"dims": {json.dumps(asdict(dims))}, "arrays": {{'
+        yield f'{{"dims": {json.dumps(record)}, "arrays": {{'
         for k, (name, arr) in enumerate(arrays):
             yield f'{", " if k else ""}{json.dumps(name)}: {{"shape": {list(arr.shape)}, "data": ['
             flat = arr.ravel()
@@ -252,12 +251,13 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab
                          "retrain to write a version-2 checkpoint")
     if doc.get("version") != 2:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    _, vocab_size = (doc["dims"].pop(key) for key in ("n_mels", "vocab_size"))
     dims = ModelDims(**doc["dims"])
     arrays = doc["arrays"]
     stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"), doc["norm_count"])
     vocab = TokenVocab({word: i for i, word in enumerate(doc["vocab"], start=TokenVocab.UNK + 1)})
-    if len(vocab) != dims.vocab_size:
-        raise ValueError(f"vocabulary of {len(vocab)} ids != vocab_size {dims.vocab_size}")
+    if len(vocab) != vocab_size:
+        raise ValueError(f"vocabulary of {len(vocab)} ids != vocab_size {vocab_size}")
     feat = FeatureConfig(**{f.name: doc["features"].pop(f.name) for f in fields(FeatureConfig)})
     # checkpoints written before the band and log floor were fixed record them too
     fixed = {"f_min": 0.0, "f_max": feat.target_sr / 2, "log_floor": LOG_FLOOR}

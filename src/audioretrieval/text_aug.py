@@ -50,8 +50,9 @@ class SynonymLexicon:
         """A JSON object of word -> list of synonyms; any other file raises ValueError naming it."""
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not (isinstance(doc, dict) and all(isinstance(a, list) for a in doc.values())):
-                raise ValueError("expected a JSON object of word -> list of synonyms")
+            lists = doc.values() if isinstance(doc, dict) else [None]
+            if not all(isinstance(a, list) and all(isinstance(w, str) for w in a) for a in lists):
+                raise ValueError("expected a JSON object of word -> list of synonyms (strings)")
             return cls(doc)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
@@ -73,8 +74,8 @@ class TranslationCache:
 
     @classmethod
     def load(cls, path) -> "TranslationCache":
-        """Read the JSONL cache; a line that is not a record with ``source``, ``pivot``
-        and ``result`` raises ValueError naming the file and line."""
+        """Read the JSONL cache; a line that is not a record with string ``source``,
+        ``pivot`` and ``result`` raises ValueError naming the file and line."""
         entries = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -82,7 +83,10 @@ class TranslationCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    entries[(rec["source"], rec["pivot"])] = rec["result"]
+                    source, pivot, result = rec["source"], rec["pivot"], rec["result"]
+                    if not all(isinstance(value, str) for value in (source, pivot, result)):
+                        raise TypeError("source, pivot and result must be strings")
+                    entries[(source, pivot)] = result
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}: line {line_no}: bad record: {exc!r}") from exc
         return cls(entries)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class OptimConfig:
     batch_size: int = 30
     epochs: int = 50
     patience: int = 10
-    seed: int = 0  # set from the run's seed; a config cannot set it
 
     def __post_init__(self):
         check_positive(self, "lr0")
@@ -273,14 +272,15 @@ def train_run(
     audio_cfg: audio_aug.AudioAugConfig,
     text_cfg: text_aug.TextAugConfig,
     optim: OptimConfig,
+    seed: int,
     provider=None,
     lexicon: text_aug.SynonymLexicon | None = None,
     checkpoint_path=None,
 ) -> RunResult:
-    """Full optimization run; returns per-epoch losses and validation mAP@10.
+    """Full optimization run from ``seed``; returns per-epoch losses and validation mAP@10.
 
-    ``dims.vocab_size`` and ``dims.n_mels`` are replaced by the training
-    vocabulary's size and the splits' ``feat.n_mels``. An ``audio_cfg`` /
+    The model's input widths are the splits' ``feat.n_mels`` and the training
+    vocabulary's size. An ``audio_cfg`` /
     ``text_cfg`` whose firing settings are all zero draws nothing. RNG
     streams: one for batch order and caption sampling, one for augmentation;
     per batch the augmentation draws happen in the fixed order caption text
@@ -291,16 +291,15 @@ def train_run(
     """
     check_splits(train, val)
     feat = train.feat
-    seeds = np.random.SeedSequence(optim.seed).spawn(3)
+    seeds = np.random.SeedSequence(seed).spawn(3)
     rng_init, rng_order, rng_aug = (np.random.default_rng(s) for s in seeds)
     lexicon = lexicon or text_aug.SynonymLexicon(({}))
 
     caps_pre = [[preprocess_caption(c) for c in caps] for caps in train.captions]
     vocab = build_vocab([c for caps in caps_pre for c in caps])
-    dims = replace(dims, vocab_size=len(vocab), n_mels=feat.n_mels)
 
-    params = init_params(dims, int(rng_init.integers(2**31)))
-    stats = NormStats.fresh(dims.n_mels)
+    params = init_params(dims, feat.n_mels, len(vocab), int(rng_init.integers(2**31)))
+    stats = NormStats.fresh(feat.n_mels)
     state = AdamState()
     best = None  # (params, stats) at the best validation epoch; epoch 0 sets it
 

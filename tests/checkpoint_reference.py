@@ -16,8 +16,11 @@ def save_checkpoint(path, params, dims, stats, vocab, feat) -> None:
               for name, arr in params.arrays()}
     arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
     arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
+    record = {"n_mels": params.w1.shape[0], "embed_dim": dims.embed_dim,
+              "audio_hidden": dims.audio_hidden, "text_hidden": dims.text_hidden,
+              "token_embed_dim": dims.token_embed_dim, "vocab_size": params.embed.shape[0]}
     doc = {
-        "dims": asdict(dims), "arrays": arrays, "vocab": vocab.words(),
+        "dims": record, "arrays": arrays, "vocab": vocab.words(),
         "features": asdict(feat), "norm_count": stats.count, "version": 2,
     }
     write_atomic(path, json.dumps(doc))

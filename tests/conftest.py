@@ -24,15 +24,12 @@ def examples(n: int) -> int:
 
 @pytest.fixture
 def small_dims():
-    return ModelDims(
-        n_mels=8, embed_dim=8, audio_hidden=16, text_hidden=16,
-        token_embed_dim=8, vocab_size=10,
-    )
+    return ModelDims(embed_dim=8, audio_hidden=16, text_hidden=16, token_embed_dim=8)
 
 
 @pytest.fixture
 def small_params(small_dims):
-    return init_params(small_dims, 1)
+    return init_params(small_dims, 8, 10, 1)
 
 
 def random_mel_batch(rng, n, n_mels=8, t=10):

@@ -52,12 +52,11 @@ def report(number: int, title: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_gradient_correctness():
-    dims = ModelDims(n_mels=8, embed_dim=8, audio_hidden=16, text_hidden=16,
-                     token_embed_dim=8, vocab_size=10)
+    dims = ModelDims(embed_dim=8, audio_hidden=16, text_hidden=16, token_embed_dim=8)
     start = time.monotonic()
     worst = 0.0
     for seed in range(10):
-        loss, max_rel = finite_difference_check(dims, seed=seed)
+        loss, max_rel = finite_difference_check(dims, 8, 10, seed=seed)
         assert np.isfinite(loss)
         worst = max(worst, max_rel)
     elapsed = time.monotonic() - start
@@ -116,10 +115,9 @@ def test_criterion_04_random_baseline_calibration():
     vocab = build_vocab(captions)
     tokens = tokenize(captions, vocab)
     targets = np.array([i for i, (_, _, caps) in enumerate(ds) for _ in caps])
-    dims = ModelDims(vocab_size=len(vocab))
     maps = []
     for seed in range(20):
-        params = init_params(dims, seed)
+        params = init_params(ModelDims(), feat.n_mels, len(vocab), seed)
         scores = similarity_matrix(embed_text(tokens, params),
                                    embed_audio(pooled, params))
         maps.append(from_ranks(rank_targets(scores, targets)).map10)
@@ -137,8 +135,9 @@ def test_criterion_05_end_to_end_learning_signal():
     successes = 0
     best_maps = []
     for seed in range(10):
-        optim = OptimConfig(epochs=20, seed=seed)
-        result = train_run(train, test, ModelDims(), AudioAugConfig(), TextAugConfig(), optim)
+        optim = OptimConfig(epochs=20)
+        result = train_run(train, test, ModelDims(), AudioAugConfig(), TextAugConfig(), optim,
+                           seed)
         best_maps.append(result.best_val_map)
         if result.best_val_map >= threshold:
             successes += 1
@@ -154,8 +153,8 @@ def test_criterion_06_augmentation_identity_suite():
     val = prepare_split(synth_dataset(3, 9, 51, split="val", duration=0.2), FeatureConfig())
 
     def run(audio_cfg, text_cfg):
-        optim = OptimConfig(epochs=3, batch_size=6, seed=13)
-        return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim)
+        optim = OptimConfig(epochs=3, batch_size=6)
+        return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim, 13)
 
     # every firing setting 0, the others away from their defaults
     identity_audio = AudioAugConfig(g_max=0, n_f=0, w_f=8, n_t=0, w_t=16, p_ms=0.0, alpha=0.3)
@@ -229,7 +228,7 @@ def test_criterion_09_early_stopping(monkeypatch):
     monkeypatch.setattr(trainer, "score_split",  # monotone-decreasing mAP
                         lambda *a: SimpleNamespace(map10=1.0 - 0.01 * next(epochs)))
     result = train_run(train, val, ModelDims(), AudioAugConfig(), TextAugConfig(),
-                       OptimConfig(epochs=100, batch_size=6, patience=10))
+                       OptimConfig(epochs=100, batch_size=6, patience=10), 0)
     stopped_at = result.epochs_run - 1 if result.stopped_early else None
     stops_exact = result.best_epoch == 0 and stopped_at == result.best_epoch + 10
 

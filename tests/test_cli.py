@@ -101,8 +101,16 @@ class TestConfigParsing:
             parse_config({"optim": {"batch_size": 1}})
 
     def test_vocab_size_not_configurable(self):
-        with pytest.raises(ConfigError, match="vocab_size"):
+        with pytest.raises(ConfigError, match=r"^model\.vocab_size: unknown key$"):
             parse_config({"model": {"vocab_size": 50}})
+
+    @pytest.mark.parametrize("section,value", [
+        ("audio_aug", False), ("optim", []), ("text_aug", 0), ("model", ""),
+    ])
+    def test_falsy_section_not_an_object(self, section, value):
+        """Only an absent or null section means the defaults."""
+        with pytest.raises(ConfigError, match=rf"^{section}: expected an object$"):
+            parse_config({section: value})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -142,11 +150,19 @@ class TestTrain:
         ("model", "vocab_size"), ("model", "n_mels"), ("optim", "seed"),
     ])
     def test_derived_key_exit_2(self, tmp_path, capsys, section, key):
+        """The program works these out itself (from the features, the training captions
+        and the top-level seed), so no section has them."""
         path = write_config(tmp_path, **{section: {key: 32}})
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: derived from "):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
             load_config(path)
         assert main(["train", "--config", str(path)]) == 2
-        assert f"{section}.{key}: derived from" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {section}.{key}: unknown key\n"
+
+    def test_falsy_section_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, audio_aug=False)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: audio_aug: expected an object\n"
+        assert not (tmp_path / "out").exists()
 
     def test_zero_epochs_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, optim={"epochs": 0, "batch_size": 6})
@@ -496,13 +512,20 @@ class TestEval:
         assert main(["eval", "--config", str(empty), "--checkpoint", str(ckpt),
                      "--split", "test"]) == 2
 
-    def test_dim_mismatch_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("features", [{"n_mels": 32}, {"hop": 160}], ids=["n_mels", "hop"])
+    def test_features_from_the_checkpoint(self, tmp_path, features):
+        """eval featurizes the split with the checkpoint's features; the config's play no
+        part, so the metrics are those under the config the model was trained with."""
         cfg = write_config(tmp_path)
-        main(["train", "--config", str(cfg)])
-        ckpt = tmp_path / "out" / "checkpoint.json"
-        other = write_config(tmp_path, features={"n_mels": 32})
-        assert main(["eval", "--config", str(other), "--checkpoint", str(ckpt)]) == 2
-        assert "n_mels" in capsys.readouterr().err
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.json")
+        same, other = tmp_path / "same.json", tmp_path / "other.json"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", ckpt, "--out", str(same)]) == 0
+        cfg = write_config(tmp_path, features=features)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", ckpt, "--out", str(other)]) == 0
+        same, other = (json.loads(path.read_text()) for path in (same, other))
+        assert same.pop("config_hash") != other.pop("config_hash")
+        assert other == same and sorted(same) == ["map10", "r1", "r10", "r5"]
 
     def test_unreadable_checkpoint_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -532,15 +555,6 @@ class TestEval:
                      "--split", "val"]) == 0
         best = json.loads((out / "run_result.json").read_text())["best_val_map"]
         assert json.loads((out / "eval_val.json").read_text())["map10"] == best
-
-    def test_feature_mismatch_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        main(["train", "--config", str(cfg)])
-        ckpt = tmp_path / "out" / "checkpoint.json"
-        other = write_config(tmp_path, features={"hop": 160})
-        assert main(["eval", "--config", str(other), "--checkpoint", str(ckpt)]) == 2
-        err = capsys.readouterr().err
-        assert "features.hop" in err and "160" in err and "320" in err
 
     @pytest.mark.parametrize("key,value", [(None, None), ("f_min", 50.0), ("f_max", 8000.0),
                                            ("log_floor", 1e-8)])
@@ -586,15 +600,18 @@ class TestEval:
         ckpt = tmp_path / "out" / "checkpoint.json"
         if spoil == "missing":
             ckpt.unlink()
-        else:
-            cfg = write_manifest_config(tmp_path, features={"n_mels": 32})
+        else:  # a checkpoint whose feature record this program cannot featurize with
+            doc = json.loads(ckpt.read_text())
+            doc["features"]["f_min"] = 50.0
+            ckpt.write_text(json.dumps(doc))
         decoded = []
         real = data.load_wav
         monkeypatch.setattr(data, "load_wav", lambda path: decoded.append(path) or real(path))
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert ("cannot read checkpoint" if spoil == "missing" else "features.n_mels") in err
+        assert err.startswith("error: cannot read checkpoint: ")
+        assert spoil == "missing" or "unsupported features.f_min 50.0" in err
         assert decoded == []
 
 
@@ -1157,7 +1174,7 @@ class TestManifestSplits:
         del w
         tracemalloc.start()
         try:
-            split = cli._prepared(cfg, "train")
+            split = cli.trainer.prepare_split(cli._load_split(cfg, "train"), cfg.features)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1197,6 +1214,9 @@ class TestOutsideFiles:
         ("bt_cache", '{"source": "a", "pivot": "de", "result": "a"}\n{"source": ',
          "line 2: bad record: JSONDecodeError"),
         ("bt_cache", '{"source": "a", "result": "a"}\n', "line 1: bad record: KeyError('pivot')"),
+        ("synonym_lexicon", '{"rain": ["drizzle", 7]}', "list of synonyms (strings)"),
+        ("bt_cache", '{"source": "a", "pivot": "de", "result": 5}\n',
+         "line 1: bad record: TypeError('source, pivot and result must be strings')"),
     ])
     @pytest.mark.parametrize("command", ["train", "smbo"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, key, text, message, command):
@@ -1209,6 +1229,27 @@ class TestOutsideFiles:
         assert err.startswith(f"error: paths.{key}: {bad}: ") and message in err
         assert not any((tmp_path / "out" / name).exists() for name in ("run_result.json",
                                                                        "trials.jsonl"))
+
+    @pytest.mark.parametrize("command", ["augment-preview", "bt-cache"])
+    def test_non_string_cache_result_exit_2(self, tmp_path, capsys, command):
+        """A cache whose results are not strings stops the command as it is loaded, not
+        where a back translation would first be used."""
+        cfg = write_config(tmp_path)
+        captions = [c for _, _, caps in cli._load_split(load_config(cfg), "train") for c in caps]
+        cache = tmp_path / "bt.jsonl"
+        cache.write_text("".join(json.dumps({"source": c, "pivot": p, "result": 5}) + "\n"
+                                 for c in captions for p in text_aug.PIVOTS))
+        (tmp_path / "captions.txt").write_text(captions[0] + "\n")
+        cfg = write_config(tmp_path, text_aug={"p_bt": 1.0},
+                           paths={"out_dir": str(tmp_path / "out"), "bt_cache": str(cache)})
+        argv = {"augment-preview": ["augment-preview", "--config", str(cfg), "--mode", "text",
+                                    "--input", captions[0]],
+                "bt-cache": ["bt-cache", "--captions", str(tmp_path / "captions.txt"),
+                             "--out", str(cache), "--mock"]}[command]
+        assert main(argv) == 2
+        key = "paths.bt_cache: " if command == "augment-preview" else ""
+        assert capsys.readouterr().err == (f"error: {key}{cache}: line 1: bad record: "
+                                           "TypeError('source, pivot and result must be strings')\n")
 
 
 class TestUnusableOutDir:

@@ -34,24 +34,23 @@ from frame_reference import pool_audio as pool_frames
 
 class TestInit:
     def test_deterministic(self, small_dims):
-        p1, p2 = init_params(small_dims, 5), init_params(small_dims, 5)
+        p1, p2 = init_params(small_dims, 8, 10, 5), init_params(small_dims, 8, 10, 5)
         for (_, a), (_, b) in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
     def test_biases_zero(self, small_dims):
-        p = init_params(small_dims, 0)
+        p = init_params(small_dims, 8, 10, 0)
         for name in ("b1", "b2", "b3", "b4"):
             assert np.all(getattr(p, name) == 0.0)
 
     def test_glorot_bound(self):
-        dims = ModelDims(n_mels=64, audio_hidden=128, vocab_size=5)
-        p = init_params(dims, 0)
+        p = init_params(ModelDims(audio_hidden=128), 64, 5, 0)
         bound = np.sqrt(6.0 / (64 + 128))
         assert np.abs(p.w1).max() <= bound
 
     def test_dims_validated(self):
         with pytest.raises(ValueError):
-            ModelDims(n_mels=0)
+            ModelDims(embed_dim=0)
 
 
 class TestEmbedAudio:
@@ -66,7 +65,7 @@ class TestEmbedAudio:
 
     def test_empty_batch_rejected(self, small_params, small_dims):
         with pytest.raises(ValueError):
-            embed_audio(np.zeros((0, small_dims.n_mels)), small_params)
+            embed_audio(np.zeros((0, 8)), small_params)
 
 
 class TestEmbedText:
@@ -149,14 +148,14 @@ class TestNtXent:
             nt_xent(np.ones((2, 3)))
 
 
-def finite_difference_check(dims, seed, step=1e-5):
+def finite_difference_check(dims, n_mels, vocab_size, seed, step=1e-5):
     rng = np.random.default_rng(seed)
-    params = init_params(dims, seed + 1000)
+    params = init_params(dims, n_mels, vocab_size, seed + 1000)
     # scale up the token table so ReLU preactivations sit far from the kink
     # relative to the finite-difference step
     params.embed *= 50.0
-    pooled = pool_frames(random_mel_batch(rng, 4, n_mels=dims.n_mels))
-    toks = random_token_batch(rng, 4, vocab_size=dims.vocab_size)
+    pooled = pool_frames(random_mel_batch(rng, 4, n_mels=n_mels))
+    toks = random_token_batch(rng, 4, vocab_size=vocab_size)
     loss, grads = backward(pooled, toks, params)
 
     def loss_at():
@@ -184,13 +183,13 @@ def finite_difference_check(dims, seed, step=1e-5):
 
 class TestBackward:
     def test_gradient_matches_finite_differences(self, small_dims):
-        loss, max_rel = finite_difference_check(small_dims, seed=0)
+        loss, max_rel = finite_difference_check(small_dims, 8, 10, seed=0)
         assert np.isfinite(loss)
         assert max_rel <= 1e-4
 
     def test_duplicated_batch_finite(self, small_dims):
         rng = np.random.default_rng(3)
-        params = init_params(small_dims, 3)
+        params = init_params(small_dims, 8, 10, 3)
         mels = random_mel_batch(rng, 2)
         toks = random_token_batch(rng, 2)
         loss, grads = backward(pool_frames(mels * 2), np.concatenate([toks, toks]), params)
@@ -204,10 +203,9 @@ class TestBackward:
     @settings(max_examples=examples(60), deadline=None)
     def test_loss_is_the_forward_pass(self, n, n_mels, embed_dim, hidden, vocab_size, seed):
         rng = np.random.default_rng(seed)
-        dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
-                         text_hidden=hidden + 1, token_embed_dim=embed_dim + 1,
-                         vocab_size=vocab_size)
-        params = init_params(dims, seed % 1000)
+        dims = ModelDims(embed_dim=embed_dim, audio_hidden=hidden, text_hidden=hidden + 1,
+                         token_embed_dim=embed_dim + 1)
+        params = init_params(dims, n_mels, vocab_size, seed % 1000)
         pooled = rng.normal(size=(n, n_mels))
         toks = random_token_batch(rng, n, vocab_size=vocab_size)
         forward = nt_xent(similarity_matrix(embed_audio(pooled, params),
@@ -216,13 +214,13 @@ class TestBackward:
 
     def test_single_pair_rejected(self, small_dims):
         rng = np.random.default_rng(4)
-        params = init_params(small_dims, 4)
+        params = init_params(small_dims, 8, 10, 4)
         with pytest.raises(ValueError):
             backward(pool_frames(random_mel_batch(rng, 1)), random_token_batch(rng, 1), params)
 
     def test_mismatched_batches_rejected(self, small_dims):
         rng = np.random.default_rng(5)
-        params = init_params(small_dims, 5)
+        params = init_params(small_dims, 8, 10, 5)
         with pytest.raises(ValueError):
             backward(pool_frames(random_mel_batch(rng, 3)), random_token_batch(rng, 2), params)
 
@@ -285,9 +283,8 @@ class TestTextMatrixAgainstPerCaption:
     @settings(max_examples=examples(60), deadline=None)
     def test_pool_and_embed_gradient(self, lists, seed):
         rng = np.random.default_rng(seed)
-        dims = ModelDims(n_mels=8, embed_dim=8, audio_hidden=16, text_hidden=16,
-                         token_embed_dim=8, vocab_size=10)
-        params = init_params(dims, seed % 1000)
+        dims = ModelDims(embed_dim=8, audio_hidden=16, text_hidden=16, token_embed_dim=8)
+        params = init_params(dims, 8, 10, seed % 1000)
         ids = np.zeros((len(lists), max(map(len, lists))), dtype=np.int64)
         for row, tokens in zip(ids, lists):
             row[: len(tokens)] = tokens
@@ -334,9 +331,8 @@ class TestPoolTextBlocks:
         assert np.array_equal(out, _pool_text_one_shot(ids, embed))
 
     def test_embed_text_memory_bounded_by_block(self):
-        dims = ModelDims(n_mels=8, embed_dim=16, audio_hidden=16, text_hidden=16,
-                         token_embed_dim=16, vocab_size=50)
-        params = init_params(dims, 0)
+        dims = ModelDims(embed_dim=16, audio_hidden=16, text_hidden=16, token_embed_dim=16)
+        params = init_params(dims, 8, 50, 0)
         ids = np.random.default_rng(0).integers(0, 50, size=(5000, MAX_TOKENS))
         one_shot = ids.size * dims.token_embed_dim * 8  # one gathered copy: 20.5 MB
         # the [5000, 16] pooled rows and the head's three [5000, 16] arrays, about 3.3 MB
@@ -347,9 +343,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bytes_equal_one_shot_document(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        dims = ModelDims(n_mels=5, embed_dim=3, audio_hidden=4, text_hidden=6,
-                         token_embed_dim=2, vocab_size=9)
-        params = init_params(dims, seed)
+        dims = ModelDims(embed_dim=3, audio_hidden=4, text_hidden=6, token_embed_dim=2)
+        params = init_params(dims, 5, 9, seed)
         params.b1[:] = rng.normal(size=4) * 1e300  # extreme magnitudes print in exponent form
         stats = NormStats(rng.normal(size=5), rng.uniform(size=5), 12345)
         vocab = build_vocab(["rain on a tin roof", "ünïcode \"quoted\" words"])
@@ -360,10 +355,9 @@ class TestCheckpoint:
 
     def test_memory_bounded_by_largest_array(self, tmp_path):
         # four arrays of 40,000 values each, so the whole document is far larger than one
-        dims = ModelDims(n_mels=200, embed_dim=200, audio_hidden=200, text_hidden=200,
-                         token_embed_dim=8, vocab_size=5000)
-        params = init_params(dims, 0)
-        vocab = TokenVocab({f"w{i}": i for i in range(TokenVocab.UNK + 1, dims.vocab_size)})
+        dims = ModelDims(embed_dim=200, audio_hidden=200, text_hidden=200, token_embed_dim=8)
+        params = init_params(dims, 200, 5000, 0)
+        vocab = TokenVocab({f"w{i}": i for i in range(TokenVocab.UNK + 1, 5000)})
         args = (tmp_path / "ckpt.json", params, dims, NormStats.fresh(200), vocab,
                 FeatureConfig(n_mels=200))
         largest = max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays())
@@ -377,9 +371,8 @@ class TestCheckpoint:
         largest array (w1, [n_mels, audio_hidden]) leaves the traced peak about as it was."""
         peaks, largest = [], []
         for n_mels in (200, 400):
-            dims = ModelDims(n_mels=n_mels, embed_dim=50, audio_hidden=200, text_hidden=50,
-                             token_embed_dim=8, vocab_size=50)
-            params = init_params(dims, 0)
+            dims = ModelDims(embed_dim=50, audio_hidden=200, text_hidden=50, token_embed_dim=8)
+            params = init_params(dims, n_mels, 50, 0)
             largest.append(max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays()))
             peaks.append(_traced_peak(save_checkpoint, tmp_path / "ckpt.json", params, dims,
                                       NormStats.fresh(n_mels), build_vocab(["a b"]),
@@ -413,12 +406,11 @@ class TestCheckpoint:
     def test_load_matches_whole_document_loader(self, tmp_path_factory, data):
         """Every array is made as its record is parsed, with the bits of the one-shot parse."""
         vocab = build_vocab(["a b c d e f"])  # 8 ids with PAD and UNK: one per edge value
-        dims = ModelDims(n_mels=2, embed_dim=2, audio_hidden=3, text_hidden=3,
-                         token_embed_dim=1, vocab_size=len(vocab))
+        dims = ModelDims(embed_dim=2, audio_hidden=3, text_hidden=3, token_embed_dim=1)
         values = st.sampled_from(self.EDGE_VALUES) | st.floats(allow_nan=False,
                                                                allow_infinity=False)
         params = ModelParams(**{name: data.draw(arrays(np.float64, arr.shape, elements=values))
-                                for name, arr in init_params(dims, 0).arrays()})
+                                for name, arr in init_params(dims, 2, len(vocab), 0).arrays()})
         params.embed[:, 0] = self.EDGE_VALUES  # every edge value, in every example
         stats = NormStats(*(data.draw(arrays(np.float64, 2, elements=values)) for _ in range(2)), 3)
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import os
 import re
@@ -74,7 +75,7 @@ class TestLrSchedule:
 
 class TestAdam:
     def _setup(self, small_dims):
-        params = init_params(small_dims, 0)
+        params = init_params(small_dims, 8, 10, 0)
         grads = zeros_like_params(params)
         return params, grads, AdamState()
 
@@ -139,7 +140,7 @@ def run_validated_as(val_maps, patience: int):
     maps = iter(val_maps)
     optim = OptimConfig(epochs=len(val_maps), batch_size=6, patience=patience)
     with mock.patch.object(trainer, "score_split", lambda *a: SimpleNamespace(map10=next(maps))):
-        return train_run(*_tiny_splits(), ModelDims(), OFF_AUDIO, OFF_TEXT, optim)
+        return train_run(*_tiny_splits(), ModelDims(), OFF_AUDIO, OFF_TEXT, optim, 0)
 
 
 class TestEarlyStopping:
@@ -174,9 +175,9 @@ def frames_dir(tmp_path_factory):
 
 
 def _tiny_run(seed=0, epochs=3, audio_cfg=OFF_AUDIO, text_cfg=OFF_TEXT, frames=None, **kwargs):
-    optim = OptimConfig(epochs=epochs, batch_size=6, seed=seed, patience=10)
+    optim = OptimConfig(epochs=epochs, batch_size=6, patience=10)
     train, val = _tiny_splits(frames)
-    return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim, **kwargs)
+    return train_run(train, val, ModelDims(), audio_cfg, text_cfg, optim, seed, **kwargs)
 
 
 def _tiny_splits(frames=None):
@@ -241,8 +242,8 @@ class TestTrainRun:
                     + [split.stats.count, split.stats.mean, split.stats.var, split.stats.max]]
 
         def run(train, val):
-            optim = OptimConfig(epochs=3, batch_size=6, seed=9, patience=10)
-            return train_run(train, val, ModelDims(), audio, text, optim).as_dict()
+            optim = OptimConfig(epochs=3, batch_size=6, patience=10)
+            return train_run(train, val, ModelDims(), audio, text, optim, 9).as_dict()
 
         before = arrays()
         first, second, fresh = run(*shared), run(*shared), _tiny_splits([])
@@ -263,11 +264,11 @@ class TestTrainRun:
     def test_checkpoint_written_once_with_best_epoch_state(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
         train, val = _tiny_splits()
-        optim = OptimConfig(epochs=6, batch_size=6, seed=11, patience=10, lr0=3e-2)
+        optim = OptimConfig(epochs=6, batch_size=6, patience=10, lr0=3e-2)
         saves = []
         save = trainer.save_checkpoint
         with mock.patch.object(trainer, "save_checkpoint", lambda *a: saves.append(1) or save(*a)):
-            result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, optim,
+            result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, optim, 11,
                                checkpoint_path=ckpt)
         assert len(saves) == 1
         assert result.best_epoch < result.epochs_run - 1  # the best is not the last epoch
@@ -281,28 +282,29 @@ class TestTrainRun:
         val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), feat)
         ckpt = tmp_path / "ckpt.json"
         result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT,
-                           OptimConfig(epochs=2, batch_size=6), checkpoint_path=ckpt)
+                           OptimConfig(epochs=2, batch_size=6), 0, checkpoint_path=ckpt)
         assert result.epochs_run == 2
-        _, dims, stats, _, _ = load_checkpoint(ckpt)
-        assert dims.n_mels == 16 and stats.mean.shape == (16,)
+        params, _, stats, _, loaded_feat = load_checkpoint(ckpt)
+        assert params.w1.shape[0] == 16 and stats.mean.shape == (16,) and loaded_feat == feat
+        assert json.loads(ckpt.read_text())["dims"]["n_mels"] == 16
 
     def test_train_split_of_one_clip_rejected(self):
         one = prepare_split(synth_dataset(3, 1, 52, duration=0.2), FeatureConfig())
         _, val = _tiny_splits()
         with pytest.raises(ValueError, match="1 clip"):
-            train_run(one, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=2))
+            train_run(one, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=2), 0)
 
     def test_empty_val_split_rejected(self):
         train, val = _tiny_splits()
         empty = PreparedSplit(val.feat, None, mel_stats([]), [])
         with pytest.raises(ValueError, match="val split is empty"):
-            train_run(train, empty, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1))
+            train_run(train, empty, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1), 0)
 
     def test_splits_featurized_differently_rejected(self):
         train, _ = _tiny_splits()
         val = prepare_split(synth_dataset(3, 9, 51, duration=0.2), FeatureConfig(hop=160))
         with pytest.raises(ValueError, match="feature configs"):
-            train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1))
+            train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT, OptimConfig(epochs=1), 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -417,14 +419,13 @@ class TestPooledAudioAgainstFrames:
         rng = np.random.default_rng(seed)
         split, mels = _random_split(rng, n, n_mels, False)
         norm = _norm_stats(rng, n_mels)
-        dims = ModelDims(n_mels=n_mels, embed_dim=4, audio_hidden=8, text_hidden=8,
-                         token_embed_dim=4, vocab_size=4)
+        dims = ModelDims(embed_dim=4, audio_hidden=8, text_hidden=8, token_embed_dim=4)
         seen = []
         embed_audio = trainer.embed_audio
         with mock.patch.object(trainer, "embed_audio",
                                lambda pooled, p: seen.append(pooled) or embed_audio(pooled, p)):
             score_split(split, *caption_queries(split, build_vocab(["a clip"])),
-                        init_params(dims, seed % 1000), norm)
+                        init_params(dims, n_mels, 4, seed % 1000), norm)
         ref = frame_reference.pooled_batch(mels, norm, False)
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12
 
@@ -465,9 +466,9 @@ class TestScoreSplitBlocks:
         """Repeated captions and clips make scores tied, or tied but for rounding."""
         rng = np.random.default_rng(seed)
         split = _stats_split(rng, n_clips, min(n_distinct_clips, n_clips), n_mels)
-        dims = ModelDims(n_mels=n_mels, embed_dim=embed_dim, audio_hidden=hidden,
-                         text_hidden=hidden, token_embed_dim=embed_dim, vocab_size=30)
-        params, norm = init_params(dims, seed % 1000), _norm_stats(rng, n_mels)
+        dims = ModelDims(embed_dim=embed_dim, audio_hidden=hidden, text_hidden=hidden,
+                         token_embed_dim=embed_dim)
+        params, norm = init_params(dims, n_mels, 30, seed % 1000), _norm_stats(rng, n_mels)
         captions = rng.integers(0, 30, size=(n_distinct_queries, 12))
         tokens = captions[rng.integers(0, n_distinct_queries, n_queries)]
         targets = rng.integers(0, n_clips, n_queries)
@@ -503,7 +504,7 @@ class TestScoreSplitBlocks:
         three [500, hidden] arrays, about 2.3 MB."""
         rng = np.random.default_rng(0)
         split = _stats_split(rng, 500, 500, 64)
-        params, norm = init_params(ModelDims(vocab_size=50), 0), _norm_stats(rng, 64)
+        params, norm = init_params(ModelDims(), 64, 50, 0), _norm_stats(rng, 64)
         peaks = []
         for n_queries in (2000, 4000):
             tokens = rng.integers(0, 50, size=(n_queries, 20))
@@ -595,4 +596,5 @@ class TestSplitWithoutFrames:
             pooled_audio(bare, np.arange(6), NormStats.fresh(bare.feat.n_mels), True, cfg,
                          np.random.default_rng(0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            train_run(bare, _tiny_splits()[1], ModelDims(), cfg, OFF_TEXT, OptimConfig(epochs=1))
+            train_run(bare, _tiny_splits()[1], ModelDims(), cfg, OFF_TEXT, OptimConfig(epochs=1),
+                      0)
