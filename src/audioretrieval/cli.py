@@ -20,7 +20,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CORRUPT = 3
-EXIT_EXTERNAL = 4
 
 # Free memory that glibc's malloc keeps at the top of the heap rather than trimming it.
 # Preparation leaves no freed audio behind to reuse, so without a pad every training
@@ -177,7 +176,7 @@ def cmd_eval(args) -> int:
     cfg, digest = read_config(args.config)
     # the checkpoint is read and checked first: decoding the split costs far more
     try:
-        params, _, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
+        params, stats, vocab, feat = model.load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CommandError(f"cannot read checkpoint: {exc}") from exc
     sidecar = _out_file(args.out or Path(args.checkpoint).parent / f"eval_{args.split}.json",
@@ -288,20 +287,6 @@ def cmd_augment_preview(args) -> int:
     return EXIT_OK
 
 
-def _http_provider(base_url: str, api_key: str):
-    import urllib.request  # here, not at module level: it loads http.client and ssl
-
-    def provider(text: str, pivot: str) -> str:
-        req = urllib.request.Request(
-            base_url,
-            data=json.dumps({"text": text, "pivot": pivot}).encode(),
-            headers={"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"},
-        )
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            return json.loads(resp.read())["result"]
-    return provider
-
-
 def cmd_bt_cache(args) -> int:
     captions_path = Path(args.captions)
     if not captions_path.is_file():
@@ -309,23 +294,11 @@ def cmd_bt_cache(args) -> int:
     captions = [line.strip() for line in _read_text(captions_path, "--captions").splitlines()
                 if line.strip()]
     out = _out_file(args.out, "--out")
-    if args.mock:
-        provider = text_aug.mock_provider
-    else:
-        base_url = os.environ.get("AUDIORETRIEVAL_BT_URL")
-        api_key = os.environ.get("AUDIORETRIEVAL_BT_KEY", "")
-        if not base_url:
-            raise CommandError("set AUDIORETRIEVAL_BT_URL or pass --mock")
-        provider = _http_provider(base_url, api_key)
-    try:  # provider failures are collected; a ValueError is an existing cache that is malformed
-        new, failures = text_aug.cache_build(captions, text_aug.PIVOTS, provider, out)
+    try:  # the stand-in provider never fails; a ValueError is an existing cache that is malformed
+        new, _ = text_aug.cache_build(captions, text_aug.PIVOTS, text_aug.mock_provider, out)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     print(f"{new} new entries")
-    if failures:
-        for caption, pivot in failures:
-            print(f"failed: ({caption!r}, {pivot!r})", file=sys.stderr)
-        return EXIT_EXTERNAL
     return EXIT_OK
 
 
@@ -380,10 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_augment_preview)
 
-    p = sub.add_parser("bt-cache", help="build the back-translation cache")
+    p = sub.add_parser("bt-cache", help="write the stand-in back-translation cache")
     p.add_argument("--captions", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mock", action="store_true")
     p.set_defaults(func=cmd_bt_cache)
 
     p = sub.add_parser("synth-data", help="write a synthetic dataset to disk")

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (LOG_FLOOR, FeatureConfig, MelStats, NormStats, TokenVocab, check_int,
-                   write_atomic)
+from .data import FeatureConfig, MelStats, NormStats, TokenVocab, check_int, write_atomic
 
 NORM_EPS = 1e-12  # guard added to embedding norms before division
 TEXT_BLOCK = 64  # id rows pool_text gathers, and caption queries score_split ranks, at a time
@@ -210,18 +209,17 @@ def backward(pooled_a: np.ndarray, text_ids: np.ndarray,
     return loss, ModelParams(w1, b1, w2, b2, embed, w3, b3, w4, b4)
 
 
-def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats,
-                    vocab: TokenVocab, feat: FeatureConfig):
-    """Version 2: ``arrays`` holds only numeric arrays; the vocabulary (words in
-    id order), the feature config and the normalization frame count sit beside it.
+def save_checkpoint(path, params: ModelParams, stats: NormStats, vocab: TokenVocab,
+                    feat: FeatureConfig):
+    """Version 3: ``arrays`` holds the numeric arrays, whose shapes give every width; the
+    vocabulary (words in id order), feature config and normalization frame count sit beside it.
 
     The file is ``json.dumps`` of the whole document, with the arrays written
     CHECKPOINT_SLICE values at a time, so one slice's JSON text is held at once."""
     arrays = [*params.arrays(), ("norm_mean", stats.mean), ("norm_var", stats.var)]
-    record = {"n_mels": len(params.w1), **asdict(dims), "vocab_size": len(params.embed)}
 
     def chunks():
-        yield f'{{"dims": {json.dumps(record)}, "arrays": {{'
+        yield '{"arrays": {'
         for k, (name, arr) in enumerate(arrays):
             yield f'{", " if k else ""}{json.dumps(name)}: {{"shape": {list(arr.shape)}, "data": ['
             flat = arr.ravel()
@@ -230,38 +228,45 @@ def save_checkpoint(path, params: ModelParams, dims: ModelDims, stats: NormStats
                 yield f", {piece}" if s else piece
             yield "]}"
         rest = {"vocab": vocab.words(), "features": asdict(feat), "norm_count": stats.count,
-                "version": 2}
+                "version": 3}
         yield "}, " + json.dumps(rest)[1:]  # the rest of the document, and its closing brace
 
     write_atomic(path, chunks())
 
 
 def _array_record(obj: dict):
-    """A checkpoint's ``{"shape", "data"}`` record as a float64 array, made as the
-    parser closes it, so one array's values at a time exist as Python floats."""
+    """A checkpoint's ``{"shape", "data"}`` record as a float64 array, made as the parser closes
+    it, so one array's values at a time exist as floats; data other than finite floats raise."""
     if obj.keys() == {"shape", "data"}:
+        if not all(type(v) is float and abs(v) < np.inf for v in obj["data"]):
+            raise ValueError("array data must be a list of finite numbers")
         return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
     return obj
 
 
-def load_checkpoint(path) -> tuple[ModelParams, ModelDims, NormStats, TokenVocab, FeatureConfig]:
+def load_checkpoint(path) -> tuple[ModelParams, NormStats, TokenVocab, FeatureConfig]:
+    """A version-3 checkpoint, every fact checked: FeatureConfig's fields alone, distinct string
+    words, norm_count an int >= 0, norm_var >= 0, and array shapes that agree with one another,
+    features.n_mels and the vocabulary. A failed check raises ValueError, KeyError or TypeError."""
     doc = json.loads(Path(path).read_text(), object_hook=_array_record)
-    if doc.get("version") == 1:
-        raise ValueError("checkpoint version 1 carries no vocabulary or feature config; "
-                         "retrain to write a version-2 checkpoint")
-    if doc.get("version") != 2:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    _, vocab_size = (doc["dims"].pop(key) for key in ("n_mels", "vocab_size"))
-    dims = ModelDims(**doc["dims"])
-    arrays = doc["arrays"]
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != 3:
+        raise ValueError(f"unsupported checkpoint version {version!r}; retrain")
+    arrays, words, features = dict(doc["arrays"]), doc["vocab"], dict(doc["features"])
+    feat = FeatureConfig(**{f.name: features[f.name] for f in fields(FeatureConfig)})
+    if len(features) != len(fields(FeatureConfig)):
+        raise ValueError(f"features: unknown keys among {sorted(features)}")
+    vocab = TokenVocab({word: i for i, word in enumerate(words, start=TokenVocab.UNK + 1)})
+    if type(words) is not list or len(vocab) != len(words) + 2 or {*map(type, words)} - {str}:
+        raise ValueError("vocab must be a list of distinct strings")
+    (m, a), (_, e), (_, t), (_, h) = (np.shape(arrays[k]) for k in ("w1", "w2", "embed", "w3"))
+    want = {"w1": (feat.n_mels, a), "b1": (a,), "w2": (a, e), "b2": (e,), "embed": (len(vocab), t),
+            "w3": (t, h), "b3": (h,), "w4": (h, e), "b4": (e,), "norm_mean": (m,), "norm_var": (m,)}
+    shapes = {name: getattr(arr, "shape", None) for name, arr in arrays.items()}
+    if shapes != want or not all((a, e, t, h)):
+        raise ValueError(f"arrays {shapes} do not fit n_mels {feat.n_mels}, vocab {len(vocab)}")
     stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"), doc["norm_count"])
-    vocab = TokenVocab({word: i for i, word in enumerate(doc["vocab"], start=TokenVocab.UNK + 1)})
-    if len(vocab) != vocab_size:
-        raise ValueError(f"vocabulary of {len(vocab)} ids != vocab_size {vocab_size}")
-    feat = FeatureConfig(**{f.name: doc["features"].pop(f.name) for f in fields(FeatureConfig)})
-    # checkpoints written before the band and log floor were fixed record them too
-    fixed = {"f_min": 0.0, "f_max": feat.target_sr / 2, "log_floor": LOG_FLOOR}
-    for key, value in doc["features"].items():
-        if key not in fixed or value != fixed[key]:
-            raise ValueError(f"unsupported features.{key} {value!r}")
-    return ModelParams(**arrays), dims, stats, vocab, feat
+    check_int(stats, "count", 0)
+    if (stats.var < 0).any():
+        raise ValueError("norm_var holds a variance < 0")
+    return ModelParams(**arrays), stats, vocab, feat

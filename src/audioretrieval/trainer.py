@@ -345,5 +345,5 @@ def train_run(
             break
 
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, best[0], dims, best[1], vocab, feat)
+        save_checkpoint(checkpoint_path, best[0], best[1], vocab, feat)
     return result

@@ -11,23 +11,20 @@ from audioretrieval.data import NormStats, write_atomic
 from audioretrieval.model import ModelParams
 
 
-def save_checkpoint(path, params, dims, stats, vocab, feat) -> None:
+def save_checkpoint(path, params, stats, vocab, feat) -> None:
     arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
               for name, arr in params.arrays()}
     arrays["norm_mean"] = {"shape": list(stats.mean.shape), "data": stats.mean.tolist()}
     arrays["norm_var"] = {"shape": list(stats.var.shape), "data": stats.var.tolist()}
-    record = {"n_mels": params.w1.shape[0], "embed_dim": dims.embed_dim,
-              "audio_hidden": dims.audio_hidden, "text_hidden": dims.text_hidden,
-              "token_embed_dim": dims.token_embed_dim, "vocab_size": params.embed.shape[0]}
     doc = {
-        "dims": record, "arrays": arrays, "vocab": vocab.words(),
-        "features": asdict(feat), "norm_count": stats.count, "version": 2,
+        "arrays": arrays, "vocab": vocab.words(), "features": asdict(feat),
+        "norm_count": stats.count, "version": 3,
     }
     write_atomic(path, json.dumps(doc))
 
 
 def load_arrays(path) -> tuple[ModelParams, NormStats]:
-    """The parameters and normalization statistics of a version-2 checkpoint."""
+    """The parameters and normalization statistics of a version-3 checkpoint."""
     doc = json.loads(Path(path).read_text())
     arrays = {
         name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from audioretrieval.data import (MAX_TOKENS, FeatureConfig, NormStats, TokenVocab, build_vocab,
-                                 mel_stats)
+                                 mel_stats, preprocess_caption, synth_dataset)
 from audioretrieval.model import (
     NORM_EPS,
     TEXT_BLOCK,
@@ -26,6 +26,7 @@ from audioretrieval.model import (
     scatter_rows,
     similarity_matrix,
 )
+from audioretrieval.trainer import caption_queries, prepare_split, score_split
 
 import checkpoint_reference
 from conftest import examples, random_mel_batch, random_token_batch
@@ -349,8 +350,8 @@ class TestCheckpoint:
         stats = NormStats(rng.normal(size=5), rng.uniform(size=5), 12345)
         vocab = build_vocab(["rain on a tin roof", "ünïcode \"quoted\" words"])
         feat = FeatureConfig(n_mels=5, hop=160)
-        save_checkpoint(tmp_path / "a.json", params, dims, stats, vocab, feat)
-        checkpoint_reference.save_checkpoint(tmp_path / "b.json", params, dims, stats, vocab, feat)
+        save_checkpoint(tmp_path / "a.json", params, stats, vocab, feat)
+        checkpoint_reference.save_checkpoint(tmp_path / "b.json", params, stats, vocab, feat)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_memory_bounded_by_largest_array(self, tmp_path):
@@ -358,7 +359,7 @@ class TestCheckpoint:
         dims = ModelDims(embed_dim=200, audio_hidden=200, text_hidden=200, token_embed_dim=8)
         params = init_params(dims, 200, 5000, 0)
         vocab = TokenVocab({f"w{i}": i for i in range(TokenVocab.UNK + 1, 5000)})
-        args = (tmp_path / "ckpt.json", params, dims, NormStats.fresh(200), vocab,
+        args = (tmp_path / "ckpt.json", params, NormStats.fresh(200), vocab,
                 FeatureConfig(n_mels=200))
         largest = max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays())
         peak = _traced_peak(save_checkpoint, *args)
@@ -374,21 +375,20 @@ class TestCheckpoint:
             dims = ModelDims(embed_dim=50, audio_hidden=200, text_hidden=50, token_embed_dim=8)
             params = init_params(dims, n_mels, 50, 0)
             largest.append(max(len(json.dumps(arr.ravel().tolist())) for _, arr in params.arrays()))
-            peaks.append(_traced_peak(save_checkpoint, tmp_path / "ckpt.json", params, dims,
+            peaks.append(_traced_peak(save_checkpoint, tmp_path / "ckpt.json", params,
                                       NormStats.fresh(n_mels), build_vocab(["a b"]),
                                       FeatureConfig(n_mels=n_mels)))
         assert largest[1] - largest[0] > 700_000  # w1 grew by 40,000 floats
         assert peaks[1] - peaks[0] < (largest[1] - largest[0]) / 100
         assert peaks[1] < largest[0] / 4  # about 6x one slice's JSON
 
-    def test_roundtrip(self, small_dims, small_params, tmp_path):
+    def test_roundtrip(self, small_params, tmp_path):
         stats = NormStats(np.arange(8.0), np.ones(8) * 0.5, 99)
         vocab = build_vocab(["rain on a tin roof", "a dog barks twice"])  # 8 ids
         feat = FeatureConfig(n_mels=8, hop=160)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, small_params, small_dims, stats, vocab, feat)
-        params, dims, loaded_stats, loaded_vocab, loaded_feat = load_checkpoint(path)
-        assert dims == small_dims
+        save_checkpoint(path, small_params, stats, vocab, feat)
+        params, loaded_stats, loaded_vocab, loaded_feat = load_checkpoint(path)
         for (_, a), (_, b) in zip(params.arrays(), small_params.arrays()):
             assert np.array_equal(a, b)
         assert np.array_equal(loaded_stats.mean, stats.mean)
@@ -404,7 +404,8 @@ class TestCheckpoint:
     @given(data=st.data())
     @settings(max_examples=examples(60), deadline=None)
     def test_load_matches_whole_document_loader(self, tmp_path_factory, data):
-        """Every array is made as its record is parsed, with the bits of the one-shot parse."""
+        """Every array is made as its record is parsed, with the bits of the one-shot parse.
+        A variance is >= 0 (the loader rejects one below), so ``norm_var`` takes those values."""
         vocab = build_vocab(["a b c d e f"])  # 8 ids with PAD and UNK: one per edge value
         dims = ModelDims(embed_dim=2, audio_hidden=3, text_hidden=3, token_embed_dim=1)
         values = st.sampled_from(self.EDGE_VALUES) | st.floats(allow_nan=False,
@@ -412,10 +413,11 @@ class TestCheckpoint:
         params = ModelParams(**{name: data.draw(arrays(np.float64, arr.shape, elements=values))
                                 for name, arr in init_params(dims, 2, len(vocab), 0).arrays()})
         params.embed[:, 0] = self.EDGE_VALUES  # every edge value, in every example
-        stats = NormStats(*(data.draw(arrays(np.float64, 2, elements=values)) for _ in range(2)), 3)
+        stats = NormStats(*(data.draw(arrays(np.float64, 2, elements=elements))
+                            for elements in (values, values.filter(lambda v: v >= 0))), 3)
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
-        save_checkpoint(path, params, dims, stats, vocab, FeatureConfig(n_mels=2))
-        loaded, _, loaded_stats, _, _ = load_checkpoint(path)
+        save_checkpoint(path, params, stats, vocab, FeatureConfig(n_mels=2))
+        loaded, loaded_stats, _, _ = load_checkpoint(path)
         ref, ref_stats = checkpoint_reference.load_arrays(path)
 
         def bits(arr):
@@ -428,6 +430,129 @@ class TestCheckpoint:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "dims": {}, "arrays": {}}')
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        for version in (99, None, 1, 2, 4, "3"):
+            path.write_text(json.dumps({"version": version, "arrays": {}}))
+            with pytest.raises(ValueError, match=f"version {version!r}; retrain"):
+                load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def scored_checkpoint(tmp_path_factory):
+    """A valid checkpoint's document, a split, and the split's metrics under the checkpoint as
+    ``eval`` computes them. Every width differs from the others."""
+    feat = FeatureConfig(n_mels=6, n_fft=256, hop=128)
+    split = prepare_split(synth_dataset(3, 6, 7, duration=0.2), feat)
+    vocab = build_vocab([preprocess_caption(c) for caps in split.captions for c in caps])
+    dims = ModelDims(embed_dim=3, audio_hidden=4, text_hidden=5, token_embed_dim=2)
+    rng = np.random.default_rng(0)
+    stats = NormStats(rng.normal(size=6), rng.uniform(0.5, 2.0, size=6), 17)
+    path = tmp_path_factory.mktemp("valid") / "ckpt.json"
+    save_checkpoint(path, init_params(dims, 6, len(vocab), 0), stats, vocab, feat)
+    return json.loads(path.read_text()), split, _metrics(load_checkpoint(path), split)
+
+
+def _metrics(loaded, split):
+    params, stats, vocab, feat = loaded
+    assert feat == split.feat  # eval featurizes with the checkpoint's features
+    result = score_split(split, *caption_queries(split, vocab), params, stats)
+    return result.as_dict(), result.ranks.tolist()
+
+
+JSON_VALUES = {"int": st.integers(), "float": st.floats(), "str": st.text(max_size=3),
+               "null": st.none(), "bool": st.booleans(), "list": st.lists(st.floats(), max_size=2),
+               "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+
+
+def _not_a(kind: str):
+    """JSON values of every type but ``kind``."""
+    return st.one_of(*(values for name, values in JSON_VALUES.items() if name != kind))
+
+
+def _mutate(doc: dict, data) -> None:
+    """Make one change to a checkpoint document, in place: a shape, a non-finite value, a
+    negative count or variance, a removed or added key, a value of another type, or a
+    repeated word. No value turns into another value of its own type: no loader could tell
+    that apart."""
+    arrays, names = doc["arrays"], sorted(doc["arrays"])
+    kind = data.draw(st.sampled_from(["shape", "data", "non-finite", "negative", "removed",
+                                      "added", "type", "repeated word"]), label="kind")
+    if kind in ("shape", "data", "non-finite"):
+        record = arrays[data.draw(st.sampled_from(names), label="array")]
+        values = record["data"]
+        if kind == "shape":  # the data are resized to fit the new shape, or kept as they are
+            shape = record["shape"]
+            axis = data.draw(st.integers(0, len(shape) - 1))
+            record["shape"] = data.draw(st.sampled_from([
+                [n + (k == axis) for k, n in enumerate(shape)],
+                [n - (k == axis) for k, n in enumerate(shape)],
+                shape[::-1], [1, *shape], [int(np.prod(shape))]]), label="shape")
+            if data.draw(st.booleans(), label="resize"):
+                record["data"] = np.resize(values, int(np.prod(record["shape"]))).tolist()
+        elif kind == "data":  # a value more or fewer than the shape holds
+            record["data"] = values[1:] if data.draw(st.booleans()) else [*values, 0.5]
+        else:
+            values[data.draw(st.integers(0, len(values) - 1))] = \
+                data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "negative":
+        if data.draw(st.booleans(), label="norm_count"):
+            doc["norm_count"] = -data.draw(st.integers(1, 2**40))
+        else:
+            var = arrays["norm_var"]["data"]
+            var[data.draw(st.integers(0, len(var) - 1))] = -data.draw(
+                st.floats(0.0, 1e300, exclude_min=True))
+    elif kind == "removed":
+        obj = data.draw(st.sampled_from([doc, arrays, doc["features"]]), label="from")
+        del obj[data.draw(st.sampled_from(sorted(obj)), label="key")]
+    elif kind == "added":  # an unknown key: a top-level one, an array, or a feature (f_min)
+        obj = data.draw(st.sampled_from([doc, arrays, doc["features"]]), label="to")
+        key = data.draw(st.sampled_from(["f_min", "log_floor", "dims", "w5"]) | st.text(),
+                        label="key")
+        obj.setdefault(key, arrays["b1"] if obj is arrays else data.draw(st.integers()))
+    elif kind == "type":
+        target = data.draw(st.sampled_from(["section", "array data", "array value",
+                                            "vocab word", "feature", "norm_count"]),
+                           label="target")
+        if target == "section":  # an array record, say, where an object or a list belongs
+            section = data.draw(st.sampled_from(["arrays", "vocab", "features"]))
+            doc[section] = data.draw(st.just({"shape": [1], "data": [1.0]})
+                                     | _not_a("list" if section == "vocab" else "object"))
+        elif target == "array data":
+            arrays[data.draw(st.sampled_from(names))]["data"] = data.draw(_not_a("float"))
+        elif target == "array value":
+            values = arrays[data.draw(st.sampled_from(names))]["data"]
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_not_a("float"))
+        elif target == "vocab word":
+            words = doc["vocab"]
+            words[data.draw(st.integers(0, len(words) - 1))] = data.draw(_not_a("str"))
+        elif target == "feature":
+            features = doc["features"]
+            features[data.draw(st.sampled_from(sorted(features)))] = data.draw(_not_a("int"))
+        else:
+            doc["norm_count"] = data.draw(_not_a("int"))
+    else:  # one word in place of another: two ids for one word
+        words = doc["vocab"]
+        i, j = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        words[i] = words[j]
+
+
+class TestCheckpointChecked:
+    @given(data=st.data())
+    @settings(max_examples=examples(150), deadline=None)
+    def test_one_change_raises_or_scores_the_same(self, scored_checkpoint, tmp_path_factory,
+                                                  data):
+        """A checkpoint changed in one place either fails to load with an error that ``eval``
+        reports as one line (ValueError, KeyError or TypeError), or was not changed at all
+        (a reversed 1-D shape, say) and scores as it did. An unknown top-level key is the one
+        change that loads: nothing reads it."""
+        before, split, metrics = scored_checkpoint
+        doc = json.loads(json.dumps(before))
+        _mutate(doc, data)
+        path = tmp_path_factory.mktemp("changed") / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = load_checkpoint(path)
+        except (ValueError, KeyError, TypeError):
+            return
+        assert {key: doc[key] for key in before} == before
+        assert _metrics(loaded, split) == metrics

@@ -272,7 +272,7 @@ class TestTrainRun:
                                checkpoint_path=ckpt)
         assert len(saves) == 1
         assert result.best_epoch < result.epochs_run - 1  # the best is not the last epoch
-        params, _, stats, vocab, _ = load_checkpoint(ckpt)
+        params, stats, vocab, _ = load_checkpoint(ckpt)
         assert score_split(val, *caption_queries(val, vocab), params, stats).map10 \
             == result.best_val_map
 
@@ -284,9 +284,10 @@ class TestTrainRun:
         result = train_run(train, val, ModelDims(), OFF_AUDIO, OFF_TEXT,
                            OptimConfig(epochs=2, batch_size=6), 0, checkpoint_path=ckpt)
         assert result.epochs_run == 2
-        params, _, stats, _, loaded_feat = load_checkpoint(ckpt)
+        params, stats, _, loaded_feat = load_checkpoint(ckpt)
         assert params.w1.shape[0] == 16 and stats.mean.shape == (16,) and loaded_feat == feat
-        assert json.loads(ckpt.read_text())["dims"]["n_mels"] == 16
+        doc = json.loads(ckpt.read_text())
+        assert doc["features"]["n_mels"] == doc["arrays"]["w1"]["shape"][0] == 16
 
     def test_train_split_of_one_clip_rejected(self):
         one = prepare_split(synth_dataset(3, 1, 52, duration=0.2), FeatureConfig())
