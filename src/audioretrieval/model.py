@@ -259,14 +259,16 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, TokenVocab, FeatureCo
     vocab = TokenVocab({word: i for i, word in enumerate(words, start=TokenVocab.UNK + 1)})
     if type(words) is not list or len(vocab) != len(words) + 2 or {*map(type, words)} - {str}:
         raise ValueError("vocab must be a list of distinct strings")
-    (m, a), (_, e), (_, t), (_, h) = (np.shape(arrays[k]) for k in ("w1", "w2", "embed", "w3"))
+    shapes = {name: getattr(arr, "shape", None) for name, arr in arrays.items()}
+    (m, a), (_, e), (_, t), (_, h) = (s if s and len(s) == 2 else (0, 0)  # 0 fails the check
+                                      for s in map(shapes.get, ("w1", "w2", "embed", "w3")))
     want = {"w1": (feat.n_mels, a), "b1": (a,), "w2": (a, e), "b2": (e,), "embed": (len(vocab), t),
             "w3": (t, h), "b3": (h,), "w4": (h, e), "b4": (e,), "norm_mean": (m,), "norm_var": (m,)}
-    shapes = {name: getattr(arr, "shape", None) for name, arr in arrays.items()}
     if shapes != want or not all((a, e, t, h)):
         raise ValueError(f"arrays {shapes} do not fit n_mels {feat.n_mels}, vocab {len(vocab)}")
     stats = NormStats(arrays.pop("norm_mean"), arrays.pop("norm_var"), doc["norm_count"])
-    check_int(stats, "count", 0)
+    if type(stats.count) is not int or stats.count < 0:
+        raise ValueError(f"norm_count must be an integer >= 0, got {stats.count!r}")
     if (stats.var < 0).any():
         raise ValueError("norm_var holds a variance < 0")
     return ModelParams(**arrays), stats, vocab, feat

@@ -102,9 +102,7 @@ class TranslationCache:
         try:
             return self.entries[(text, pivot)]
         except KeyError:
-            raise KeyError(
-                f"translation cache miss for ({text!r}, {pivot!r}) and no live provider"
-            ) from None
+            raise KeyError(f"({text!r}, {pivot!r}) is not in the back-translation cache") from None
 
 
 def mock_provider(text: str, pivot: str) -> str:

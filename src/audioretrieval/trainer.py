@@ -3,6 +3,7 @@ on-the-fly augmentation, retrieval scoring for validation and eval, early
 stopping."""
 from __future__ import annotations
 
+import copy
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
@@ -264,7 +265,73 @@ def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, p
     return from_ranks(np.concatenate(ranks))
 
 
+@dataclass
+class TrainState:
+    """Everything an epoch reads and changes; a copy of it resumes the run exactly."""
+    params: ModelParams
+    norm: NormStats
+    adam: AdamState
+    vocab: TokenVocab
+    captions: list[list[str]]  # the training captions, preprocessed
+    val_queries: tuple[np.ndarray, np.ndarray]  # caption_queries(val, vocab)
+    rng_order: np.random.Generator  # batch order and caption choice
+    rng_aug: np.random.Generator  # every augmentation draw
+    result: RunResult = field(default_factory=RunResult)
+    best: tuple[ModelParams, NormStats] | None = None  # at the best epoch; epoch 0 sets it
+
+
+def start_run(train: PreparedSplit, val: PreparedSplit, dims: ModelDims, seed: int) -> TrainState:
+    """The state before epoch 0 of a run from ``seed``. The model's input widths are the
+    splits' ``feat.n_mels`` and the training vocabulary's size."""
+    check_splits(train, val)
+    rng_init, rng_order, rng_aug = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    captions = [[preprocess_caption(c) for c in caps] for caps in train.captions]
+    vocab = build_vocab([c for caps in captions for c in caps])
+    params = init_params(dims, train.feat.n_mels, len(vocab), int(rng_init.integers(2**31)))
+    return TrainState(params, NormStats.fresh(train.feat.n_mels), AdamState(), vocab, captions,
+                      caption_queries(val, vocab), rng_order, rng_aug)
+
+
 @np.errstate(all="ignore")  # a diverging run ends in the FloatingPointError below, not in warnings
+def run_epoch(state: TrainState, train: PreparedSplit, val: PreparedSplit,
+              audio_cfg: audio_aug.AudioAugConfig, text_cfg: text_aug.TextAugConfig,
+              optim: OptimConfig, provider, lexicon: text_aug.SynonymLexicon) -> None:
+    """Train and validate epoch ``state.result.epochs_run``, into ``state.result`` and
+    ``state.best``. A config that cannot fire draws nothing; per batch, augmentation draws
+    caption text (BT then EDA, per item) -> gain (per item) -> Freq-MixStyle -> SpecAugment
+    (per item). A non-finite loss, embedding norm or gradient raises FloatingPointError."""
+    result = state.result
+    epoch, lr = result.epochs_run, lr_at(result.epochs_run, optim)
+    order = state.rng_order.permutation(len(train))
+    cap_choice = {int(i): int(state.rng_order.integers(len(train.captions[i]))) for i in order}
+    batch_losses = []
+    for start in range(0, len(train), optim.batch_size):
+        idx = order[start : start + optim.batch_size]
+        if len(idx) < 2:
+            continue  # nt_xent needs N >= 2
+        tokens = tokenize([
+            state.captions[i][cap_choice[int(i)]] if not text_cfg.draws
+            else text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
+                                          provider, lexicon, state.vocab, state.rng_aug)
+            for i in idx
+        ], state.vocab)
+        pooled = pooled_audio(train, idx, state.norm, True, audio_cfg, state.rng_aug)
+        try:
+            loss, grads = backward(pooled, tokens, state.params)
+            adam_step(state.params, grads, state.adam, lr)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from exc
+        batch_losses.append(loss)
+
+    result.train_losses.append(float(np.mean(batch_losses)))
+    val_map = score_split(val, *state.val_queries, state.params, state.norm).map10
+    result.val_maps.append(val_map)
+    result.epochs_run = epoch + 1
+    if result.best_epoch < 0 or val_map > result.best_val_map:
+        result.best_val_map, result.best_epoch = val_map, epoch
+        state.best = copy.deepcopy((state.params, state.norm))
+
+
 def train_run(
     train: PreparedSplit,
     val: PreparedSplit,
@@ -277,73 +344,16 @@ def train_run(
     lexicon: text_aug.SynonymLexicon | None = None,
     checkpoint_path=None,
 ) -> RunResult:
-    """Full optimization run from ``seed``; returns per-epoch losses and validation mAP@10.
-
-    The model's input widths are the splits' ``feat.n_mels`` and the training
-    vocabulary's size. An ``audio_cfg`` /
-    ``text_cfg`` whose firing settings are all zero draws nothing. RNG
-    streams: one for batch order and caption sampling, one for augmentation;
-    per batch the augmentation draws happen in the fixed order caption text
-    (BT then EDA, per item) -> gain (per item) -> Freq-MixStyle ->
-    SpecAugment (per item). The run stops once ``optim.patience`` epochs have not
-    strictly improved on the best validation mAP@10. A non-finite loss, embedding
-    norm or gradient raises FloatingPointError naming the epoch.
-    """
-    check_splits(train, val)
-    feat = train.feat
-    seeds = np.random.SeedSequence(seed).spawn(3)
-    rng_init, rng_order, rng_aug = (np.random.default_rng(s) for s in seeds)
-    lexicon = lexicon or text_aug.SynonymLexicon(({}))
-
-    caps_pre = [[preprocess_caption(c) for c in caps] for caps in train.captions]
-    vocab = build_vocab([c for caps in caps_pre for c in caps])
-
-    params = init_params(dims, feat.n_mels, len(vocab), int(rng_init.integers(2**31)))
-    stats = NormStats.fresh(feat.n_mels)
-    state = AdamState()
-    best = None  # (params, stats) at the best validation epoch; epoch 0 sets it
-
-    val_tokens, val_targets = caption_queries(val, vocab)
-
-    result = RunResult(checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
-    n = len(train)
-    augments_text = text_cfg.draws
-
-    for epoch in range(optim.epochs):
-        lr = lr_at(epoch, optim)
-        order = rng_order.permutation(n)
-        cap_choice = {int(i): int(rng_order.integers(len(train.captions[i]))) for i in order}
-        batch_losses = []
-        for start in range(0, n, optim.batch_size):
-            idx = order[start : start + optim.batch_size]
-            if len(idx) < 2:
-                continue  # nt_xent needs N >= 2
-            tokens = tokenize([
-                caps_pre[i][cap_choice[int(i)]] if not augments_text
-                else text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
-                                              provider, lexicon, vocab, rng_aug)
-                for i in idx
-            ], vocab)
-            pooled = pooled_audio(train, idx, stats, True, audio_cfg, rng_aug)
-            try:
-                loss, grads = backward(pooled, tokens, params)
-                adam_step(params, grads, state, lr)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"training diverged at epoch {epoch}: {exc}") from exc
-            batch_losses.append(loss)
-
-        result.train_losses.append(float(np.mean(batch_losses)))
-        val_map = score_split(val, val_tokens, val_targets, params, stats).map10
-        result.val_maps.append(val_map)
-        result.epochs_run = epoch + 1
-
-        if result.best_epoch < 0 or val_map > result.best_val_map:
-            result.best_val_map, result.best_epoch = val_map, epoch
-            best = (params.copy(), NormStats(stats.mean.copy(), stats.var.copy(), stats.count))
-        if epoch - result.best_epoch >= optim.patience:
-            result.stopped_early = True
-            break
-
+    """Epochs of a run from ``seed`` until ``optim.epochs``, or until ``optim.patience`` epochs
+    have not strictly improved on the best validation mAP@10; the best epoch's model is then
+    saved to ``checkpoint_path`` when given."""
+    state = start_run(train, val, dims, seed)
+    result = state.result
+    result.checkpoint_path = str(checkpoint_path) if checkpoint_path else None
+    while not result.stopped_early and result.epochs_run < optim.epochs:
+        run_epoch(state, train, val, audio_cfg, text_cfg, optim, provider,
+                  lexicon or text_aug.SynonymLexicon())
+        result.stopped_early = result.epochs_run - result.best_epoch > optim.patience
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, best[0], best[1], vocab, feat)
+        save_checkpoint(checkpoint_path, *state.best, state.vocab, train.feat)
     return result

@@ -556,3 +556,21 @@ class TestCheckpointChecked:
             return
         assert {key: doc[key] for key in before} == before
         assert _metrics(loaded, split) == metrics
+
+    @pytest.mark.parametrize("name", ["w1", "w2", "embed", "w3"])
+    def test_weight_not_2d_names_the_shapes(self, scored_checkpoint, tmp_path, name):
+        doc = json.loads(json.dumps(scored_checkpoint[0]))
+        record = doc["arrays"][name]
+        record["shape"] = [int(np.prod(record["shape"]))]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^arrays \{.*\} do not fit n_mels 6, vocab "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("count", [-1, 1.5, True, "3", None])
+    def test_bad_norm_count_names_the_key(self, scored_checkpoint, tmp_path, count):
+        doc = dict(scored_checkpoint[0], norm_count=count)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^norm_count must be an integer >= 0, got "):
+            load_checkpoint(path)

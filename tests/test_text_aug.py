@@ -46,7 +46,8 @@ class TestBackTranslate:
     def test_cache_miss_names_pair(self):
         cache = TranslationCache({})
         cfg = TextAugConfig(p_bt=1.0)
-        with pytest.raises(KeyError, match="missing caption"):
+        message = r"\('missing caption', '\w+'\) is not in the back-translation cache"
+        with pytest.raises(KeyError, match=message):
             back_translate("missing caption", cfg, cache, np.random.default_rng(0))
 
     def test_no_provider_errors_when_firing(self):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from audioretrieval.data import (
 )
 from audioretrieval.metrics import from_ranks
 from audioretrieval.model import (TEXT_BLOCK, ModelDims, init_params, load_checkpoint,
-                                  zeros_like_params)
+                                  save_checkpoint, zeros_like_params)
 from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import (
     ADAM_BETA1,
@@ -161,9 +162,11 @@ class TestEarlyStopping:
         assert result.stopped_early and result.epochs_run == 6
 
     def test_plateau_counts_as_no_improvement(self):
-        # equal values never beat the best: strict improvement rule
-        result = run_validated_as([0.5] * 6, patience=2)
-        assert (result.best_epoch, result.epochs_run, result.stopped_early) == (0, 3, True)
+        # equal values never beat the best: strict improvement rule. With 3 epochs, patience
+        # runs out on the last one, and that is still an early stop
+        for epochs in (6, 3):
+            result = run_validated_as([0.5] * epochs, patience=2)
+            assert (result.best_epoch, result.epochs_run, result.stopped_early) == (0, 3, True)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +322,58 @@ class TestTrainRun:
         for bad in ({"batch_size": 6.0}, {"epochs": True}, {"patience": "3"}):
             with pytest.raises(ValueError, match="must be an integer"):
                 OptimConfig(**bad)
+
+
+AUGMENT_ALL_AUDIO = AudioAugConfig(g_max=6, n_f=1, w_f=8, n_t=2, w_t=16, p_ms=0.5, alpha=0.3)
+AUGMENT_ALL_TEXT = TextAugConfig(p_eda=0.5, p_syn=0.2, p_swp=0.1, p_ins=0.1, p_del=0.1, p_bt=0.5)
+
+
+def _run_epochs(state, splits, audio_cfg, text_cfg, optim, path, provider=None,
+                lexicon=text_aug.SynonymLexicon()):
+    """Run ``state`` to ``optim.epochs`` epochs and save its best epoch to ``path``; the
+    result and the checkpoint's bytes."""
+    while state.result.epochs_run < optim.epochs:
+        trainer.run_epoch(state, *splits, audio_cfg, text_cfg, optim, provider, lexicon)
+    save_checkpoint(path, *state.best, state.vocab, splits[0].feat)
+    return state.result, path.read_bytes()
+
+
+class TestTrainState:
+    """``train_run`` is ``start_run`` and then ``run_epoch`` until ``epochs`` or ``patience``,
+    and the ``TrainState`` holds everything an epoch changes."""
+
+    OPTIM = OptimConfig(epochs=6, batch_size=6, patience=10, lr0=3e-2)  # best: epoch 4 of 0-5
+
+    def test_epochs_by_hand_equal_train_run(self, tmp_path):
+        splits, ckpt = _tiny_splits(), tmp_path / "run.json"
+        result = train_run(*splits, ModelDims(), OFF_AUDIO, OFF_TEXT, self.OPTIM, 11,
+                           checkpoint_path=ckpt)
+        assert 0 < result.best_epoch < result.epochs_run - 1 == self.OPTIM.epochs - 1
+        state = trainer.start_run(*splits, ModelDims(), 11)
+        by_hand, saved = _run_epochs(state, splits, OFF_AUDIO, OFF_TEXT, self.OPTIM,
+                                     tmp_path / "by_hand.json")
+        assert replace(by_hand, checkpoint_path=str(ckpt)) == result
+        assert saved == ckpt.read_bytes()
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_a_copy_between_epochs_resumes_the_run_exactly(self, frames_dir, tmp_path, augment):
+        """A deep copy taken between epochs and run on after the original has finished:
+        nothing an epoch changes lives outside the state, with every augmentation on a
+        split whose frames are in a FrameStore too."""
+        audio, text = (AUGMENT_ALL_AUDIO, AUGMENT_ALL_TEXT) if augment else (OFF_AUDIO, OFF_TEXT)
+        aug = dict(provider=text_aug.mock_provider, lexicon=text_aug.SynonymLexicon.bundled())
+        with contextlib.closing(FrameStore(frames_dir, FeatureConfig().n_mels)) as store:
+            splits = _tiny_splits(store)
+            state = trainer.start_run(*splits, ModelDims(), 11)
+            trainer.run_epoch(state, *splits, audio, text, self.OPTIM, **aug)
+            trainer.run_epoch(state, *splits, audio, text, self.OPTIM, **aug)
+            resumed = copy.deepcopy(state)
+            first = _run_epochs(state, splits, audio, text, self.OPTIM, tmp_path / "a.json", **aug)
+            again = _run_epochs(resumed, splits, audio, text, self.OPTIM, tmp_path / "b.json",
+                                **aug)
+            whole = train_run(*splits, ModelDims(), audio, text, self.OPTIM, 11, **aug)
+        assert first == again and first[0] == whole
+        assert len(whole.val_maps) == self.OPTIM.epochs
 
 
 class TestPrepareSplit:
