@@ -27,30 +27,48 @@ class ModelDims:  # the widths a config sets; init_params takes the input widths
             check_int(self, f.name, 1)
 
 
-@dataclass
 class ModelParams:
-    """All trainable arrays: audio head (w1/b1/w2/b2), token table, text head."""
+    """All trainable arrays: audio head (w1/b1/w2/b2), token table, text head, as named
+    views of one float64 vector ``flat`` that holds them end to end in that order.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    embed: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
+    The views are made once per object; ``copy()``, ``copy.deepcopy`` and pickle copy
+    ``flat`` and make them again on the copy."""
+
+    NAMES = ("w1", "b1", "w2", "b2", "embed", "w3", "b3", "w4", "b4")
+
+    def __init__(self, w1, b1, w2, b2, embed, w3, b3, w4, b4):
+        arrays = (w1, b1, w2, b2, embed, w3, b3, w4, b4)
+        layout, end = [], 0
+        for name, arr in zip(self.NAMES, arrays):
+            start, end = end, end + np.size(arr)
+            layout.append((name, slice(start, end), np.shape(arr)))
+        self.__setstate__((np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64),
+                           tuple(layout)))
+
+    def __getstate__(self):
+        return self.flat, self.layout
+
+    def __setstate__(self, state):
+        self.flat, self.layout = state  # layout: each array's name, slice of flat and shape
+        for name, part, shape in self.layout:
+            setattr(self, name, self.flat[part].reshape(shape))
 
     def arrays(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        for name in self.NAMES:
+            yield name, getattr(self, name)
+
+    def on(self, flat: np.ndarray) -> "ModelParams":
+        """Arrays of this layout as views of ``flat``, which they share."""
+        other = object.__new__(ModelParams)
+        other.__setstate__((flat, self.layout))
+        return other
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.arrays()})
+        return self.on(self.flat.copy())
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(**{name: np.zeros_like(arr) for name, arr in params.arrays()})
+    return params.on(np.zeros_like(params.flat))
 
 
 def init_params(dims: ModelDims, n_mels: int, vocab_size: int, seed: int) -> ModelParams:
@@ -129,25 +147,11 @@ def similarity_matrix(audio_emb: np.ndarray, text_emb: np.ndarray) -> np.ndarray
     return _unit_rows(audio_emb)[2] @ _unit_rows(text_emb)[2].T
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def nt_xent(C: np.ndarray) -> float:
-    """Average of row-wise and column-wise softmax CE against the identity, at temperature 1."""
-    n = C.shape[0]
-    if C.shape != (n, n) or n < 2:
-        raise ValueError("similarity matrix must be square with N >= 2")
-    row_ce = -np.diag(_log_softmax(C))
-    col_ce = -np.diag(_log_softmax(C.T))
-    return float((row_ce.sum() + col_ce.sum()) / (2.0 * n))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax_parts(logits: np.ndarray):
+    """(logits minus each row's max, their exp, and the exp's row sums [n, 1])."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, e.sum(axis=1, keepdims=True)
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -161,16 +165,20 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 def backward(pooled_a: np.ndarray, text_ids: np.ndarray,
              params: ModelParams) -> tuple[float, ModelParams]:
-    """Loss and exact gradients of nt_xent(similarity(embeddings)) w.r.t. params.
+    """The NT-Xent loss of similarity(embeddings) and its exact gradients w.r.t. params.
 
-    ``pooled_a`` is the pooled audio [N, n_mels] as ``pool_audio`` returns it and
-    ``text_ids`` a PAD-padded id matrix as ``data.tokenize`` returns it.
-    Feature normalization statistics are constants; the cosine gradient uses
-    the full quotient rule.
+    The loss averages the row-wise and column-wise softmax cross-entropy of C against
+    the identity, at temperature 1; each softmax is computed once, for both. ``pooled_a``
+    is the pooled audio [N, n_mels] as ``pool_audio`` returns it and ``text_ids`` a
+    PAD-padded id matrix as ``data.tokenize`` returns it, N >= 2. Feature normalization
+    statistics are constants; the cosine gradient uses the full quotient rule. The
+    gradients are views of one vector, as ``params`` are.
     """
     n = len(pooled_a)
     if len(text_ids) != n:
         raise ValueError("audio and text batch sizes differ")
+    if n < 2:
+        raise ValueError(f"a contrastive batch needs N >= 2 pairs, got {n}")
 
     pre1, h1, A = _head(pooled_a, params.w1, params.b1, params.w2, params.b2)
     pooled_t = pool_text(text_ids, params.embed)
@@ -178,14 +186,18 @@ def backward(pooled_a: np.ndarray, text_ids: np.ndarray,
     a_raw, a_den, An = _unit_rows(A)
     t_raw, t_den, Tn = _unit_rows(T)
     C = An @ Tn.T
-    loss = nt_xent(C)
+    rows, cols = _softmax_parts(C), _softmax_parts(C.T)
+    # each row's and column's cross-entropy: minus the diagonal of its log-softmax
+    ce = [-(np.diagonal(shifted) - np.log(sums[:, 0])) for shifted, _, sums in (rows, cols)]
+    loss = float((ce[0].sum() + ce[1].sum()) / (2.0 * n))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     if not (np.isfinite(a_raw).all() and np.isfinite(t_raw).all()):  # rows then divide to 0
         raise FloatingPointError("non-finite embedding norm")
 
     eye = np.eye(n)
-    dC = ((_softmax(C) - eye) + (_softmax(C.T) - eye).T) / (2.0 * n)
+    (_, e_rows, rows_sum), (_, e_cols, cols_sum) = rows, cols
+    dC = ((e_rows / rows_sum - eye) + (e_cols / cols_sum - eye).T) / (2.0 * n)
 
     # cosine backward: An = A / (|A| + eps)
     def through_norm(dXn, X, raw, den):
@@ -194,19 +206,27 @@ def backward(pooled_a: np.ndarray, text_ids: np.ndarray,
 
     dA = through_norm(dC @ Tn, A, a_raw, a_den)
     dT = through_norm(dC.T @ An, T, t_raw, t_den)
+    grads = params.on(np.empty_like(params.flat))
 
-    def through_head(x, pre, hidden, w_out, d_out):
-        """(dw_in, db_in, dw_out, db_out) of a head, and the gradient at its pre-activation."""
+    def through_head(x, pre, hidden, w_out, d_out, dw_in, db_in, dw_out, db_out):
+        """A head's four gradients, written into the given views; the gradient at its
+        pre-activation."""
         d_pre = (d_out @ w_out.T) * (pre > 0.0)
-        return x.T @ d_pre, d_pre.sum(axis=0), hidden.T @ d_out, d_out.sum(axis=0), d_pre
+        np.matmul(x.T, d_pre, out=dw_in)
+        d_pre.sum(axis=0, out=db_in)
+        np.matmul(hidden.T, d_out, out=dw_out)
+        d_out.sum(axis=0, out=db_out)
+        return d_pre
 
-    w1, b1, w2, b2, _ = through_head(pooled_a, pre1, h1, params.w2, dA)
-    w3, b3, w4, b4, dh3 = through_head(pooled_t, pre3, h3, params.w4, dT)
+    through_head(pooled_a, pre1, h1, params.w2, dA, grads.w1, grads.b1, grads.w2, grads.b2)
+    dh3 = through_head(pooled_t, pre3, h3, params.w4, dT, grads.w3, grads.b3, grads.w4, grads.b4)
     # token table: each valid position gets its row's share, scattered in row order
     valid = text_ids != TokenVocab.PAD
-    dpool_t = (dh3 @ params.w3.T) / np.maximum(valid.sum(axis=1, keepdims=True), 1)
-    embed = scatter_rows(text_ids[valid], dpool_t[np.nonzero(valid)[0]], len(params.embed))
-    return loss, ModelParams(w1, b1, w2, b2, embed, w3, b3, w4, b4)
+    counts = valid.sum(axis=1, keepdims=True)
+    dpool_t = (dh3 @ params.w3.T) / np.maximum(counts, 1)
+    grads.embed[...] = scatter_rows(text_ids[valid], np.repeat(dpool_t, counts[:, 0], axis=0),
+                                    len(params.embed))
+    return loss, grads
 
 
 def save_checkpoint(path, params: ModelParams, stats: NormStats, vocab: TokenVocab,

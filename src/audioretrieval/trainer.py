@@ -89,7 +89,8 @@ def lr_at(epoch: int, cfg: OptimConfig) -> float:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction, of every array at once: each
+    operation runs over the flat vectors of the parameters, gradients and moments."""
     if state.m is None:
         state.m = zeros_like_params(params)
         state.v = zeros_like_params(params)
@@ -97,26 +98,24 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        step, denom = (1.0 - b1) * g, (1.0 - b2) * g
-        m *= b1
-        m += step
-        v *= b2
-        denom *= g
-        v += denom
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order, in the two buffers
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p = getattr(params, name)
-        p -= step
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    if not np.isfinite(g).all():
+        name = next(name for name, arr in grads.arrays() if not np.isfinite(arr).all())
+        raise FloatingPointError(f"non-finite gradient in {name}")
+    step, denom = (1.0 - b1) * g, (1.0 - b2) * g
+    m *= b1
+    m += step
+    v *= b2
+    denom *= g
+    v += denom
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order, in the two buffers
+    np.divide(m, bc1, out=step)
+    step *= lr
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    params.flat -= step
 
 
 class FrameStore:
@@ -265,6 +264,12 @@ def score_split(split: PreparedSplit, tokens: np.ndarray, targets: np.ndarray, p
     return from_ranks(np.concatenate(ranks))
 
 
+def batch_ids(ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ``rows`` of an id matrix that ``tokenize`` made, whose rows hold ``lengths``
+    tokens, cut to the longest of them: ``tokenize`` of those rows' texts alone."""
+    return ids[rows, : lengths[rows].max(initial=0)]
+
+
 @dataclass
 class TrainState:
     """Everything an epoch reads and changes; a copy of it resumes the run exactly."""
@@ -272,7 +277,9 @@ class TrainState:
     norm: NormStats
     adam: AdamState
     vocab: TokenVocab
-    captions: list[list[str]]  # the training captions, preprocessed
+    caption_ids: np.ndarray  # tokenize of every preprocessed training caption, clip by clip
+    caption_lengths: np.ndarray  # the token count of each row of caption_ids
+    caption_rows: np.ndarray  # clip i's captions: rows caption_rows[i] to caption_rows[i + 1]
     val_queries: tuple[np.ndarray, np.ndarray]  # caption_queries(val, vocab)
     rng_order: np.random.Generator  # batch order and caption choice
     rng_aug: np.random.Generator  # every augmentation draw
@@ -285,10 +292,13 @@ def start_run(train: PreparedSplit, val: PreparedSplit, dims: ModelDims, seed: i
     splits' ``feat.n_mels`` and the training vocabulary's size."""
     check_splits(train, val)
     rng_init, rng_order, rng_aug = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
-    captions = [[preprocess_caption(c) for c in caps] for caps in train.captions]
-    vocab = build_vocab([c for caps in captions for c in caps])
+    captions = [preprocess_caption(c) for caps in train.captions for c in caps]
+    vocab = build_vocab(captions)
     params = init_params(dims, train.feat.n_mels, len(vocab), int(rng_init.integers(2**31)))
-    return TrainState(params, NormStats.fresh(train.feat.n_mels), AdamState(), vocab, captions,
+    ids = tokenize(captions, vocab)  # every id is >= UNK: a row's length is its nonzero count
+    return TrainState(params, NormStats.fresh(train.feat.n_mels), AdamState(), vocab, ids,
+                      np.count_nonzero(ids, axis=1),
+                      np.cumsum([0] + [len(caps) for caps in train.captions]),
                       caption_queries(val, vocab), rng_order, rng_aug)
 
 
@@ -303,18 +313,22 @@ def run_epoch(state: TrainState, train: PreparedSplit, val: PreparedSplit,
     result = state.result
     epoch, lr = result.epochs_run, lr_at(result.epochs_run, optim)
     order = state.rng_order.permutation(len(train))
-    cap_choice = {int(i): int(state.rng_order.integers(len(train.captions[i]))) for i in order}
+    first = state.caption_rows[order]  # the row of each clip's first caption, in order
+    # a caption of each clip: the values, and generator state, of one integers(n) call per clip
+    picks = state.rng_order.integers(state.caption_rows[order + 1] - first)
     batch_losses = []
     for start in range(0, len(train), optim.batch_size):
-        idx = order[start : start + optim.batch_size]
+        batch = slice(start, start + optim.batch_size)
+        idx = order[batch]
         if len(idx) < 2:
-            continue  # nt_xent needs N >= 2
-        tokens = tokenize([
-            state.captions[i][cap_choice[int(i)]] if not text_cfg.draws
-            else text_aug.augment_caption(train.captions[i][cap_choice[int(i)]], text_cfg,
-                                          provider, lexicon, state.vocab, state.rng_aug)
-            for i in idx
-        ], state.vocab)
+            continue  # the loss needs N >= 2
+        if not text_cfg.draws:
+            tokens = batch_ids(state.caption_ids, state.caption_lengths,
+                               first[batch] + picks[batch])
+        else:
+            tokens = tokenize([text_aug.augment_caption(train.captions[i][k], text_cfg, provider,
+                                                        lexicon, state.vocab, state.rng_aug)
+                               for i, k in zip(idx, picks[batch])], state.vocab)
         pooled = pooled_audio(train, idx, state.norm, True, audio_cfg, state.rng_aug)
         try:
             loss, grads = backward(pooled, tokens, state.params)

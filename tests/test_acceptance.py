@@ -30,7 +30,6 @@ from audioretrieval.model import (
     embed_audio,
     embed_text,
     init_params,
-    nt_xent,
     pool_audio,
     similarity_matrix,
 )
@@ -39,6 +38,7 @@ from audioretrieval.text_aug import TextAugConfig
 from audioretrieval.trainer import OptimConfig, lr_at, prepare_split, train_run
 
 from conftest import logged_search
+from loss_reference import nt_xent
 from test_audio_aug import pooled_gain_shift
 from test_model import finite_difference_check
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,13 +15,11 @@ from audioretrieval.model import (
     TEXT_BLOCK,
     ModelDims,
     ModelParams,
-    _softmax,
     backward,
     embed_audio,
     embed_text,
     init_params,
     load_checkpoint,
-    nt_xent,
     pool_audio,
     pool_text,
     save_checkpoint,
@@ -31,6 +31,7 @@ from audioretrieval.trainer import caption_queries, prepare_split, score_split
 import checkpoint_reference
 from conftest import examples, random_mel_batch, random_token_batch
 from frame_reference import pool_audio as pool_frames
+from loss_reference import backward as backward_reference, nt_xent, softmax
 
 
 class TestInit:
@@ -52,6 +53,60 @@ class TestInit:
     def test_dims_validated(self):
         with pytest.raises(ValueError):
             ModelDims(embed_dim=0)
+
+
+class TestModelParams:
+    """Nine named views of one float64 vector ``flat``, made again on every copy."""
+
+    @staticmethod
+    def assert_views_of_flat(params):
+        assert [name for name, _ in params.arrays()] == list(ModelParams.NAMES)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert sum(arr.size for _, arr in params.arrays()) == params.flat.size
+        offset = 0
+        for name, arr in params.arrays():
+            assert np.shares_memory(arr, params.flat), name
+            assert arr.base is params.flat and arr.flags.c_contiguous, name
+            assert arr.__array_interface__["data"][0] \
+                == params.flat.__array_interface__["data"][0] + 8 * offset, name
+            offset += arr.size
+
+    def test_every_way_of_making_them_shares_flat(self, small_dims, tmp_path):
+        params = init_params(small_dims, 8, 10, 0)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, NormStats.fresh(8), build_vocab(["a b c d e f g h"]),
+                        FeatureConfig(n_mels=8))
+        made = {"init_params": params, "load_checkpoint": load_checkpoint(path)[0],
+                "copy": params.copy(), "deepcopy": copy.deepcopy(params),
+                "pickle": pickle.loads(pickle.dumps(params)),
+                "keywords": ModelParams(**dict(params.arrays()))}
+        for how, other in made.items():
+            self.assert_views_of_flat(other)
+            assert other.flat.tobytes() == params.flat.tobytes(), how
+            assert other is params or not np.shares_memory(other.flat, params.flat), how
+        state = copy.deepcopy((params, params))  # one object deep-copied once, memo and all
+        assert state[0] is state[1]
+        self.assert_views_of_flat(state[0])
+
+    def test_a_view_writes_through_to_flat(self, small_params):
+        small_params.w2[0, 0] = 7.5
+        small_params.b4[...] = -1.0
+        other = small_params.copy()
+        assert other.w2[0, 0] == 7.5 and np.all(other.b4 == -1.0)
+        small_params.flat[:] = 0.0
+        assert not small_params.w2.any() and other.w2[0, 0] == 7.5
+
+    def test_keyword_constructor_copies_into_float64(self):
+        arrays = {name: np.full(shape, k, dtype=np.int64) for k, (name, shape) in enumerate(
+            zip(ModelParams.NAMES, [(2, 3), (3,), (3, 2), (2,), (4, 2), (2, 3), (3,), (3, 2),
+                                    (2,)]))}
+        params = ModelParams(**arrays)
+        self.assert_views_of_flat(params)
+        for name, arr in params.arrays():
+            assert arr.dtype == np.float64 and np.array_equal(arr, arrays[name])
+            assert not np.shares_memory(arr, arrays[name])
+        with pytest.raises(TypeError):
+            ModelParams(**{**arrays, "w5": arrays["w1"]})
 
 
 class TestEmbedAudio:
@@ -213,11 +268,39 @@ class TestBackward:
                                             embed_text(toks, params)))
         assert backward(pooled, toks, params)[0] == forward
 
+    @given(lists=st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=2, max_size=9),
+           n_mels=st.integers(1, 10), embed_dim=st.integers(1, 10), hidden=st.integers(1, 12),
+           scale=st.sampled_from([1e-3, 1.0, 50.0]), seed=st.integers(0, 2**32 - 1))
+    @example(lists=[[], []], n_mels=3, embed_dim=2, hidden=4, scale=1.0, seed=0)
+    @settings(max_examples=examples(60), deadline=None)
+    def test_equals_the_reference_bit_for_bit(self, lists, n_mels, embed_dim, hidden, scale,
+                                              seed):
+        """One softmax per direction and gradients written into one vector give the loss and
+        every gradient of the separate computations, bit for bit; rows may be all PAD."""
+        rng = np.random.default_rng(seed)
+        dims = ModelDims(embed_dim=embed_dim, audio_hidden=hidden, text_hidden=hidden + 1,
+                         token_embed_dim=embed_dim + 1)
+        params = init_params(dims, n_mels, 12, seed % 1000)
+        params.embed *= scale
+        ids = np.zeros((len(lists), max(map(len, lists))), dtype=np.int64)
+        for row, tokens in zip(ids, lists):
+            tokens = [t for t in tokens if t]  # PAD only after a row's ids
+            row[: len(tokens)] = tokens
+        pooled = rng.normal(size=(len(lists), n_mels)) * scale
+        loss, grads = backward(pooled, ids, params)
+        ref_loss, ref_grads = backward_reference(pooled, ids, params)
+        assert loss == ref_loss
+        for (name, a), (_, b) in zip(grads.arrays(), ref_grads.arrays()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert np.shares_memory(a, grads.flat), name
+
     def test_single_pair_rejected(self, small_dims):
         rng = np.random.default_rng(4)
         params = init_params(small_dims, 8, 10, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N >= 2 pairs, got 1"):
             backward(pool_frames(random_mel_batch(rng, 1)), random_token_batch(rng, 1), params)
+        with pytest.raises(ValueError, match="N >= 2 pairs, got 0"):
+            backward(np.zeros((0, 8)), random_token_batch(rng, 0), params)
 
     def test_mismatched_batches_rejected(self, small_dims):
         rng = np.random.default_rng(5)
@@ -261,7 +344,7 @@ def _embed_grad_per_caption(pooled, rows, params):
     An, Tn = A / a_den, T / t_den
     logits = An @ Tn.T
     eye = np.eye(len(rows))
-    dC = ((_softmax(logits) - eye) + (_softmax(logits.T) - eye).T) / (2.0 * len(rows))
+    dC = ((softmax(logits) - eye) + (softmax(logits.T) - eye).T) / (2.0 * len(rows))
     dTn = dC.T @ An
     dT = dTn / t_den - T * ((dTn * T).sum(axis=1, keepdims=True)
                             / (np.maximum(t_raw, NORM_EPS) * t_den**2))

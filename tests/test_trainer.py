@@ -17,6 +17,7 @@ from audioretrieval import audio_aug, text_aug, trainer
 from audioretrieval.audio_aug import AudioAugConfig
 from audioretrieval.data import (
     LOG_FLOOR,
+    MAX_TOKENS,
     FeatureConfig,
     MelStats,
     NormStats,
@@ -30,6 +31,7 @@ from audioretrieval.data import (
     resample_linear,
     save_wav,
     synth_dataset,
+    tokenize,
 )
 from audioretrieval.metrics import from_ranks
 from audioretrieval.model import (TEXT_BLOCK, ModelDims, init_params, load_checkpoint,
@@ -127,9 +129,12 @@ class TestAdam:
 
     def test_nonfinite_gradient_rejected(self, small_dims):
         params, grads, state = self._setup(small_dims)
+        grads.w1[:] = 1.0
         grads.w2[0, 0] = np.nan
-        with pytest.raises(FloatingPointError):
+        before = params.copy()
+        with pytest.raises(FloatingPointError, match="^non-finite gradient in w2$"):
             adam_step(params, grads, state, 1e-4)
+        assert params.flat.tobytes() == before.flat.tobytes()  # no array took the step
 
 
 OFF_AUDIO, OFF_TEXT = AudioAugConfig(), TextAugConfig()
@@ -254,15 +259,26 @@ class TestTrainRun:
         assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
     def test_untouched_batch_tokenizes_its_preprocessed_captions(self):
-        texts = []
-        tokenize = trainer.tokenize
-        with mock.patch.object(trainer, "tokenize",
-                               lambda t, vocab: texts.append(t) or tokenize(t, vocab)):
+        """Each batch's ids are ``tokenize`` of its clips' chosen captions, preprocessed, with
+        the choices drawn one ``integers(len(captions))`` call per clip in batch order."""
+        seen = []
+        backward = trainer.backward
+        with mock.patch.object(trainer, "backward",
+                               lambda p, ids, params: seen.append(ids) or backward(p, ids, params)):
             _tiny_run(seed=10, epochs=3)
-        captions = {preprocess_caption(c) for caps in _tiny_splits()[0].captions for c in caps}
-        # the validation queries, then one call per batch of six clips: 3 epochs of 3 batches
-        assert [len(t) for t in texts[1:]] == [6] * 9
-        assert all(c in captions for batch in texts[1:] for c in batch)
+        train, val = _tiny_splits()
+        state = trainer.start_run(train, val, ModelDims(), 10)
+        expected = []
+        for _ in range(3):
+            order = state.rng_order.permutation(len(train))
+            chosen = [train.captions[i][state.rng_order.integers(len(train.captions[i]))]
+                      for i in order]
+            expected += [tokenize([preprocess_caption(c) for c in chosen[b : b + 6]], state.vocab)
+                         for b in range(0, len(train), 6)]
+        assert len(seen) == len(expected) == 9  # 3 epochs of 3 batches of six clips
+        for ids, want in zip(seen, expected):
+            assert ids.dtype == want.dtype and ids.shape == want.shape
+            assert np.array_equal(ids, want)
 
     def test_checkpoint_written_once_with_best_epoch_state(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
@@ -374,6 +390,55 @@ class TestTrainState:
             whole = train_run(*splits, ModelDims(), audio, text, self.OPTIM, 11, **aug)
         assert first == again and first[0] == whole
         assert len(whole.val_maps) == self.OPTIM.epochs
+
+
+WORDS = st.sampled_from(["rain", "dog", "barks", "a", "the"])
+CAPTION = st.lists(WORDS, max_size=MAX_TOKENS + 8).map(" ".join)  # "" and > MAX_TOKENS words
+
+
+class TestCaptionIds:
+    """``start_run`` tokenizes every training caption once; a batch gathers its rows."""
+
+    @staticmethod
+    def gathered(captions, clips, picks):
+        """The ids a batch of caption ``picks[k]`` of clip ``clips[k]`` gathers, and
+        ``tokenize`` of those captions, preprocessed."""
+        rng = np.random.default_rng(0)
+        mels = [rng.normal(size=(4, 3)) for _ in captions]
+        feat = FeatureConfig(n_mels=4)
+        train = PreparedSplit(feat, None, mel_stats(mels), captions)
+        val = PreparedSplit(feat, None, mel_stats(mels[:1]), captions[:1])
+        state = trainer.start_run(train, val, ModelDims(1, 1, 1, 1), 0)
+        ids = trainer.batch_ids(state.caption_ids, state.caption_lengths,
+                                state.caption_rows[clips] + picks)
+        want = tokenize([preprocess_caption(captions[i][k]) for i, k in zip(clips, picks)],
+                        state.vocab)
+        assert ids.dtype == want.dtype and ids.shape == want.shape and ids.flags.c_contiguous
+        assert np.array_equal(ids, want)
+        return ids, want
+
+    @given(data=st.data(), captions=st.lists(st.lists(CAPTION, min_size=1, max_size=4),
+                                             min_size=2, max_size=6))
+    @settings(max_examples=examples(60), deadline=None)
+    def test_batch_equals_tokenize_of_its_captions(self, data, captions):
+        clips = data.draw(st.lists(st.integers(0, len(captions) - 1), min_size=2))
+        picks = [data.draw(st.integers(0, len(captions[i]) - 1)) for i in clips]
+        self.gathered(captions, clips, picks)
+
+    def test_batch_of_empty_captions_has_width_0(self):
+        ids, _ = self.gathered([["", ""], [""], ["rain " * 40]], [0, 1], [1, 0])
+        assert ids.shape == (2, 0)
+
+    def test_one_call_draws_as_one_call_per_clip(self):
+        """``integers`` over an array of caption counts gives the values, and leaves the
+        generator state, of one ``integers(count)`` call per clip in order: a property of
+        numpy's bounded integers that ``run_epoch``'s caption choice rests on."""
+        for seed in range(50):
+            counts = np.random.default_rng([seed, 1]).integers(1, 9, size=300)
+            whole, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = whole.integers(counts)
+            assert drawn.tolist() == [int(each.integers(c)) for c in counts]
+            assert whole.bit_generator.state == each.bit_generator.state
 
 
 class TestPrepareSplit:
